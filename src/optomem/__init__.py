@@ -37,7 +37,6 @@ from .evolve import (
     Trajectory,
     evolve,
     evolve_rk4,
-    expectation_amplitude,
     generator_check,
 )
 from .wigner import PhaseSpaceGrid, WignerField, min_value, negativity_volume, wigner

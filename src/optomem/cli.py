@@ -22,8 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import (
-    PRESET_NAMES,
-    PRESET_SUMMARIES,
+    PRESETS,
     RunConfig,
     SweepSpec,
     config_to_flat,
@@ -125,10 +124,9 @@ def cmd_revival_report(args: argparse.Namespace) -> int:
 
 
 def cmd_presets(_: argparse.Namespace) -> int:
-    for name in PRESET_NAMES:
-        obj = preset(name)
+    for name, (summary, obj) in PRESETS.items():
         kind = "sweep" if isinstance(obj, SweepSpec) else "run"
-        print(f"{name:15s} [{kind}]  {PRESET_SUMMARIES[name]}")
+        print(f"{name:15s} [{kind}]  {summary}")
     return 0
 
 

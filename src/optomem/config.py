@@ -10,9 +10,12 @@ configuration; a run is fully described by its config echo.
 
 from __future__ import annotations
 
+import copy
 import math
 import re
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 from .liouvillian import SystemParams
 from .revival import revival_time
@@ -33,9 +36,6 @@ DEFAULT_SNAPSHOT_TIMES = (
     0.0, 10.0, 30.0, 50.0, 79.0, 100.0, 125.0, 150.0, 157.0,
     237.0, 314.0, 395.0, 471.0, 553.0, 627.0,
 )
-
-SWEEP_AXES = ("gamma", "nonlinearity", "bath_temp", "alpha")
-
 
 def default_params(**overrides) -> SystemParams:
     base = dict(
@@ -119,6 +119,15 @@ class RunConfig:
         return None if total_k <= 0 else revival_time(self.params.k_c, self.params.k_m)
 
 
+# How a swept value applies to the base config, one entry per axis.
+SWEEP_AXES: dict[str, Callable[[RunConfig, float], RunConfig]] = {
+    "gamma": lambda cfg, v: replace(cfg, params=replace(cfg.params, gamma_c=v, gamma_m=v)),
+    "nonlinearity": lambda cfg, v: replace(cfg, params=replace(cfg.params, k_c=v, k_m=v)),
+    "bath_temp": lambda cfg, v: replace(cfg, params=replace(cfg.params, bath_temp=v)),
+    "alpha": lambda cfg, v: replace(cfg, alpha=complex(v)),
+}
+
+
 @dataclass
 class SweepSpec:
     """One swept axis over a base run configuration."""
@@ -129,57 +138,30 @@ class SweepSpec:
 
     def validate(self) -> None:
         if self.axis not in SWEEP_AXES:
-            raise ValueError(f"unknown sweep axis {self.axis!r}; choose from {SWEEP_AXES}")
+            raise ValueError(
+                f"unknown sweep axis {self.axis!r}; choose from {tuple(SWEEP_AXES)}"
+            )
         if not self.values:
             raise ValueError("sweep needs at least one value")
-        if len(set(self.values)) != len(self.values):
-            raise ValueError("sweep values must be distinct")
+        names = [self.point_dir(value) for value in self.values]
+        clashes = sorted({name for name in names if names.count(name) > 1})
+        if clashes:
+            raise ValueError(
+                f"sweep values share point directories {clashes}; "
+                "values must differ in their first 6 significant digits"
+            )
         self.base.validate()
 
+    def point_dir(self, value: float) -> str:
+        """Name of the directory that holds one sweep point's artifacts."""
+        return f"{self.axis}_{value:.6g}"
+
     def point_config(self, value: float) -> RunConfig:
-        cfg = replace(self.base)
-        if self.axis == "gamma":
-            cfg.params = replace(cfg.params, gamma_c=value, gamma_m=value)
-        elif self.axis == "nonlinearity":
-            cfg.params = replace(cfg.params, k_c=value, k_m=value)
-        elif self.axis == "bath_temp":
-            cfg.params = replace(cfg.params, bath_temp=value)
-        elif self.axis == "alpha":
-            cfg.alpha = complex(value)
-        else:
-            raise ValueError(f"unknown sweep axis {self.axis!r}")
-        return cfg
+        return SWEEP_AXES[self.axis](self.base, value)
 
 
 # ---------------------------------------------------------------------------
 # flat dotted-key representation
-
-_CONFIG_KEYS = (
-    "mode",
-    "dims",
-    "storage_mode",
-    "initial.alpha",
-    "params.omega_c",
-    "params.omega_m",
-    "params.k_c",
-    "params.k_m",
-    "params.g0",
-    "params.gamma_c",
-    "params.gamma_m",
-    "params.bath_temp",
-    "time.horizon",
-    "time.n_samples",
-    "snapshots",
-    "wigner.x_min",
-    "wigner.x_max",
-    "wigner.p_min",
-    "wigner.p_max",
-    "wigner.nx",
-    "wigner.np",
-    "wigner.mode",
-    "integrator.rtol",
-    "integrator.atol",
-)
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
 
@@ -231,49 +213,77 @@ def format_value(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def config_to_flat(cfg: RunConfig) -> dict:
-    p = cfg.params
-    g = cfg.wigner_grid
-    return {
-        "mode": cfg.mode,
-        "dims": tuple(cfg.dims),
-        "storage_mode": cfg.storage_mode,
-        "initial.alpha": cfg.alpha,
-        "params.omega_c": p.omega_c,
-        "params.omega_m": p.omega_m,
-        "params.k_c": p.k_c,
-        "params.k_m": p.k_m,
-        "params.g0": p.g0,
-        "params.gamma_c": p.gamma_c,
-        "params.gamma_m": p.gamma_m,
-        "params.bath_temp": p.bath_temp,
-        "time.horizon": "auto" if cfg.horizon is None else cfg.horizon,
-        "time.n_samples": cfg.n_samples,
-        "snapshots": tuple(cfg.snapshot_times) if cfg.snapshot_times else None,
-        "wigner.x_min": g.x_min,
-        "wigner.x_max": g.x_max,
-        "wigner.p_min": g.p_min,
-        "wigner.p_max": g.p_max,
-        "wigner.nx": g.nx,
-        "wigner.np": g.np,
-        "wigner.mode": cfg.wigner_mode,
-        "integrator.rtol": cfg.rtol,
-        "integrator.atol": cfg.atol,
-    }
-
-
-def _as_float_tuple(value, key: str) -> tuple[float, ...]:
+def _as_float_tuple(value) -> tuple[float, ...]:
     if value is None:
         return ()
     if isinstance(value, (int, float)):
         return (float(value),)
     if isinstance(value, tuple):
         return tuple(float(v) for v in value)
-    raise ValueError(f"{key} must be a number or a comma-separated list, got {value!r}")
+    raise ValueError(f"must be a number or a comma-separated list, got {value!r}")
+
+
+def _as_int_tuple(value) -> tuple[int, ...]:
+    if isinstance(value, int):
+        return (value,)
+    return tuple(int(v) for v in value)
+
+
+def _same(value):
+    return value
+
+
+class _Key(NamedTuple):
+    attr: str  # RunConfig attribute path, e.g. "wigner_grid.nx"
+    parse: Callable  # flat value -> attribute value
+    format: Callable = _same  # attribute value -> flat value
+
+
+# Every dotted config key, in config-echo order.
+_CONFIG_KEYS = {
+    "mode": _Key("mode", str),
+    "dims": _Key("dims", _as_int_tuple, tuple),
+    "storage_mode": _Key("storage_mode", int),
+    "initial.alpha": _Key("alpha", complex),
+    "params.omega_c": _Key("params.omega_c", float),
+    "params.omega_m": _Key("params.omega_m", float),
+    "params.k_c": _Key("params.k_c", float),
+    "params.k_m": _Key("params.k_m", float),
+    "params.g0": _Key("params.g0", float),
+    "params.gamma_c": _Key("params.gamma_c", float),
+    "params.gamma_m": _Key("params.gamma_m", float),
+    "params.bath_temp": _Key("params.bath_temp", float),
+    "time.horizon": _Key(
+        "horizon",
+        lambda v: None if v in ("auto", None) else float(v),
+        lambda v: "auto" if v is None else v,
+    ),
+    "time.n_samples": _Key("n_samples", int),
+    "snapshots": _Key("snapshot_times", _as_float_tuple, lambda v: tuple(v) or None),
+    "wigner.x_min": _Key("wigner_grid.x_min", float),
+    "wigner.x_max": _Key("wigner_grid.x_max", float),
+    "wigner.p_min": _Key("wigner_grid.p_min", float),
+    "wigner.p_max": _Key("wigner_grid.p_max", float),
+    "wigner.nx": _Key("wigner_grid.nx", int),
+    "wigner.np": _Key("wigner_grid.np", int),
+    "wigner.mode": _Key("wigner_mode", _same),
+    "integrator.rtol": _Key("rtol", float),
+    "integrator.atol": _Key("atol", float),
+}
+
+
+def _parse_key(key: str, parse: Callable, value):
+    try:
+        return parse(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
+def config_to_flat(cfg: RunConfig) -> dict:
+    return {key: k.format(attrgetter(k.attr)(cfg)) for key, k in _CONFIG_KEYS.items()}
 
 
 def config_from_flat(flat: dict) -> RunConfig:
-    flat = dict(flat)
     sweep_keys = [k for k in flat if k.startswith("sweep.")]
     if sweep_keys:
         raise ValueError(
@@ -282,48 +292,17 @@ def config_from_flat(flat: dict) -> RunConfig:
     unknown = sorted(set(flat) - set(_CONFIG_KEYS))
     if unknown:
         raise ValueError(f"unknown config keys: {unknown}")
-    base = config_to_flat(RunConfig())
-    base.update(flat)
+    merged = {**config_to_flat(RunConfig()), **flat}
 
-    dims = base["dims"]
-    if isinstance(dims, int):
-        dims = (dims,)
-    horizon = base["time.horizon"]
-    horizon = None if horizon in ("auto", None) else float(horizon)
-    alpha = base["initial.alpha"]
-
-    params = SystemParams(
-        omega_c=float(base["params.omega_c"]),
-        omega_m=float(base["params.omega_m"]),
-        k_c=float(base["params.k_c"]),
-        k_m=float(base["params.k_m"]),
-        g0=float(base["params.g0"]),
-        gamma_c=float(base["params.gamma_c"]),
-        gamma_m=float(base["params.gamma_m"]),
-        bath_temp=float(base["params.bath_temp"]),
-    )
-    grid = PhaseSpaceGrid(
-        x_min=float(base["wigner.x_min"]),
-        x_max=float(base["wigner.x_max"]),
-        p_min=float(base["wigner.p_min"]),
-        p_max=float(base["wigner.p_max"]),
-        nx=int(base["wigner.nx"]),
-        np=int(base["wigner.np"]),
-    )
-    cfg = RunConfig(
-        mode=str(base["mode"]),
-        params=params,
-        dims=tuple(int(d) for d in dims),
-        storage_mode=int(base["storage_mode"]),
-        alpha=complex(alpha),
-        horizon=horizon,
-        n_samples=int(base["time.n_samples"]),
-        snapshot_times=_as_float_tuple(base["snapshots"], "snapshots"),
-        wigner_grid=grid,
-        wigner_mode=base["wigner.mode"],
-        rtol=float(base["integrator.rtol"]),
-        atol=float(base["integrator.atol"]),
-    )
+    # attribute values grouped by owner: "" is RunConfig itself, the rest are
+    # its nested dataclasses, each rebuilt once so it validates its final values
+    fields: dict[str, dict] = {"": {}}
+    for key, k in _CONFIG_KEYS.items():
+        owner, _, name = k.attr.rpartition(".")
+        fields.setdefault(owner, {})[name] = _parse_key(key, k.parse, merged[key])
+    cfg = RunConfig(**fields.pop(""))
+    for owner, values in fields.items():
+        setattr(cfg, owner, replace(getattr(cfg, owner), **values))
     cfg.validate()
     return cfg
 
@@ -343,7 +322,7 @@ def sweep_from_flat(flat: dict) -> SweepSpec:
         raise ValueError("sweep config needs sweep.axis and sweep.values")
     spec = SweepSpec(
         axis=str(axis),
-        values=_as_float_tuple(values, "sweep.values"),
+        values=_parse_key("sweep.values", _as_float_tuple, values),
         base=config_from_flat(flat),
     )
     spec.validate()
@@ -388,71 +367,35 @@ def load_object(flat: dict):
 # ---------------------------------------------------------------------------
 # presets
 
-def _combined_base(**params_overrides) -> RunConfig:
-    return RunConfig(
-        mode=COMBINED_KERR,
-        params=default_params(**params_overrides),
-        dims=(30,),
-        storage_mode=0,
-        alpha=1.5 + 0.0j,
-        horizon=None,
-        snapshot_times=(),
-    )
+_TWO_MODE = RunConfig(mode=TWO_MODE, dims=(10, 10), storage_mode=1, snapshot_times=())
+_COMBINED = RunConfig(mode=COMBINED_KERR, dims=(30,), storage_mode=0, snapshot_times=())
 
-
-def _build_presets() -> dict:
-    fig2 = _combined_base()
-    fig2.snapshot_times = DEFAULT_SNAPSHOT_TIMES
-
-    fig4 = RunConfig(
-        mode=TWO_MODE,
-        params=default_params(),
-        dims=(10, 10),
-        storage_mode=1,
-        alpha=1.5 + 0.0j,
-        horizon=None,
-        snapshot_times=(),
-    )
-
-    harmonic = RunConfig(
-        mode=TWO_MODE,
-        params=default_params(k_c=0.0, k_m=0.0, gamma_c=0.0, gamma_m=0.0),
-        dims=(10, 10),
-        storage_mode=1,
-        alpha=1.5 + 0.0j,
-        horizon=628.3185307179587,
-        snapshot_times=(),
-    )
-
-    return {
-        "fig2-combined": fig2,
-        "fig4": fig4,
-        "harmonic-check": harmonic,
-        "fig5": SweepSpec("gamma", (1e-5, 1e-4, 1e-3, 1e-2), _combined_base()),
-        "fig6": SweepSpec("nonlinearity", (0.5, 0.05, 0.005, 0.0005), _combined_base()),
-        "fig7": SweepSpec("bath_temp", (30e-6, 30e-3, 0.3, 3.0), _combined_base()),
-        "fig8": SweepSpec("alpha", (0.1, 0.5, 1.0, 2.0), _combined_base()),
-    }
-
-
-PRESET_NAMES = ("fig2-combined", "fig4", "fig5", "fig6", "fig7", "fig8", "harmonic-check")
-
-PRESET_SUMMARIES = {
-    "fig2-combined": "combined-Kerr timeline run with full-state snapshots",
-    "fig4": "two-mode amplitude run, storage in the mechanical mode",
-    "fig5": "dissipation sweep (gamma = 1e-5 .. 1e-2, combined mode)",
-    "fig6": "nonlinearity sweep (k = 0.5 .. 0.0005, combined mode)",
-    "fig7": "bath-temperature sweep (30 uK .. 3 K, combined mode)",
-    "fig8": "initial-amplitude sweep (alpha = 0.1 .. 2.0, combined mode)",
-    "harmonic-check": "harmonic limit: no nonlinearity, no damping",
+# Every built-in preset, in listing order: name -> (summary, config or sweep).
+PRESETS: dict[str, tuple[str, RunConfig | SweepSpec]] = {
+    "fig2-combined": ("combined-Kerr timeline run with full-state snapshots",
+                      replace(_COMBINED, snapshot_times=DEFAULT_SNAPSHOT_TIMES)),
+    "fig4": ("two-mode amplitude run, storage in the mechanical mode", _TWO_MODE),
+    "fig5": ("dissipation sweep (gamma = 1e-5 .. 1e-2, combined mode)",
+             SweepSpec("gamma", (1e-5, 1e-4, 1e-3, 1e-2), _COMBINED)),
+    "fig6": ("nonlinearity sweep (k = 0.5 .. 0.0005, combined mode)",
+             SweepSpec("nonlinearity", (0.5, 0.05, 0.005, 0.0005), _COMBINED)),
+    "fig7": ("bath-temperature sweep (30 uK .. 3 K, combined mode)",
+             SweepSpec("bath_temp", (30e-6, 30e-3, 0.3, 3.0), _COMBINED)),
+    "fig8": ("initial-amplitude sweep (alpha = 0.1 .. 2.0, combined mode)",
+             SweepSpec("alpha", (0.1, 0.5, 1.0, 2.0), _COMBINED)),
+    "harmonic-check": ("harmonic limit: no nonlinearity, no damping",
+                       replace(_TWO_MODE, horizon=628.3185307179587,
+                               params=default_params(k_c=0.0, k_m=0.0,
+                                                     gamma_c=0.0, gamma_m=0.0))),
 }
+
+PRESET_NAMES = tuple(PRESETS)
 
 
 def preset(name: str):
     """Return a fresh RunConfig or SweepSpec for a named preset."""
-    presets = _build_presets()
-    if name not in presets:
+    if name not in PRESETS:
         raise KeyError(
-            f"unknown preset {name!r}; available: {', '.join(sorted(presets))}"
+            f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
         )
-    return presets[name]
+    return copy.deepcopy(PRESETS[name][1])

@@ -32,7 +32,6 @@ __all__ = [
     "IntegrationFailure",
     "evolve",
     "evolve_rk4",
-    "expectation_amplitude",
     "generator_check",
 ]
 
@@ -72,7 +71,6 @@ class EvolveOptions:
     atol: float = 1e-10
     snapshot_times: tuple[float, ...] = ()
     trace_drift_limit: float = 1e-4
-    max_steps: int = 50_000_000
     # Reference coherent amplitude for the per-sample overlap column; None
     # disables the column.
     overlap_alpha: complex | None = None
@@ -119,18 +117,21 @@ _DP_E = np.array(
 )
 
 
+# Accepted plus rejected steps after which the adaptive driver gives up.
+MAX_STEPS = 50_000_000
+
+
 class _AdaptiveDriver:
     """Embedded RK45 driver over a real vector field with exact event landing."""
 
     def __init__(self, rhs, y0: np.ndarray, span: float, rtol: float, atol: float,
-                 max_steps: int, on_accept=None):
+                 on_accept=None):
         self.rhs = rhs
         self.y = np.array(y0, dtype=float)
         self.t = 0.0
         self.span = span
         self.rtol = rtol
         self.atol = atol
-        self.max_steps = max_steps
         self.on_accept = on_accept
         self.n_steps = 0
         self.n_rejected = 0
@@ -147,10 +148,8 @@ class _AdaptiveDriver:
 
     def advance_to(self, target: float) -> None:
         while self.t < target:
-            if self.n_steps + self.n_rejected > self.max_steps:
-                raise IntegrationFailure(
-                    f"exceeded {self.max_steps} steps at t={self.t:.6g}"
-                )
+            if self.n_steps + self.n_rejected > MAX_STEPS:
+                raise IntegrationFailure(f"exceeded {MAX_STEPS} steps at t={self.t:.6g}")
             clamped = self.t + self.h >= target
             h_try = target - self.t if clamped else self.h
             if h_try < 1e-13 * max(1.0, self.span):
@@ -289,7 +288,6 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
         span,
         opts.rtol,
         opts.atol,
-        opts.max_steps,
         on_accept=symmetrize,
     )
 
@@ -403,15 +401,6 @@ def evolve_rk4(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
         snapshots=[],
         n_steps=n_steps,
     )
-
-
-def expectation_amplitude(rho: DensityMatrix, mode: int) -> complex:
-    """Tr(a_mode rho): the complex field amplitude of one mode."""
-    dims = rho.dims
-    if not 0 <= mode < dims.n_modes:
-        raise ValueError(f"mode {mode} out of range for {dims.n_modes} modes")
-    a_full = embed(annihilation(dims.dims[mode]), mode, dims)
-    return rho.expect(a_full)
 
 
 def generator_check(superop: Superoperator, rho: DensityMatrix, dt: float) -> float:

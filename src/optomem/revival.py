@@ -2,10 +2,10 @@
 
 Detection thresholds are relative to the t = 0 modulus so that reports are
 comparable across initial amplitudes: a revival is a local maximum of
-|amplitude(t)| with prominence >= ``prominence_frac`` of the initial modulus
-and separation >= ``min_separation_frac`` of half the predicted revival
-period; a collapse window is a contiguous region where the modulus sits
-below ``collapse_frac`` of the initial value.
+|amplitude(t)| with prominence >= ``DEFAULT_PROMINENCE_FRAC`` of the initial
+modulus and separation >= ``DEFAULT_MIN_SEPARATION_FRAC`` of half the
+predicted revival period; a collapse window is a contiguous region where the
+modulus sits below ``DEFAULT_COLLAPSE_FRAC`` of the initial value.
 
 Classification of a trajectory:
 
@@ -82,9 +82,6 @@ def detect_revival_series(
     times: np.ndarray,
     modulus: np.ndarray,
     t_rev: float | None,
-    prominence_frac: float = DEFAULT_PROMINENCE_FRAC,
-    collapse_frac: float = DEFAULT_COLLAPSE_FRAC,
-    min_separation_frac: float = DEFAULT_MIN_SEPARATION_FRAC,
 ) -> RevivalReport:
     """Detect collapse/revival structure in a |amplitude(t)| series.
 
@@ -97,8 +94,8 @@ def detect_revival_series(
         raise ValueError("times and modulus must be matching 1-d arrays (>= 3 samples)")
     dt = float(np.median(np.diff(times)))
     reference = float(modulus[0])
-    prominence = prominence_frac * reference
-    collapse_level = collapse_frac * reference
+    prominence = DEFAULT_PROMINENCE_FRAC * reference
+    collapse_level = DEFAULT_COLLAPSE_FRAC * reference
 
     distance = 1
     if t_rev is not None:
@@ -108,7 +105,7 @@ def detect_revival_series(
                 f"sample spacing {dt:.4g} too coarse for predicted half period "
                 f"{half:.4g}: need >= {MIN_SAMPLES_PER_HALF_PERIOD} samples per interval"
             )
-        distance = max(1, int(round(min_separation_frac * half / dt)))
+        distance = max(1, int(round(DEFAULT_MIN_SEPARATION_FRAC * half / dt)))
 
     if reference > 0:
         idx, _ = find_peaks(modulus, prominence=prominence, distance=distance)
@@ -152,11 +149,9 @@ def detect_revival_series(
     )
 
 
-def detect_revivals(traj, mode: int, t_rev: float | None, **thresholds) -> RevivalReport:
+def detect_revivals(traj, mode: int, t_rev: float | None) -> RevivalReport:
     """Run :func:`detect_revival_series` on one mode of a trajectory."""
-    return detect_revival_series(
-        traj.times, np.abs(traj.amplitude(mode)), t_rev, **thresholds
-    )
+    return detect_revival_series(traj.times, np.abs(traj.amplitude(mode)), t_rev)
 
 
 def sweep_summary(points: list[tuple[float, RevivalReport]]) -> list[dict]:

@@ -32,7 +32,7 @@ from .config import (
 )
 from .evolve import EvolveOptions, TimeGrid, Trajectory, evolve
 from .liouvillian import Superoperator, combined_kerr_liouvillian, liouvillian
-from .revival import RevivalReport, detect_revivals
+from .revival import RevivalReport, detect_revivals, sweep_summary
 from .states import DensityMatrix, coherent_ket, partial_trace, product_dm, vacuum_ket
 from .wigner import WignerField, wigner
 
@@ -202,12 +202,10 @@ def run_snapshots(config: RunConfig, out_dir: Path) -> list[Path]:
     return paths
 
 
-def _sweep_point(args) -> tuple[float, dict]:
+def _sweep_point(args) -> tuple[float, RevivalReport]:
     spec, value, out_dir = args
-    config = spec.point_config(value)
-    point_dir = Path(out_dir) / f"{spec.axis}_{value:.6g}"
-    traj, report = run_single(config, point_dir)
-    return value, report_payload(report, traj)
+    _, report = run_single(spec.point_config(value), Path(out_dir) / spec.point_dir(value))
+    return value, report
 
 
 def run_sweep(spec: SweepSpec, out_dir: Path, threads: int = 1) -> list[dict]:
@@ -232,16 +230,7 @@ def run_sweep(spec: SweepSpec, out_dir: Path, threads: int = 1) -> list[dict]:
     else:
         results = [_sweep_point(job) for job in jobs]
 
-    rows = []
-    for value, payload in sorted(results, key=lambda item: item[0]):
-        rows.append(
-            {
-                "parameter": value,
-                "first_revival_ratio": payload["first_revival_ratio"],
-                "n_peaks": payload["n_peaks"],
-                "classification": payload["classification"],
-            }
-        )
+    rows = sweep_summary(results)
     lines = ["parameter,first_revival_ratio,n_peaks,classification"]
     for row in rows:
         lines.append(

@@ -12,17 +12,16 @@ from optomem.evolve import (
     TimeGrid,
     evolve,
     evolve_rk4,
-    expectation_amplitude,
     generator_check,
 )
-from optomem.fock import HilbertDims, QOperator
+from optomem.fock import HilbertDims
 from optomem.liouvillian import (
     SystemParams,
     Superoperator,
     combined_kerr_liouvillian,
     liouvillian,
 )
-from optomem.states import DensityMatrix, coherent_amplitudes, coherent_ket, product_dm, vacuum_ket
+from optomem.states import coherent_ket, product_dm, vacuum_ket
 
 
 def zero_superop(n: int) -> Superoperator:
@@ -145,20 +144,6 @@ def test_stiffness_error_on_extreme_rates():
     dm = product_dm([coherent_ket(0.8, 4)])
     with pytest.raises(StiffnessError):
         evolve(dm, superop, TimeGrid(np.array([0.0, 1.0])), EvolveOptions())
-
-
-def test_expectation_amplitude_vacuum_and_coherent():
-    dm_vac = product_dm([vacuum_ket(8)])
-    assert expectation_amplitude(dm_vac, 0) == pytest.approx(0.0, abs=1e-15)
-    dm_coh = product_dm([coherent_ket(1.5, 30)])
-    assert abs(expectation_amplitude(dm_coh, 0) - 1.5) < 1e-6
-
-
-def test_expectation_amplitude_cat_state():
-    c = coherent_amplitudes(1.5, 30) + coherent_amplitudes(-1.5, 30)
-    c = c / np.linalg.norm(c)
-    dm = DensityMatrix(QOperator(HilbertDims((30,)), np.outer(c, c.conj())))
-    assert abs(expectation_amplitude(dm, 0)) < 1e-10
 
 
 def test_generator_check_first_order():

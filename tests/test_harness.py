@@ -57,8 +57,13 @@ def test_parse_value_types():
     assert parse_value("0.1, 0.5") == (0.1, 0.5)
 
 
+RUN_PRESETS = [name for name in PRESET_NAMES if isinstance(preset(name), RunConfig)]
+SWEEP_PRESETS = [name for name in PRESET_NAMES if isinstance(preset(name), SweepSpec)]
+
+
 def test_config_text_round_trip():
-    for name in ("fig4", "fig2-combined"):
+    assert RUN_PRESETS == ["fig2-combined", "fig4", "harmonic-check"]
+    for name in RUN_PRESETS:
         cfg = preset(name)
         flat = config_to_flat(cfg)
         parsed = parse_config_text(format_config_text(flat))
@@ -68,12 +73,49 @@ def test_config_text_round_trip():
 
 
 def test_sweep_text_round_trip():
-    spec = preset("fig5")
-    flat = sweep_to_flat(spec)
-    parsed = parse_config_text(format_config_text(flat))
-    rebuilt = sweep_from_flat(parsed)
-    assert rebuilt == spec
-    assert isinstance(load_object(parsed), SweepSpec)
+    assert SWEEP_PRESETS == ["fig5", "fig6", "fig7", "fig8"]
+    for name in SWEEP_PRESETS:
+        spec = preset(name)
+        flat = sweep_to_flat(spec)
+        parsed = parse_config_text(format_config_text(flat))
+        rebuilt = sweep_from_flat(parsed)
+        assert rebuilt == spec
+        assert isinstance(load_object(parsed), SweepSpec)
+
+
+FIG7_TEXT = """\
+mode = combined_kerr
+dims = 30,
+storage_mode = 0
+initial.alpha = 1.5+0j
+params.omega_c = 0.35332235937862966
+params.omega_m = 9.54937352541075e-09
+params.k_c = 0.01
+params.k_m = 0.01
+params.g0 = 0.0020472
+params.gamma_c = 1e-05
+params.gamma_m = 1e-05
+params.bath_temp = 0.0
+time.horizon = auto
+time.n_samples = 2000
+snapshots = none
+wigner.x_min = -5.0
+wigner.x_max = 5.0
+wigner.p_min = -5.0
+wigner.p_max = 5.0
+wigner.nx = 201
+wigner.np = 201
+wigner.mode = storage
+integrator.rtol = 1e-08
+integrator.atol = 1e-10
+sweep.axis = bath_temp
+sweep.values = 3e-05, 0.03, 0.3, 3.0
+"""
+
+
+def test_config_text_frozen():
+    # the key order and value formatting of the config echo are a file format
+    assert format_config_text(sweep_to_flat(preset("fig7"))) == FIG7_TEXT
 
 
 def test_parse_rejects_malformed_lines():
@@ -152,6 +194,9 @@ def test_sweep_spec_validation():
         SweepSpec("gamma", (), small_run_config()).validate()
     with pytest.raises(ValueError):
         SweepSpec("gamma", (1e-5, 1e-5), small_run_config()).validate()
+    # distinct values whose point directories would both be gamma_1e-05
+    with pytest.raises(ValueError):
+        SweepSpec("gamma", (1e-5, 1.0000001e-5), small_run_config()).validate()
 
 
 def test_sweep_point_config_application():
