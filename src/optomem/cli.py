@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -84,7 +85,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     print(
         f"classification: {report.classification}, peaks: {report.n_peaks}, "
         f"first revival ratio: {report.first_revival_ratio:.6f}, "
-        f"trace drift: {traj.max_trace_drift:.2e}"
+        f"trace drift: {traj.max_trace_drift:.2e}, "
+        f"live {traj.n_live}/{math.prod(config.dims) ** 2}"
     )
     return 0
 

@@ -87,8 +87,13 @@ class RunConfig:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
         if self.n_samples < 100:
             raise ValueError(f"n_samples must be >= 100, got {self.n_samples}")
-        if isinstance(self.wigner_mode, int) and not 0 <= self.wigner_mode < len(self.dims):
-            raise ValueError(f"wigner.mode {self.wigner_mode} out of range")
+        if self.wigner_mode != "storage" and (
+            type(self.wigner_mode) is not int or not 0 <= self.wigner_mode < len(self.dims)
+        ):
+            raise ValueError(
+                f"wigner.mode must be 'storage' or a mode index below {len(self.dims)}, "
+                f"got {self.wigner_mode!r}"
+            )
         horizon = self.resolved_horizon()
         bad = [t for t in self.snapshot_times if t < 0 or t > horizon]
         if bad:
@@ -112,7 +117,7 @@ class RunConfig:
     def resolved_wigner_mode(self) -> int:
         if self.wigner_mode == "storage":
             return self.analysis_mode()
-        return int(self.wigner_mode)
+        return self.wigner_mode
 
     def predicted_revival_time(self) -> float | None:
         total_k = self.params.k_c + self.params.k_m

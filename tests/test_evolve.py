@@ -13,6 +13,7 @@ from optomem.evolve import (
     evolve,
     evolve_rk4,
     generator_check,
+    live_coordinates,
 )
 from optomem.fock import HilbertDims
 from optomem.liouvillian import (
@@ -20,12 +21,30 @@ from optomem.liouvillian import (
     Superoperator,
     combined_kerr_liouvillian,
     liouvillian,
+    vec,
 )
-from optomem.states import coherent_ket, product_dm, vacuum_ket
+from optomem.states import Ket, coherent_ket, product_dm, vacuum_ket
 
 
 def zero_superop(n: int) -> Superoperator:
     return Superoperator(HilbertDims((n,)), sp.csr_matrix((n * n, n * n), dtype=complex))
+
+
+def optical_indices(dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Optical Fock indices (k_a, k_a') of each coordinate of vec(rho)."""
+    d = dims[0] * dims[1]
+    k = np.arange(d * d)
+    return (k % d) // dims[1], (k // d) // dims[1]
+
+
+def mechanical_storage(params: SystemParams, dims: tuple[int, int]):
+    return liouvillian(params, HilbertDims(dims)), product_dm(
+        [vacuum_ket(dims[0]), coherent_ket(1.0, dims[1])]
+    )
+
+
+THERMAL = SystemParams(omega_c=0.5, omega_m=0.3, k_c=0.02, k_m=0.02, g0=0.03,
+                       gamma_c=0.05, gamma_m=0.05, bath_temp=3e5)
 
 
 def test_time_grid_validation():
@@ -177,3 +196,71 @@ def test_deterministic_repetition():
     t2 = evolve(dm, superop, grid, EvolveOptions())
     assert np.array_equal(t1.amplitude_mech, t2.amplitude_mech)
     assert t1.n_steps == t2.n_steps
+
+
+def test_live_set_optical_vacuum_at_zero_temperature():
+    superop, dm = mechanical_storage(default_params(), (10, 10))
+    live = live_coordinates(superop.matrix, vec(dm.data), 100)
+    k_a, k_a_prime = optical_indices((10, 10))
+    assert np.array_equal(live, np.flatnonzero((k_a == 0) & (k_a_prime == 0)))
+    assert live.size == 100
+    mirror = np.arange(10_000).reshape((100, 100)).flatten(order="F")
+    assert np.array_equal(np.sort(mirror[live]), live)
+
+
+def test_live_set_thermal_optical_bath_is_the_optical_diagonal():
+    assert THERMAL.n_optical() > 0
+    superop, dm = mechanical_storage(THERMAL, (10, 10))
+    live = live_coordinates(superop.matrix, vec(dm.data), 100)
+    k_a, k_a_prime = optical_indices((10, 10))
+    assert np.array_equal(live, np.flatnonzero(k_a == k_a_prime))
+    assert live.size == 1000
+
+
+def test_restricted_evolve_agrees_with_full_rk4_on_thermal_bath():
+    superop, dm = mechanical_storage(THERMAL, (3, 4))
+    grid = TimeGrid(np.linspace(0.0, 10.0, 11))
+    restricted = evolve(dm, superop, grid, EvolveOptions(rtol=1e-10, atol=1e-12))
+    full = evolve_rk4(dm, superop, grid, dt=1e-3)
+    assert restricted.n_live == 3 * 16
+    assert np.max(np.abs(restricted.amplitude_mech - full.amplitude_mech)) < 1e-8
+    assert np.max(np.abs(restricted.purity - full.purity)) < 1e-8
+    assert np.max(np.abs(restricted.trace - full.trace)) < 1e-8
+
+
+def test_live_set_combined_kerr_coherent_state_is_everything():
+    superop = combined_kerr_liouvillian(default_params(), 12)
+    dm = product_dm([coherent_ket(1.5, 12)])
+    live = live_coordinates(superop.matrix, vec(dm.data), 12)
+    assert np.array_equal(live, np.arange(144))
+
+
+def test_live_set_of_zero_generator_is_the_initial_support():
+    ket = Ket(HilbertDims((4,)), np.array([1.0, 0.0, 1.0, 0.0]) / np.sqrt(2.0))
+    dm = product_dm([ket])
+    # rho_00, rho_20, rho_02, rho_22 at column-stacked indices 0, 2, 8, 10
+    assert live_coordinates(zero_superop(4).matrix, vec(dm.data), 4).tolist() == [0, 2, 8, 10]
+    traj = evolve(dm, zero_superop(4), TimeGrid(np.array([0.0, 1.0])))
+    assert traj.n_live == 4
+
+
+def test_live_set_closed_under_transposition():
+    # a generator that only feeds rho_10 from rho_00 (not Hermiticity
+    # preserving): rho_01 must still be live so re-symmetrisation can see it
+    n = 3
+    feed = sp.csr_matrix(([1.0 + 0j], ([1], [0])), shape=(n * n, n * n))
+    dm = product_dm([vacuum_ket(n)])
+    assert live_coordinates(feed, vec(dm.data), n).tolist() == [0, 1, 3]
+
+
+def test_restricted_snapshot_is_full_with_exact_zeros_outside_live_set():
+    superop, dm = mechanical_storage(default_params(), (4, 5))
+    live = live_coordinates(superop.matrix, vec(dm.data), 20)
+    traj = evolve(dm, superop, TimeGrid(np.linspace(0.0, 20.0, 5)),
+                  EvolveOptions(snapshot_times=(10.0, 20.0)))
+    assert traj.n_live == live.size == 25
+    for _, state in traj.snapshots:
+        assert state.data.shape == (20, 20)
+        dead = np.delete(vec(state.data), live)
+        assert dead.size == 400 - 25 and np.all(dead == 0.0)
+        assert np.any(vec(state.data)[live] != 0.0)

@@ -187,6 +187,15 @@ def test_run_config_validation_errors():
         harmonic_auto.resolved_horizon()
 
 
+def test_wigner_mode_validation():
+    # anything but "storage" or an in-range index fails before any evolution
+    for bad in ("foo", 2, -1, 1.0, True):
+        with pytest.raises(ValueError, match="wigner.mode"):
+            config_from_flat({"wigner.mode": bad})
+    assert config_from_flat({"wigner.mode": "storage"}).resolved_wigner_mode() == 1
+    assert config_from_flat({"wigner.mode": 0}).resolved_wigner_mode() == 0
+
+
 def test_sweep_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec("bogus", (1.0,), small_run_config()).validate()
