@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
+from .evolve import validate_tolerances
 from .liouvillian import SystemParams
 from .revival import revival_time
 from .wigner import PhaseSpaceGrid
@@ -94,6 +95,7 @@ class RunConfig:
                 f"wigner.mode must be 'storage' or a mode index below {len(self.dims)}, "
                 f"got {self.wigner_mode!r}"
             )
+        validate_tolerances(self.rtol, self.atol)
         horizon = self.resolved_horizon()
         bad = [t for t in self.snapshot_times if t < 0 or t > horizon]
         if bad:
@@ -120,8 +122,16 @@ class RunConfig:
         return self.wigner_mode
 
     def predicted_revival_time(self) -> float | None:
-        total_k = self.params.k_c + self.params.k_m
-        return None if total_k <= 0 else revival_time(self.params.k_c, self.params.k_m)
+        """Revival period of the stored state; None in the harmonic limit.
+
+        The combined mode carries k_c + k_m.  In a two-mode run the partner
+        of the storage mode idles in vacuum, so only the storage mode's own
+        Kerr constant acts.
+        """
+        k_c, k_m = self.params.k_c, self.params.k_m
+        if self.mode == TWO_MODE:
+            k_c, k_m = (k_c, 0.0) if self.storage_mode == 0 else (0.0, k_m)
+        return None if k_c + k_m <= 0 else revival_time(k_c, k_m)
 
 
 # How a swept value applies to the base config, one entry per axis.

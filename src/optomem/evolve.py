@@ -1,21 +1,29 @@
 """Time integration of d(rho)/dt = L rho and time-series observables.
 
-The propagator exp(L t) is never formed densely.  Only the live coordinates
-of the column-stacked density matrix are advanced: those reachable from the
-support of rho(0) along the nonzero pattern of L, closed under
-rho_ij <-> rho_ji (:func:`live_coordinates`).  Every other coordinate stays
-exactly 0 under L, so the step sequence and the state are those of a
-full-space integration.  The two-mode run with the optical mode in vacuum and
-a zero-temperature optical bath keeps 100 of 10 000 coordinates; a
+Only the live coordinates of the column-stacked density matrix are advanced:
+those reachable from the support of rho(0) along the nonzero pattern of L,
+closed under rho_ij <-> rho_ji (:func:`live_coordinates`).  Every other
+coordinate stays exactly 0 under L.  The two-mode run with the optical mode in
+vacuum and a zero-temperature optical bath keeps 100 of 10 000 coordinates; a
 combined-Kerr coherent state keeps all of them.
 
-The live vector is advanced with an embedded Dormand-Prince 5(4) pair on the
-real/imaginary-split linear system; step acceptance uses the max-abs error
-norm over all live entries, every accepted state is re-symmetrised
-(rho <- (rho + rho^dag)/2), and sample times are hit exactly by clamping the
-step, so repeated runs are bitwise reproducible.  Snapshots are scattered
-back into full d x d matrices.  The trace is never renormalised: its drift is
-recorded as an integration quality signal and raises once it exceeds
+Both generators are phase-covariant, so the live generator splits further
+into symmetry blocks with no entries between them: the weakly connected
+components of its nonzero pattern (59 blocks of at most 30 coordinates for
+the combined-Kerr presets, 19 of at most 10 for the two-mode run).  When no
+block is larger than :data:`MAX_DENSE_BLOCK`, the state goes from one event
+time to the next through the exact block-diagonal propagator built from a
+dense exp(L_b gap) per block; propagators for gaps the time grid repeats are
+cached, one-off gaps (next to snapshot times) are built, applied once and
+dropped.  Otherwise the live vector is advanced with an embedded
+Dormand-Prince 5(4) pair on the real/imaginary-split linear system: step
+acceptance uses the max-abs error norm over all live entries and sample
+times are hit exactly by clamping the step.
+
+On both paths every new state is re-symmetrised (rho <- (rho + rho^dag)/2)
+and repeated runs are bitwise reproducible.  Snapshots are scattered back
+into full d x d matrices.  The trace is never renormalised: its drift is
+recorded as an integration quality signal and raises once it is not within
 ``trace_drift_limit``.
 
 A plain fixed-step classical RK4 driver (:func:`evolve_rk4`) is kept as an
@@ -26,10 +34,13 @@ restriction to the live coordinates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .fock import HilbertDims, QOperator, annihilation, embed
 from .liouvillian import Superoperator, vec
@@ -45,6 +56,8 @@ __all__ = [
     "evolve_rk4",
     "generator_check",
     "live_coordinates",
+    "symmetry_blocks",
+    "validate_tolerances",
 ]
 
 
@@ -77,8 +90,21 @@ class TimeGrid:
         return self.times.size
 
 
+def validate_tolerances(rtol: float, atol: float) -> None:
+    """Reject tolerances the adaptive step control cannot work with."""
+    if not (math.isfinite(rtol) and math.isfinite(atol)):
+        raise ValueError(
+            f"integrator tolerances must be finite, got rtol={rtol}, atol={atol}"
+        )
+    if rtol < 0:
+        raise ValueError(f"integrator rtol must be >= 0, got {rtol}")
+    if atol <= 0:
+        raise ValueError(f"integrator atol must be > 0, got {atol}")
+
+
 @dataclass
 class EvolveOptions:
+    # step-error tolerances of the DP45 path; the exact block path ignores them
     rtol: float = 1e-8
     atol: float = 1e-10
     snapshot_times: tuple[float, ...] = ()
@@ -87,6 +113,9 @@ class EvolveOptions:
     # disables the column.
     overlap_alpha: complex | None = None
     overlap_mode: int = 0
+
+    def __post_init__(self) -> None:
+        validate_tolerances(self.rtol, self.atol)
 
 
 @dataclass
@@ -102,11 +131,15 @@ class Trajectory:
     snapshots: list[tuple[float, DensityMatrix]] = field(default_factory=list)
     max_hermiticity_error: float = 0.0
     max_trace_drift: float = 0.0
+    # DP45: accepted steps; exact path: propagator applications
     n_steps: int = 0
     n_rejected: int = 0
-    # coordinates of vec(rho) the adaptive integrator advanced; None when the
-    # full space was integrated (RK4)
+    # coordinates of vec(rho) that were advanced, the propagation path
+    # ("expm" or "dp45") and the sizes of the live generator's symmetry
+    # blocks; None when the full space was integrated (RK4)
     n_live: int | None = None
+    path: str | None = None
+    block_sizes: tuple[int, ...] | None = None
 
     def amplitude(self, mode: int) -> np.ndarray:
         if mode == 0:
@@ -134,6 +167,14 @@ _DP_E = np.array(
 
 # Accepted plus rejected steps after which the adaptive driver gives up.
 MAX_STEPS = 50_000_000
+
+# Largest symmetry block propagated by a dense exp(L_b gap); a larger block
+# sends the whole run to DP45.  The cached propagators hold sum(s_b^2)
+# entries each and cost O(s_b^3) per distinct gap.  Two-mode optical storage
+# at (n, 10), 2 000 samples, one thread (2-vCPU Xeon VM), exact path vs DP45:
+# largest block 200: 0.40 s vs 1.02 s; 300: 1.8 s vs 2.6 s; 400: 3.7 s vs
+# 4.9 s; 500: 6.9 s vs 7.1 s at 321 MB peak RSS; 600: 12.6 s vs 12.3 s.
+MAX_DENSE_BLOCK = 300
 
 
 class _AdaptiveDriver:
@@ -174,10 +215,7 @@ class _AdaptiveDriver:
                 )
             y_new, err = self._stages(h_try)
             scale = self.atol + self.rtol * np.maximum(np.abs(self.y), np.abs(y_new))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.abs(err) / scale
-            # 0/0 only happens for components that are exactly zero and stay so
-            err_norm = float(np.max(np.nan_to_num(ratio, nan=0.0)))
+            err_norm = float(np.max(np.abs(err) / scale))
             if err_norm <= 1.0:
                 self.t = target if clamped else self.t + h_try
                 if self.on_accept is not None:
@@ -210,6 +248,52 @@ class _AdaptiveDriver:
         err = h * (_DP_E[0] * k1 + _DP_E[2] * k3 + _DP_E[3] * k4 + _DP_E[4] * k5
                    + _DP_E[5] * k6 + _DP_E[6] * k7)
         return y5, err
+
+
+class _BlockPropagator:
+    """Exact event-to-event propagation by a block-diagonal exp(L gap).
+
+    ``blocks`` partitions the coordinates of ``lmat`` so that no entry of
+    ``lmat`` links two blocks; each block's propagator is a dense
+    ``scipy.linalg.expm``.  Propagators for the gaps in ``repeated`` are
+    cached, any other gap is built, applied once and dropped.  ``on_step``
+    post-processes every new state.
+    """
+
+    n_rejected = 0
+
+    def __init__(self, lmat: sp.csr_matrix, blocks: list[np.ndarray], z0: np.ndarray,
+                 repeated: set[float], on_step):
+        self.dense = [lmat[idx][:, idx].toarray() for idx in blocks]
+        # CSR layout of the block-diagonal propagator: block b's dense
+        # exp(L_b gap), raveled row by row, lands at rows/columns blocks[b]
+        rows = np.concatenate([np.repeat(idx, idx.size) for idx in blocks])
+        cols = np.concatenate([np.tile(idx, idx.size) for idx in blocks])
+        self.order = np.lexsort((cols, rows))
+        self.indices = cols[self.order]
+        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=lmat.shape[0]))))
+        self.z = z0
+        self.t = 0.0
+        self.repeated = repeated
+        self.cache: dict[float, sp.csr_matrix] = {}
+        self.on_step = on_step
+        self.n_steps = 0
+
+    def _propagator(self, gap: float) -> sp.csr_matrix:
+        data = np.concatenate([scipy.linalg.expm(block * gap).ravel() for block in self.dense])
+        n = self.z.size
+        return sp.csr_matrix((data[self.order], self.indices, self.indptr), shape=(n, n))
+
+    def advance_to(self, target: float) -> None:
+        gap = target - self.t
+        prop = self.cache.get(gap)
+        if prop is None:
+            prop = self._propagator(gap)
+            if gap in self.repeated:
+                self.cache[gap] = prop
+        self.z = self.on_step(prop @ self.z)
+        self.t = target
+        self.n_steps += 1
 
 
 class _Observables:
@@ -283,15 +367,29 @@ def live_coordinates(matrix: sp.spmatrix, z0: np.ndarray, d: int) -> np.ndarray:
     return np.flatnonzero(live)
 
 
+def symmetry_blocks(lmat: sp.spmatrix) -> list[np.ndarray]:
+    """Coordinates of each weakly connected component of ``lmat``'s pattern.
+
+    No entry of ``lmat`` links two blocks, so exp(L t) is block diagonal over
+    them.  Each block lists its coordinates in increasing order; blocks are
+    ordered by their smallest coordinate.
+    """
+    n_blocks, labels = connected_components(lmat != 0, directed=True, connection="weak")
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(labels, minlength=n_blocks))[:-1])
+
+
 def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
            opts: EvolveOptions | None = None) -> Trajectory:
     """Integrate d(rho)/dt = L rho and sample observables on ``grid``.
 
-    Only the coordinates returned by :func:`live_coordinates` are integrated.
-    Full density matrices are stored only at ``opts.snapshot_times`` (which
-    must lie within the grid span).  Raises :class:`IntegrationFailure` when
-    the trace drifts beyond ``opts.trace_drift_limit`` and
-    :class:`StiffnessError` on step-size underflow.
+    Only the coordinates returned by :func:`live_coordinates` are advanced:
+    exactly, block by block (:func:`symmetry_blocks`), when no block exceeds
+    :data:`MAX_DENSE_BLOCK`, and by DP45 otherwise.  Full density matrices
+    are stored only at ``opts.snapshot_times`` (which must lie within the
+    grid span).  Raises :class:`IntegrationFailure` when the trace drift is
+    not within ``opts.trace_drift_limit`` and :class:`StiffnessError` on a
+    DP45 step-size underflow.
     """
     opts = opts or EvolveOptions()
     dims = rho0.dims
@@ -312,6 +410,8 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
     select = sp.csr_matrix((np.ones(n), (live, np.arange(n))), shape=(m, n))
     lmat = (superop.matrix @ select)[live]
     lmat.sort_indices()
+    blocks = symmetry_blocks(lmat)
+    block_sizes = tuple(idx.size for idx in blocks)
     mirror = np.searchsorted(live, _transpose_index(d)[live])
     times = grid.times
     span = float(times[-1])
@@ -325,29 +425,45 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
 
     obs = _Observables(dims, opts.overlap_alpha, opts.overlap_mode, live)
 
-    def rhs(y: np.ndarray) -> np.ndarray:
-        z = lmat @ (y[:n] + 1j * y[n:])
-        return np.concatenate((z.real, z.imag))
-
     herm_dev = [0.0]
 
-    def symmetrize(y: np.ndarray) -> np.ndarray:
-        z = y[:n] + 1j * y[n:]
+    def symmetrize(z: np.ndarray) -> np.ndarray:
         z_dag = z[mirror].conj()
         dev = float(np.max(np.abs(z - z_dag)))
         if dev > herm_dev[0]:
             herm_dev[0] = dev
-        z = 0.5 * (z + z_dag)
-        return np.concatenate((z.real, z.imag))
+        return 0.5 * (z + z_dag)
 
-    driver = _AdaptiveDriver(
-        rhs,
-        np.concatenate((z0[live].real, z0[live].imag)),
-        span,
-        opts.rtol,
-        opts.atol,
-        on_accept=symmetrize,
-    )
+    if max(block_sizes) <= MAX_DENSE_BLOCK:
+        path = "expm"
+        gaps, counts = np.unique(np.diff(events), return_counts=True)
+        stepper = _BlockPropagator(lmat, blocks, z0[live], set(gaps[counts > 1].tolist()),
+                                   symmetrize)
+
+        def state() -> np.ndarray:
+            return stepper.z
+    else:
+        path = "dp45"
+
+        def rhs(y: np.ndarray) -> np.ndarray:
+            z = lmat @ (y[:n] + 1j * y[n:])
+            return np.concatenate((z.real, z.imag))
+
+        def on_accept(y: np.ndarray) -> np.ndarray:
+            z = symmetrize(y[:n] + 1j * y[n:])
+            return np.concatenate((z.real, z.imag))
+
+        stepper = _AdaptiveDriver(
+            rhs,
+            np.concatenate((z0[live].real, z0[live].imag)),
+            span,
+            opts.rtol,
+            opts.atol,
+            on_accept=on_accept,
+        )
+
+        def state() -> np.ndarray:
+            return stepper.y[:n] + 1j * stepper.y[n:]
 
     n_t = times.size
     amp_a = np.zeros(n_t, dtype=np.complex128)
@@ -361,8 +477,8 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
 
     for target in events:
         if target > 0.0:
-            driver.advance_to(float(target))
-        z = driver.y[:n] + 1j * driver.y[n:]
+            stepper.advance_to(float(target))
+        z = state()
         t = float(target)
         if t in grid_set:
             amp_a[i_rec] = obs.amplitude_optical(z)
@@ -372,9 +488,10 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
             if ovl is not None:
                 ovl[i_rec] = obs.overlap(z)
             drift = abs(tr[i_rec] - 1.0)
-            if drift > max_drift:
+            # written so that a NaN drift is kept and fails the gate
+            if not drift <= max_drift:
                 max_drift = drift
-            if drift > opts.trace_drift_limit:
+            if not drift <= opts.trace_drift_limit:
                 raise IntegrationFailure(
                     f"trace drifted by {drift:.3e} at t={t:.6g} "
                     f"(limit {opts.trace_drift_limit:.1e}); tighten the tolerances"
@@ -398,9 +515,11 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
         snapshots=snapshots,
         max_hermiticity_error=herm_dev[0],
         max_trace_drift=max_drift,
-        n_steps=driver.n_steps,
-        n_rejected=driver.n_rejected,
+        n_steps=stepper.n_steps,
+        n_rejected=stepper.n_rejected,
         n_live=n,
+        path=path,
+        block_sizes=block_sizes,
     )
 
 

@@ -203,6 +203,15 @@ def test_criterion_7_two_mode_structural_suite(fig4_run):
         assert run_elapsed + (time.monotonic() - t0) < 600.0
 
 
+def test_two_mode_revival_period_is_the_storage_modes(fig4_run):
+    # only the mechanical Kerr constant acts on the stored state: the period
+    # is 2 pi / k_m, its half lands on the detected peak at t = 314
+    _, report, _ = fig4_run
+    assert report.t_rev_predicted == pytest.approx(2.0 * T_REV, rel=1e-12)
+    assert report.classification == "regular"
+    assert report.peaks[0][0] == pytest.approx(314.0, abs=1.0)
+
+
 def test_criterion_8_closed_form_unit_checks():
     with criterion(8, "closed-form unit checks"):
         grid = PhaseSpaceGrid(-5.0, 5.0, -5.0, 5.0, 201, 201)

@@ -1,10 +1,12 @@
+import importlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from helpers import kerr_amplitude, kerr_amplitude_closed_form
 
-from optomem.config import default_params
+from optomem.config import config_from_flat, default_params, preset
 from optomem.evolve import (
     EvolveOptions,
     IntegrationFailure,
@@ -14,6 +16,7 @@ from optomem.evolve import (
     evolve_rk4,
     generator_check,
     live_coordinates,
+    symmetry_blocks,
 )
 from optomem.fock import HilbertDims
 from optomem.liouvillian import (
@@ -23,7 +26,11 @@ from optomem.liouvillian import (
     liouvillian,
     vec,
 )
+from optomem.runner import build_problem
 from optomem.states import Ket, coherent_ket, product_dm, vacuum_ket
+
+# the package namespace re-exports the function `evolve`, so fetch the module
+EVOLVE = importlib.import_module("optomem.evolve")
 
 
 def zero_superop(n: int) -> Superoperator:
@@ -154,15 +161,34 @@ def test_trace_drift_gate_fires():
         evolve(dm, bad, TimeGrid(np.linspace(0.0, 2.0, 21)))
 
 
-def test_stiffness_error_on_extreme_rates():
+EXTREME_DECAY = SystemParams(omega_c=0.0, omega_m=1.0, k_c=0.0, k_m=0.0, g0=0.0,
+                             gamma_c=0.0, gamma_m=1e15, bath_temp=0.0)
+
+
+def test_stiffness_error_on_extreme_rates(monkeypatch):
     # decay rate 15 orders beyond the horizon scale: an explicit scheme
     # cannot cross this span and must fail loudly instead of spinning
-    params = SystemParams(omega_c=0.0, omega_m=1.0, k_c=0.0, k_m=0.0, g0=0.0,
-                          gamma_c=0.0, gamma_m=1e15, bath_temp=0.0)
-    superop = combined_kerr_liouvillian(params, 4)
+    monkeypatch.setattr(EVOLVE, "MAX_DENSE_BLOCK", 0)  # force the DP45 driver
+    superop = combined_kerr_liouvillian(EXTREME_DECAY, 4)
     dm = product_dm([coherent_ket(0.8, 4)])
     with pytest.raises(StiffnessError):
         evolve(dm, superop, TimeGrid(np.array([0.0, 1.0])), EvolveOptions())
+
+
+def test_exact_path_crosses_extreme_rates_to_closed_form_decay():
+    # the generator DP45 cannot cross: exp(L t) still gives
+    # <a>(t) = <a>(0) exp((-i omega - gamma/2) t), exact in the truncation
+    superop = combined_kerr_liouvillian(EXTREME_DECAY, 4)
+    dm = product_dm([coherent_ket(0.8, 4)])
+    times = np.array([0.0, 1e-15, 2e-15, 4e-15, 1.0])
+    traj = evolve(dm, superop, TimeGrid(times), EvolveOptions(snapshot_times=(1.0,)))
+    assert traj.path == "expm"
+    exact = traj.amplitude_optical[0] * np.exp((-1j - 0.5e15) * times)
+    assert np.max(np.abs(traj.amplitude_optical - exact)) < 1e-12
+    assert np.max(np.abs(traj.trace - 1.0)) < 1e-12
+    vacuum = np.zeros((4, 4))
+    vacuum[0, 0] = 1.0
+    assert np.max(np.abs(traj.snapshots[0][1].data - vacuum)) < 1e-12
 
 
 def test_generator_check_first_order():
@@ -264,3 +290,111 @@ def test_restricted_snapshot_is_full_with_exact_zeros_outside_live_set():
         dead = np.delete(vec(state.data), live)
         assert dead.size == 400 - 25 and np.all(dead == 0.0)
         assert np.any(vec(state.data)[live] != 0.0)
+
+
+def test_symmetry_blocks_of_the_presets():
+    # coherence-index blocks: k = m - m' for the combined mode (59 blocks of
+    # 30 - |k|), the mechanical index in the 100 live coordinates of fig4
+    grid = TimeGrid(np.array([0.0, 1.0]))
+    for name, n_blocks, largest in (("fig2-combined", 59, 30), ("fig4", 19, 10)):
+        superop, dm = build_problem(preset(name))
+        traj = evolve(dm, superop, grid)
+        assert traj.path == "expm"
+        assert len(traj.block_sizes) == n_blocks
+        assert max(traj.block_sizes) == largest
+    superop, dm = build_problem(preset("fig2-combined"))
+    blocks = symmetry_blocks(superop.matrix)
+    k = np.arange(900)
+    coherence = k % 30 - k // 30  # m - m' of the coordinate m + 30 m'
+    for idx in blocks:
+        assert np.all(np.diff(idx) > 0)
+        assert np.unique(coherence[idx]).size == 1
+
+
+def thermal_combined_kerr():
+    params = default_params(gamma_c=1e-3, gamma_m=1e-3, bath_temp=0.003)
+    assert params.n_mech() > 0.1
+    return combined_kerr_liouvillian(params, 12), product_dm([coherent_ket(1.2, 12)])
+
+
+def test_exact_path_agrees_with_dp45_on_thermal_combined_kerr(monkeypatch):
+    superop, dm = thermal_combined_kerr()
+    grid = TimeGrid(np.linspace(0.0, 60.0, 121))
+    opts = EvolveOptions(rtol=1e-12, atol=1e-14, snapshot_times=(30.0, 45.25),
+                         overlap_alpha=1.2)
+    exact = evolve(dm, superop, grid, opts)
+    monkeypatch.setattr(EVOLVE, "MAX_DENSE_BLOCK", 0)
+    dp45 = evolve(dm, superop, grid, opts)
+    assert (exact.path, dp45.path) == ("expm", "dp45")
+    # 120 grid gaps, one of them split by the snapshot at 45.25
+    assert exact.n_rejected == 0 and exact.n_steps == 121
+    for a, b in ((exact.amplitude_optical, dp45.amplitude_optical),
+                 (exact.trace, dp45.trace), (exact.purity, dp45.purity),
+                 (exact.coherent_overlap, dp45.coherent_overlap)):
+        assert np.max(np.abs(a - b)) < 1e-9
+    for (t1, s1), (t2, s2) in zip(exact.snapshots, dp45.snapshots):
+        assert t1 == t2 and np.max(np.abs(s1.data - s2.data)) < 1e-9
+    assert exact.max_hermiticity_error < 1e-13
+
+
+def test_exact_path_agrees_with_fixed_step_rk4():
+    superop, dm = thermal_combined_kerr()
+    grid = TimeGrid(np.linspace(0.0, 20.0, 11))
+    exact = evolve(dm, superop, grid)
+    fixed = evolve_rk4(dm, superop, grid, dt=1e-3)
+    assert exact.path == "expm" and fixed.path is None
+    assert np.max(np.abs(exact.amplitude_optical - fixed.amplitude_optical)) < 1e-9
+    assert np.max(np.abs(exact.purity - fixed.purity)) < 1e-9
+    assert np.max(np.abs(exact.trace - fixed.trace)) < 1e-9
+
+
+def test_block_larger_than_the_dense_limit_selects_dp45(monkeypatch):
+    superop, dm = thermal_combined_kerr()
+    grid = TimeGrid(np.linspace(0.0, 5.0, 6))
+    monkeypatch.setattr(EVOLVE, "MAX_DENSE_BLOCK", 12)
+    at_limit = evolve(dm, superop, grid)
+    monkeypatch.setattr(EVOLVE, "MAX_DENSE_BLOCK", 11)
+    above = evolve(dm, superop, grid)
+    assert max(at_limit.block_sizes) == max(above.block_sizes) == 12
+    assert at_limit.path == "expm" and above.path == "dp45"
+    assert above.n_steps > 5
+
+
+def test_repeated_gaps_reuse_cached_propagators(monkeypatch):
+    superop, dm = thermal_combined_kerr()
+    built = []
+    original = EVOLVE._BlockPropagator._propagator
+    monkeypatch.setattr(EVOLVE._BlockPropagator, "_propagator",
+                        lambda self, gap: built.append(gap) or original(self, gap))
+    grid = TimeGrid(np.arange(9) * 0.5)
+    traj = evolve(dm, superop, grid, EvolveOptions(snapshot_times=(1.2,)))
+    # eight gaps of 0.5, one split by the snapshot: 0.5 is built once and
+    # cached, each one-off gap is built for its single use
+    assert traj.n_steps == 9
+    assert sorted(built) == sorted([1.2 - 1.0, 1.5 - 1.2, 0.5])
+
+
+def test_trace_gate_rejects_nan():
+    # a NaN generator entry makes the whole state NaN; NaN > limit is False,
+    # so the gate must test "within the limit", not "beyond it"
+    n = 3
+    bad = Superoperator(HilbertDims((n,)), sp.csr_matrix(
+        ([np.nan + 0j], ([0], [0])), shape=(n * n, n * n)))
+    dm = product_dm([vacuum_ket(n)])
+    with pytest.raises(IntegrationFailure, match="trace drifted by nan"):
+        evolve(dm, bad, TimeGrid(np.linspace(0.0, 1.0, 3)))
+
+
+@pytest.mark.parametrize("rtol, atol", [
+    (-1.0, -1.0), (-1e-8, 1e-10), (1e-8, 0.0), (1e-8, -1e-10),
+    (float("nan"), 1e-10), (1e-8, float("inf")),
+])
+def test_tolerances_validated(rtol, atol):
+    with pytest.raises(ValueError):
+        EvolveOptions(rtol=rtol, atol=atol)
+    with pytest.raises(ValueError, match="integrator"):
+        config_from_flat({"integrator.rtol": rtol, "integrator.atol": atol})
+
+
+def test_zero_rtol_accepted():
+    assert EvolveOptions(rtol=0.0, atol=1e-12).rtol == 0.0

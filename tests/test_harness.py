@@ -326,6 +326,22 @@ def test_cli_simulate_with_overrides(tmp_path, capsys):
     assert (tmp_path / "out" / "trajectory.csv").exists()
 
 
+def test_cli_simulate_reports_propagation_path(tmp_path, capsys):
+    rc = main([
+        "simulate", "--preset", "fig2-combined", "--out", str(tmp_path / "out"),
+        "--override", "dims=6,", "--override", "time.n_samples=150",
+        "--override", "time.horizon=40", "--override", "snapshots=none",
+    ])
+    assert rc == 0
+    assert "live 36/36, 11 blocks (max 6), expm" in capsys.readouterr().out
+    # run stats stay out of the artifacts
+    payload = json.loads((tmp_path / "out" / "revival_report.json").read_text())
+    assert sorted(payload["quality"]) == [
+        "max_hermiticity_error", "max_trace_drift", "n_rejected", "n_steps",
+    ]
+    assert "expm" not in (tmp_path / "out" / "trajectory.csv").read_text()
+
+
 def test_cli_config_file(tmp_path):
     cfg_text = format_config_text(config_to_flat(small_run_config()))
     cfg_path = tmp_path / "run.cfg"
