@@ -39,7 +39,14 @@ from .evolve import (
     evolve_rk4,
     generator_check,
 )
-from .wigner import PhaseSpaceGrid, WignerField, min_value, negativity_volume, wigner
+from .wigner import (
+    PhaseSpaceGrid,
+    WignerField,
+    min_value,
+    negativity_volume,
+    wigner,
+    wigner_fields,
+)
 from .revival import RevivalReport, detect_revival_series, detect_revivals, revival_time, sweep_summary
 
 __version__ = "0.1.0"

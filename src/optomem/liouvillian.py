@@ -21,6 +21,7 @@ two-mode revival-time formula exactly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,10 +111,14 @@ def unvec(v: np.ndarray, n: int) -> np.ndarray:
     return np.asarray(v).reshape((n, n), order="F")
 
 
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
 def thermal_occupation(omega: float, temp: float) -> float:
     """Mean thermal occupation 1/(exp(omega/T) - 1), both in a.u. (hbar=k_B=1).
 
-    Exactly 0 at T = 0.
+    Exactly 0 at T = 0, and 0 once exp(omega/T) overflows a float (the true
+    value is then below 1e-308).
     """
     if temp < 0:
         raise ValueError(f"temperature must be >= 0, got {temp}")
@@ -123,7 +128,10 @@ def thermal_occupation(omega: float, temp: float) -> float:
         raise ValueError(
             f"thermal occupation diverges for omega={omega} at finite temperature"
         )
-    return 1.0 / math.expm1(omega / temp)
+    ratio = omega / temp
+    if ratio > _LOG_FLOAT_MAX:
+        return 0.0
+    return 1.0 / math.expm1(ratio)
 
 
 def hamiltonian(params: SystemParams, dims) -> QOperator:

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import find_peaks
 
 DEFAULT_PROMINENCE_FRAC = 0.1
 DEFAULT_COLLAPSE_FRAC = 0.15
@@ -78,6 +77,42 @@ class RevivalReport:
         }
 
 
+def _find_peaks(x: np.ndarray, prominence: float, distance: int) -> np.ndarray:
+    """Peak indices as ``scipy.signal.find_peaks(x, prominence=, distance=)``.
+
+    A peak is a run of equal samples, reported at its midpoint rounded
+    down, whose neighbouring runs are both lower; the first and last samples
+    are never peaks.  Going down from the highest peak (in ``np.argsort``
+    order of the heights), each kept peak drops the peaks closer than
+    ``distance`` samples.  A survivor is returned when its prominence over
+    the whole series is ``>= prominence``.  Loading ``scipy.signal`` would
+    cost more than the rest of ``import optomem``.
+    """
+    starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
+    ends = np.r_[starts[1:] - 1, x.size - 1]
+    values = x[starts]
+    is_peak = np.zeros(starts.size, dtype=bool)
+    is_peak[1:-1] = (values[:-2] < values[1:-1]) & (values[2:] < values[1:-1])
+    peaks = (starts[is_peak] + ends[is_peak]) // 2
+
+    keep = np.ones(peaks.size, dtype=bool)
+    for j in np.argsort(x[peaks])[::-1]:
+        if keep[j]:
+            keep[np.abs(peaks - peaks[j]) < distance] = False
+            keep[j] = True
+    peaks = peaks[keep]
+
+    prominences = np.empty(peaks.size)
+    for m, i in enumerate(peaks):
+        # bases: the lowest samples before the series first rises above x[i]
+        higher_left = np.flatnonzero(~(x[:i] <= x[i]))
+        higher_right = np.flatnonzero(~(x[i + 1:] <= x[i]))
+        lo = higher_left[-1] + 1 if higher_left.size else 0
+        hi = i + 1 + higher_right[0] if higher_right.size else x.size
+        prominences[m] = x[i] - max(x[lo:i + 1].min(), x[i:hi].min())
+    return peaks[prominences >= prominence]
+
+
 def detect_revival_series(
     times: np.ndarray,
     modulus: np.ndarray,
@@ -108,7 +143,7 @@ def detect_revival_series(
         distance = max(1, int(round(DEFAULT_MIN_SEPARATION_FRAC * half / dt)))
 
     if reference > 0:
-        idx, _ = find_peaks(modulus, prominence=prominence, distance=distance)
+        idx = _find_peaks(modulus, prominence, distance)
     else:
         idx = np.array([], dtype=int)
     peaks = [(float(times[i]), float(modulus[i])) for i in idx]

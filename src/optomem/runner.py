@@ -34,7 +34,7 @@ from .evolve import EvolveOptions, TimeGrid, Trajectory, evolve
 from .liouvillian import Superoperator, combined_kerr_liouvillian, liouvillian
 from .revival import RevivalReport, detect_revivals, sweep_summary
 from .states import DensityMatrix, coherent_ket, partial_trace, product_dm, vacuum_ket
-from .wigner import WignerField, wigner
+from .wigner import WIGNER_BATCH, WignerField, wigner_fields
 
 
 def build_problem(config: RunConfig) -> tuple[Superoperator, DensityMatrix]:
@@ -85,16 +85,18 @@ def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
     a = traj.amplitude_optical
     b = traj.amplitude_mech
     ovl = traj.coherent_overlap
+    # np.hypot rounds like abs() of each element; np.abs of a complex array
+    # can differ from it in the last bit.
+    columns = [
+        traj.times,
+        a.real, a.imag, np.hypot(a.real, a.imag),
+        b.real, b.imag, np.hypot(b.real, b.imag),
+        traj.trace, traj.purity,
+        ovl if ovl is not None else np.zeros(len(traj.times)),
+    ]
+    row = ",".join(["%.9e"] * len(columns))
     lines = ["t,re_a,im_a,abs_a,re_b,im_b,abs_b,trace,purity,coherent_overlap"]
-    for i, t in enumerate(traj.times):
-        cells = [
-            _f(t),
-            _f(a[i].real), _f(a[i].imag), _f(abs(a[i])),
-            _f(b[i].real), _f(b[i].imag), _f(abs(b[i])),
-            _f(traj.trace[i]), _f(traj.purity[i]),
-            _f(ovl[i]) if ovl is not None else _f(0.0),
-        ]
-        lines.append(",".join(cells))
+    lines.extend(row % cells for cells in zip(*(c.tolist() for c in columns)))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -137,8 +139,9 @@ def write_wigner_field(path: Path, field: WignerField) -> None:
         f"{_f(g.p_min)} {_f(g.p_max)} {g.np}",
     ]
     # one row per p sample, nx columns per row
+    row = " ".join(["%.9e"] * g.nx)
     for j in range(g.np):
-        lines.append(" ".join(_f(v) for v in field.values[:, j]))
+        lines.append(row % tuple(field.values[:, j].tolist()))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -194,11 +197,16 @@ def run_snapshots(config: RunConfig, out_dir: Path) -> list[Path]:
     traj, _ = simulate(config)
     mode = config.resolved_wigner_mode()
     paths = []
-    for t, state in traj.snapshots:
-        field = wigner(reduced_snapshot(config, state), config.wigner_grid)
-        path = out_dir / f"wigner_t{t:.3f}_mode{mode}.dat"
-        write_wigner_field(path, field)
-        paths.append(path)
+    # one kernel group at a time, so only one group of fields is held
+    for start in range(0, len(traj.snapshots), WIGNER_BATCH):
+        group = traj.snapshots[start:start + WIGNER_BATCH]
+        fields = wigner_fields(
+            [reduced_snapshot(config, state) for _, state in group], config.wigner_grid
+        )
+        for (t, _), field in zip(group, fields):
+            path = out_dir / f"wigner_t{t:.3f}_mode{mode}.dat"
+            write_wigner_field(path, field)
+            paths.append(path)
     return paths
 
 

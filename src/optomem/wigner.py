@@ -17,18 +17,33 @@ generated by the upward three-term associated-Laguerre recurrence
     sqrt((n+1)(n+k+1)) R^k_{n+1} = (2r^2 - 2n - k - 1) R^k_n
                                    - sqrt(n(n+k)) R^k_{n-1},
 
-seeded per grid point in log space, which keeps the evaluation stable for
-truncations up to N ~ 60 without overflow.
+seeded in log space, which keeps the evaluation stable for truncations up
+to N ~ 60 without overflow.  The radial parts depend on a grid point only
+through r^2, so the recurrence runs once per distinct value of x^2 + p^2
+(10 524 of the 40 401 points of the default grid) and its results are
+gathered back to the points; no symmetry of the grid is assumed.  States
+evaluated together (``wigner_fields``, in groups of ``WIGNER_BATCH``)
+share the recurrence and the phase powers e^{-ik theta}.  Each grid point
+sees exactly the arithmetic of a per-point evaluation, so the values are
+bitwise those of evaluating one state at a time at every point.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
 
 from .states import DensityMatrix
+
+# Most states evaluated together in one pass.  On the default grid with
+# N = 30 (2-vCPU Xeon VM, one BLAS thread), 15 states took 0.99 s one at a
+# time, 0.44 s in groups of 8 and 0.40 s in one group, with 5, 7 and 9 MB
+# of working arrays; 16 keeps a 15-snapshot run in one group and the
+# working arrays bounded beyond it.
+WIGNER_BATCH = 16
 
 
 @dataclass(frozen=True)
@@ -88,29 +103,63 @@ class WignerField:
 
 def wigner(rho: DensityMatrix, grid: PhaseSpaceGrid = DEFAULT_GRID) -> WignerField:
     """Evaluate the Wigner function of a single-mode density matrix."""
-    if rho.dims.n_modes != 1:
-        raise ValueError(
-            f"wigner expects a single-mode state; got {rho.dims.n_modes} modes "
-            "(reduce with partial_trace first)"
-        )
-    n_levels = rho.dims.total_dim
+    return wigner_fields([rho], grid)[0]
+
+
+def wigner_fields(
+    states: Sequence[DensityMatrix], grid: PhaseSpaceGrid = DEFAULT_GRID
+) -> list[WignerField]:
+    """Evaluate the Wigner functions of several single-mode states on one grid.
+
+    All states must share one truncation.  They are evaluated in groups of
+    at most ``WIGNER_BATCH``; each group shares the radial recurrence and the
+    phase powers.
+    """
+    states = list(states)
+    for rho in states:
+        if rho.dims.n_modes != 1:
+            raise ValueError(
+                f"wigner expects a single-mode state; got {rho.dims.n_modes} modes "
+                "(reduce with partial_trace first)"
+            )
+    if len({rho.dims.total_dim for rho in states}) > 1:
+        raise ValueError("wigner_fields expects states of one truncation")
+    if not states:
+        return []
+
     x = grid.x_axis()[:, None]
     p = grid.p_axis()[None, :]
-    r2 = x * x + p * p
-    r = np.sqrt(r2)
+    r2_grid = x * x + p * p
+    r_grid = np.sqrt(r2_grid)
     # Unit phase e^{-i theta}; the radial seed vanishes at r = 0, so the
     # placeholder value there never contributes.
     with np.errstate(invalid="ignore", divide="ignore"):
-        phase_unit = np.where(r > 0, (x - 1j * p) / np.where(r > 0, r, 1.0), 1.0)
-
-    w = np.zeros((grid.nx, grid.np))
-    rho_mat = rho.data
+        phase_unit = np.where(
+            r_grid > 0, (x - 1j * p) / np.where(r_grid > 0, r_grid, 1.0), 1.0
+        )
+    # Radial parts depend on the grid point only through r^2: evaluate them
+    # on the distinct values and gather them back through ``inverse``.
+    r2, inverse = np.unique(r2_grid, return_inverse=True)
+    inverse = inverse.reshape(r2_grid.shape)
+    r = np.sqrt(r2)
     log_sqrt2r = np.zeros_like(r)
     np.log(np.sqrt(2.0) * r, out=log_sqrt2r, where=r > 0)
 
+    fields = []
+    for start in range(0, len(states), WIGNER_BATCH):
+        group = [rho.data for rho in states[start:start + WIGNER_BATCH]]
+        for w in _wigner_group(group, r2, r, log_sqrt2r, phase_unit, inverse):
+            fields.append(WignerField(grid, w))
+    return fields
+
+
+def _wigner_group(mats, r2, r, log_sqrt2r, phase_unit, inverse) -> list[np.ndarray]:
+    n_levels = mats[0].shape[0]
+    ws = [np.zeros(inverse.shape) for _ in mats]
     for k in range(n_levels):
-        diag = np.diagonal(rho_mat, -k)
-        if not np.any(diag):
+        diags = [np.diagonal(m, -k) for m in mats]
+        active = [i for i, diag in enumerate(diags) if np.any(diag)]
+        if not active:
             continue
         if k == 0:
             r_prev = np.exp(-r2)
@@ -120,20 +169,22 @@ def wigner(rho: DensityMatrix, grid: PhaseSpaceGrid = DEFAULT_GRID) -> WignerFie
                 np.exp(k * log_sqrt2r - r2 - 0.5 * gammaln(k + 1.0)),
                 0.0,
             )
-        phase_k = phase_unit ** k if k else 1.0
-        acc = diag[0] * r_prev
+        accs = [diags[i][0] * r_prev for i in active]
         r_nm1 = None
         for n in range(1, n_levels - k):
             coeff = 1.0 / np.sqrt(n * (n + k))
             r_cur = coeff * ((2.0 * r2 - (2 * n + k - 1)) * r_prev)
             if r_nm1 is not None:
                 r_cur -= coeff * np.sqrt((n - 1) * (n - 1 + k)) * r_nm1
-            acc = acc + diag[n] * r_cur
+            for acc, i in zip(accs, active):
+                acc += diags[i][n] * r_cur
             r_nm1, r_prev = r_prev, r_cur
-        contrib = np.real(phase_k * acc) if k else np.real(acc)
-        w += (2.0 if k else 1.0) * contrib / np.pi
-
-    return WignerField(grid, w)
+        phase_k = phase_unit ** k if k else 1.0
+        for acc, i in zip(accs, active):
+            acc = acc[inverse]
+            contrib = np.real(phase_k * acc) if k else np.real(acc)
+            ws[i] += (2.0 if k else 1.0) * contrib / np.pi
+    return ws
 
 
 def min_value(field: WignerField) -> tuple[float, float, float]:

@@ -21,14 +21,18 @@ from optomem.config import (
     sweep_from_flat,
     sweep_to_flat,
 )
+from optomem.evolve import Trajectory
 from optomem.runner import (
     read_trajectory_csv,
     read_wigner_field,
     run_single,
     run_snapshots,
     run_sweep,
+    write_trajectory_csv,
+    write_wigner_field,
 )
 from optomem.states import coherent_overlap, product_dm, coherent_ket, vacuum_ket
+from optomem.wigner import PhaseSpaceGrid, WignerField
 
 
 def small_run_config(**kw) -> RunConfig:
@@ -391,3 +395,59 @@ def test_harmonic_check_constant_amplitude():
     assert np.max(np.abs(mod - mod[0])) < 1e-8
     assert report.classification == "perfect_revival"
     assert report.n_peaks == 0 and report.collapse_windows == []
+
+
+# Values whose %.9e rendering is easy to get wrong: signed zero, a
+# subnormal, +-1/pi and a tiny normal number.
+AWKWARD = [-0.0, 0.0, 5e-324, 1.0 / math.pi, -1.0 / math.pi, 1e-300, -2.5e-7, 123.456]
+
+
+def _f(x) -> str:
+    return f"{x:.9e}"
+
+
+def test_write_wigner_field_matches_per_value_format(tmp_path):
+    grid = PhaseSpaceGrid(-1.5, 2.0, -0.5, 0.25, 4, 3)
+    values = np.array(AWKWARD + AWKWARD[::-1][:4]).reshape(4, 3)
+    path = tmp_path / "w.dat"
+    write_wigner_field(path, WignerField(grid, values))
+    lines = [f"{_f(-1.5)} {_f(2.0)} 4", f"{_f(-0.5)} {_f(0.25)} 3"]
+    lines += [" ".join(_f(v) for v in values[:, j]) for j in range(3)]
+    assert path.read_text() == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("with_overlap", [True, False])
+def test_write_trajectory_csv_matches_per_value_format(tmp_path, with_overlap):
+    # the first three amplitudes are complex values whose np.abs, unlike
+    # abs(), renders differently in the last printed digit on some builds
+    amp = np.array(
+        [complex(-1.3674329564901937, 1.1446032098567502),
+         complex(-0.8405508663072765, -0.12473879202101186),
+         complex(0.8550733931481709, -0.05289103460486539)]
+        + [complex(v, w) for v, w in zip(AWKWARD, AWKWARD[::-1])]
+    )
+    n = amp.size
+    real = np.resize(np.array(AWKWARD), n)
+    traj = Trajectory(
+        times=np.linspace(0.0, 1.0, n), amplitude_optical=amp, amplitude_mech=amp[::-1],
+        trace=real, purity=real[::-1], coherent_overlap=real if with_overlap else None,
+    )
+    path = tmp_path / "t.csv"
+    write_trajectory_csv(path, traj)
+    lines = ["t,re_a,im_a,abs_a,re_b,im_b,abs_b,trace,purity,coherent_overlap"]
+    for i in range(n):
+        a, b = traj.amplitude_optical[i], traj.amplitude_mech[i]
+        ovl = traj.coherent_overlap[i] if with_overlap else 0.0
+        lines.append(",".join(_f(v) for v in (
+            traj.times[i], a.real, a.imag, abs(a), b.real, b.imag, abs(b),
+            traj.trace[i], traj.purity[i], ovl)))
+    assert path.read_text() == "\n".join(lines) + "\n"
+
+
+def test_cli_simulate_fig4_at_the_reference_bath_temperature(tmp_path):
+    # exp(omega_c / T) overflows a float at 30 mK; the optical occupation
+    # must underflow to 0 instead of aborting the run
+    rc = main(["simulate", "--preset", "fig4", "--out", str(tmp_path / "out"),
+               "--override", "params.bath_temp=0.03"])
+    assert rc == 0
+    assert (tmp_path / "out" / "revival_report.json").exists()

@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from helpers import random_density, random_hermitian
 
-from optomem.config import default_params
+from optomem.config import OMEGA_C_DEFAULT, default_params
 from optomem.fock import HilbertDims, QOperator, annihilation, embed
 from optomem.liouvillian import (
     SystemParams,
@@ -51,6 +52,15 @@ def test_thermal_occupation_pinned_30mk():
     omega_m = 2.0 * math.pi * 0.151983e-8
     got = thermal_occupation(omega_m, kelvin_to_au(0.030))
     assert got == pytest.approx(N_MECH_30MK, rel=1e-12)
+
+
+def test_thermal_occupation_underflows_to_zero():
+    # omega_c / T is about 1.36e4 at 30 mK: exp overflows, n_th is 0
+    assert thermal_occupation(OMEGA_C_DEFAULT, kelvin_to_au(0.03)) == 0.0
+    assert default_params(bath_temp=1.0).n_optical() == 0.0
+    limit = math.log(sys.float_info.max)
+    assert thermal_occupation(limit, 1.0) == 1.0 / math.expm1(limit)
+    assert thermal_occupation(math.nextafter(limit, math.inf), 1.0) == 0.0
 
 
 def test_system_params_validation():

@@ -1,10 +1,19 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.signal import find_peaks
 
 from helpers import kerr_amplitude_closed_form
 
+import optomem
+from optomem import revival
+from optomem.config import PRESETS, SweepSpec
+from optomem.runner import simulate
 from optomem.revival import (
     RevivalReport,
     SamplingError,
@@ -141,3 +150,54 @@ def test_sweep_summary_ordering():
     assert rows[0]["first_revival_ratio"] == 0.99
     assert rows[2]["n_peaks"] == 0
     assert rows[2]["classification"] == "revivals_disappeared"
+
+
+def scipy_peaks(x, prominence, distance):
+    return find_peaks(x, prominence=prominence, distance=distance)[0]
+
+
+def test_find_peaks_matches_scipy_on_random_series():
+    rng = np.random.default_rng(11)
+    for trial in range(1500):
+        n = int(rng.integers(3, 150))
+        if trial % 3 == 0:  # few levels: long plateaus and tied heights
+            x = rng.integers(0, int(rng.integers(2, 8)), size=n).astype(float)
+        elif trial % 3 == 1:  # rounded random walk: plateaus at every scale
+            x = np.round(np.cumsum(rng.normal(size=n)), 1)
+        else:
+            x = rng.random(n)
+        prominence = float(rng.choice([0.0, 0.05, 0.5, 1.0, 3.0]))
+        distance = int(rng.integers(1, 25))
+        assert np.array_equal(revival._find_peaks(x, prominence, distance),
+                              scipy_peaks(x, prominence, distance)), (x, prominence, distance)
+
+
+def test_find_peaks_matches_scipy_on_every_preset(monkeypatch):
+    finder = revival._find_peaks
+    calls = []
+
+    def spy(x, prominence, distance):
+        calls.append((x.copy(), prominence, distance))
+        return finder(x, prominence, distance)
+
+    monkeypatch.setattr(revival, "_find_peaks", spy)
+    n_runs = 0
+    for _, obj in PRESETS.values():
+        configs = [obj.point_config(v) for v in obj.values] if isinstance(obj, SweepSpec) else [obj]
+        for config in configs:
+            simulate(config)
+            n_runs += 1
+    assert len(calls) == n_runs
+    for x, prominence, distance in calls:
+        for p, d in ((prominence, distance), (0.0, 1), (0.25 * prominence, 3)):
+            assert np.array_equal(finder(x, p, d), scipy_peaks(x, p, d))
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    src = str(Path(optomem.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, optomem.cli; print('scipy.signal' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"

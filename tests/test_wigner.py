@@ -1,13 +1,21 @@
 import numpy as np
 import pytest
 
-from helpers import coherent_coeffs, position_density, random_density
+from helpers import coherent_coeffs, position_density, random_density, wigner_per_point
 
 from optomem.fock import HilbertDims, QOperator
 from optomem.liouvillian import SystemParams, combined_kerr_liouvillian
 from optomem.evolve import EvolveOptions, TimeGrid, evolve
 from optomem.states import DensityMatrix, coherent_ket, fock_ket, product_dm, vacuum_ket
-from optomem.wigner import PhaseSpaceGrid, WignerField, min_value, negativity_volume, wigner
+from optomem.wigner import (
+    WIGNER_BATCH,
+    PhaseSpaceGrid,
+    WignerField,
+    min_value,
+    negativity_volume,
+    wigner,
+    wigner_fields,
+)
 
 GRID_201 = PhaseSpaceGrid(-5.0, 5.0, -5.0, 5.0, 201, 201)
 
@@ -164,3 +172,56 @@ def test_multi_mode_input_rejected():
 def test_field_shape_validation():
     with pytest.raises(ValueError):
         WignerField(GRID_201, np.zeros((5, 5)))
+
+
+def bits(values: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+def damped_snapshot(n: int) -> DensityMatrix:
+    params = SystemParams(omega_c=0.0, omega_m=0.0, k_c=0.01, k_m=0.01, g0=0.0,
+                          gamma_c=1e-3, gamma_m=1e-3, bath_temp=0.0)
+    traj = evolve(product_dm([coherent_ket(1.5, n)]), combined_kerr_liouvillian(params, n),
+                  TimeGrid(np.linspace(0.0, 79.0, 120)), EvolveOptions(snapshot_times=(79.0,)))
+    return traj.snapshots[0][1]
+
+
+def test_fields_match_per_point_kernel_bitwise():
+    # linspace(-5, 5, 201) is not exactly mirror-symmetric, so this also
+    # checks that no symmetry of the grid is assumed
+    n = 20
+    states = [
+        product_dm([vacuum_ket(n)]),
+        product_dm([fock_ket(1, n)]),
+        cat_dm(2.0, n),
+        product_dm([coherent_ket(1.2 - 0.7j, n)]),
+        damped_snapshot(n),
+    ]
+    fields = wigner_fields(states, GRID_201)
+    assert len(fields) == len(states)
+    for rho, field in zip(states, fields):
+        assert np.array_equal(bits(field.values), bits(wigner_per_point(rho, GRID_201)))
+        assert np.array_equal(bits(wigner(rho, GRID_201).values), bits(field.values))
+
+
+def test_groups_give_the_fields_of_their_parts():
+    grid = PhaseSpaceGrid(-3.0, 3.0, -3.0, 3.0, 31, 31)
+    rng = np.random.default_rng(5)
+    dims = HilbertDims((6,))
+    states = [DensityMatrix(QOperator(dims, random_density(rng, 6)))
+              for _ in range(WIGNER_BATCH + 3)]
+    together = wigner_fields(states, grid)
+    parts = wigner_fields(states[:4], grid) + wigner_fields(states[4:], grid)
+    alone = [wigner(rho, grid) for rho in states]
+    assert len(together) == len(states)
+    for a, b, c in zip(together, parts, alone):
+        assert np.array_equal(bits(a.values), bits(b.values))
+        assert np.array_equal(bits(a.values), bits(c.values))
+
+
+def test_fields_reject_bad_input():
+    assert wigner_fields([], GRID_201) == []
+    with pytest.raises(ValueError):
+        wigner_fields([product_dm([vacuum_ket(4)]), product_dm([vacuum_ket(3), vacuum_ket(3)])])
+    with pytest.raises(ValueError):
+        wigner_fields([product_dm([vacuum_ket(4)]), product_dm([vacuum_ket(5)])])
