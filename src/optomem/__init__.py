@@ -21,7 +21,6 @@ from .states import (
 from .liouvillian import (
     SystemParams,
     Superoperator,
-    apply,
     combined_kerr_liouvillian,
     dissipator,
     hamiltonian,

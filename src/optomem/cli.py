@@ -87,7 +87,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         f"first revival ratio: {report.first_revival_ratio:.6f}, "
         f"trace drift: {traj.max_trace_drift:.2e}, "
         f"live {traj.n_live}/{math.prod(config.dims) ** 2}, "
-        f"{len(traj.block_sizes)} blocks (max {max(traj.block_sizes)}), {traj.path}"
+        f"{len(traj.block_sizes)} blocks (max {max(traj.block_sizes)}), {traj.path}, "
+        f"{traj.n_propagated} propagated"
     )
     return 0
 

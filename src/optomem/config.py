@@ -84,8 +84,8 @@ class RunConfig:
             raise ValueError(f"storage_mode {self.storage_mode} out of range")
         if not (math.isfinite(self.alpha.real) and math.isfinite(self.alpha.imag)):
             raise ValueError("alpha must be finite")
-        if self.horizon is not None and self.horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if self.horizon is not None and not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         if self.n_samples < 100:
             raise ValueError(f"n_samples must be >= 100, got {self.n_samples}")
         if self.wigner_mode != "storage" and (
@@ -97,9 +97,9 @@ class RunConfig:
             )
         validate_tolerances(self.rtol, self.atol)
         horizon = self.resolved_horizon()
-        bad = [t for t in self.snapshot_times if t < 0 or t > horizon]
+        bad = [t for t in self.snapshot_times if not 0 <= t <= horizon]
         if bad:
-            raise ValueError(f"snapshot times outside [0, {horizon:g}]: {bad}")
+            raise ValueError(f"snapshot times not finite or outside [0, {horizon:g}]: {bad}")
 
     def resolved_horizon(self) -> float:
         if self.horizon is not None:

@@ -10,21 +10,34 @@ combined-Kerr coherent state keeps all of them.
 Both generators are phase-covariant, so the live generator splits further
 into symmetry blocks with no entries between them: the weakly connected
 components of its nonzero pattern (59 blocks of at most 30 coordinates for
-the combined-Kerr presets, 19 of at most 10 for the two-mode run).  When no
-block is larger than :data:`MAX_DENSE_BLOCK`, the state goes from one event
-time to the next through the exact block-diagonal propagator built from a
-dense exp(L_b gap) per block; propagators for gaps the time grid repeats are
-cached, one-off gaps (next to snapshot times) are built, applied once and
-dropped.  Otherwise the live vector is advanced with an embedded
-Dormand-Prince 5(4) pair on the real/imaginary-split linear system: step
-acceptance uses the max-abs error norm over all live entries and sample
-times are hit exactly by clamping the step.
+the combined-Kerr presets, 19 of at most 10 for the two-mode run).  Both
+also keep rho Hermitian: with M the permutation rho_ij <-> rho_ji of the
+coordinates, L[M, M] == conj(L) holds exactly, and ``evolve`` raises
+ValueError on a generator for which it does not.  M therefore maps block k
+(coherence index k) onto block -k, and the state of block -k is the complex
+conjugate of block k's.  Only one block of each such pair is propagated,
+plus every block that is its own mirror image (k = 0): 465 of 900
+coordinates for the combined-Kerr presets, 55 of 100 for the two-mode run.
+
+When no block is larger than :data:`MAX_DENSE_BLOCK`, the kept coordinates
+go from one event time to the next through the exact block-diagonal
+propagator built from a dense exp(L_b gap) per kept block; propagators for
+gaps the time grid repeats are cached, one-off gaps (next to snapshot times)
+are built, applied once and dropped.  Otherwise the kept coordinates are
+advanced with an embedded Dormand-Prince 5(4) pair on the
+real/imaginary-split linear system: step acceptance uses the max-abs error
+norm over the kept entries (the left-out entries are their conjugates, so
+they have the same error moduli) and sample times are hit exactly by
+clamping the step.
 
 On both paths every new state is re-symmetrised (rho <- (rho + rho^dag)/2)
-and repeated runs are bitwise reproducible.  Snapshots are scattered back
-into full d x d matrices.  The trace is never renormalised: its drift is
-recorded as an integration quality signal and raises once it is not within
-``trace_drift_limit``.
+on the self-mirror blocks, where its Hermiticity deviation is also
+measured; each left-out coordinate is then written as the conjugate of its
+mirror, so the live vector that the observables, the trace gate and the
+snapshots see is Hermitian by construction.  Repeated runs are bitwise
+reproducible.  Snapshots are scattered back into full d x d matrices.  The
+trace is never renormalised: its drift is recorded as an integration
+quality signal and raises once it is not within ``trace_drift_limit``.
 
 A plain fixed-step classical RK4 driver (:func:`evolve_rk4`) is kept as an
 independent cross-validation route and deliberately shares no stepping logic
@@ -43,7 +56,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .fock import HilbertDims, QOperator, annihilation, embed
-from .liouvillian import Superoperator, vec
+from .liouvillian import Superoperator, unvec, vec
 from .states import DensityMatrix, coherent_amplitudes
 
 __all__ = [
@@ -79,6 +92,8 @@ class TimeGrid:
         times = np.array(self.times, dtype=float)
         if times.ndim != 1 or times.size < 1:
             raise ValueError("time grid must be a non-empty 1-d array")
+        if not np.all(np.isfinite(times)):
+            raise ValueError(f"time grid must be finite, got {times[~np.isfinite(times)]}")
         if times[0] != 0.0:
             raise ValueError(f"time grid must start at 0, got {times[0]}")
         if np.any(np.diff(times) <= 0):
@@ -134,12 +149,14 @@ class Trajectory:
     # DP45: accepted steps; exact path: propagator applications
     n_steps: int = 0
     n_rejected: int = 0
-    # coordinates of vec(rho) that were advanced, the propagation path
-    # ("expm" or "dp45") and the sizes of the live generator's symmetry
-    # blocks; None when the full space was integrated (RK4)
+    # live coordinates of vec(rho), the propagation path ("expm" or "dp45"),
+    # the sizes of the live generator's symmetry blocks and the coordinates
+    # actually advanced (one block of each conjugate pair); None when the
+    # full space was integrated (RK4)
     n_live: int | None = None
     path: str | None = None
     block_sizes: tuple[int, ...] | None = None
+    n_propagated: int | None = None
 
     def amplitude(self, mode: int) -> np.ndarray:
         if mode == 0:
@@ -379,15 +396,50 @@ def symmetry_blocks(lmat: sp.spmatrix) -> list[np.ndarray]:
     return np.split(order, np.cumsum(np.bincount(labels, minlength=n_blocks))[:-1])
 
 
+def _conjugate_symmetric(lmat: sp.csr_matrix, mirror: np.ndarray) -> bool:
+    """Whether L[M, M] == conj(L) entry for entry, NaN equal to NaN.
+
+    ``mirror`` is the permutation M of the coordinates of ``lmat``.  ``lmat``
+    must have sorted indices and no stored zeros (a sparse product has none).
+    NaN entries compare equal to themselves, so a NaN generator still runs
+    and fails the trace gate.
+    """
+    mirrored = lmat[mirror][:, mirror]
+    mirrored.sort_indices()
+    return (np.array_equal(mirrored.indptr, lmat.indptr)
+            and np.array_equal(mirrored.indices, lmat.indices)
+            and np.array_equal(mirrored.data, lmat.data.conj(), equal_nan=True))
+
+
+def _fold(blocks: list[np.ndarray], mirror: np.ndarray
+          ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The blocks to propagate, and those among them that are self-mirror.
+
+    For a generator with L[M, M] == conj(L), M maps each block onto a block:
+    block k (coherence index k) onto block -k, whose state is then the
+    complex conjugate of block k's.  Each block is paired with the block
+    that holds the mirror of its first coordinate.  Of each pair the block
+    listed first is kept; a block that is its own partner is kept whole.
+    """
+    label = np.empty(mirror.size, dtype=np.intp)
+    for b, idx in enumerate(blocks):
+        label[idx] = b
+    partner = label[mirror[[idx[0] for idx in blocks]]]
+    kept = [idx for b, idx in enumerate(blocks) if partner[b] >= b]
+    return kept, [idx for b, idx in enumerate(blocks) if partner[b] == b]
+
+
 def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
            opts: EvolveOptions | None = None) -> Trajectory:
     """Integrate d(rho)/dt = L rho and sample observables on ``grid``.
 
-    Only the coordinates returned by :func:`live_coordinates` are advanced:
-    exactly, block by block (:func:`symmetry_blocks`), when no block exceeds
+    Of the coordinates returned by :func:`live_coordinates`, one block of
+    each conjugate pair of :func:`symmetry_blocks` and every self-mirror
+    block are advanced: exactly, block by block, when no block exceeds
     :data:`MAX_DENSE_BLOCK`, and by DP45 otherwise.  Full density matrices
-    are stored only at ``opts.snapshot_times`` (which must lie within the
-    grid span).  Raises :class:`IntegrationFailure` when the trace drift is
+    are stored only at ``opts.snapshot_times`` (which must be finite and lie
+    within the grid span).  Raises ValueError when the generator does not
+    preserve Hermiticity, :class:`IntegrationFailure` when the trace drift is
     not within ``opts.trace_drift_limit`` and :class:`StiffnessError` on a
     DP45 step-size underflow.
     """
@@ -410,14 +462,35 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
     select = sp.csr_matrix((np.ones(n), (live, np.arange(n))), shape=(m, n))
     lmat = (superop.matrix @ select)[live]
     lmat.sort_indices()
+    mirror = np.searchsorted(live, _transpose_index(d)[live])
+    if not _conjugate_symmetric(lmat, mirror):
+        raise ValueError(
+            "generator does not preserve Hermiticity: L[M, M] != conj(L) on the "
+            "live coordinates, where M maps rho_ij to rho_ji"
+        )
     blocks = symmetry_blocks(lmat)
     block_sizes = tuple(idx.size for idx in blocks)
-    mirror = np.searchsorted(live, _transpose_index(d)[live])
+    kept_blocks, self_blocks = _fold(blocks, mirror)
+    # coordinates advanced (sorted) and those rebuilt as conjugates; every
+    # other index below is a position in the kept vector
+    kept = np.sort(np.concatenate(kept_blocks))
+    partners = np.setdiff1d(np.arange(n), kept, assume_unique=True)
+    source = np.searchsorted(kept, mirror[partners])
+    self_coords = np.concatenate(self_blocks)
+    self_mirror = np.searchsorted(kept, self_coords)
+    self_dag = np.searchsorted(kept, mirror[self_coords])
+    n_kept = kept.size
+    kmat = lmat[kept][:, kept]
+    kmat.sort_indices()
+    zk0 = z0[live[kept]]
+
     times = grid.times
     span = float(times[-1])
     snapshot_times = np.array(sorted(set(float(t) for t in opts.snapshot_times)))
-    if snapshot_times.size and (snapshot_times[0] < 0 or snapshot_times[-1] > span):
-        raise ValueError("snapshot times must lie within the time grid span")
+    if np.any(~np.isfinite(snapshot_times) | (snapshot_times < 0) | (snapshot_times > span)):
+        raise ValueError(
+            f"snapshot times must be finite and lie within the time grid span [0, {span:g}]"
+        )
 
     events = np.unique(np.concatenate([times, snapshot_times]))
     grid_set = set(times.tolist())
@@ -427,35 +500,45 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
 
     herm_dev = [0.0]
 
-    def symmetrize(z: np.ndarray) -> np.ndarray:
-        z_dag = z[mirror].conj()
-        dev = float(np.max(np.abs(z - z_dag)))
+    def symmetrize(zk: np.ndarray) -> np.ndarray:
+        # only self-mirror blocks hold both rho_ij and rho_ji among the kept
+        # coordinates; the other pairs are made Hermitian by unfold
+        z_self = zk[self_mirror]
+        z_dag = zk[self_dag].conj()
+        dev = float(np.max(np.abs(z_self - z_dag)))
         if dev > herm_dev[0]:
             herm_dev[0] = dev
-        return 0.5 * (z + z_dag)
+        zk[self_mirror] = 0.5 * (z_self + z_dag)
+        return zk
+
+    def unfold(zk: np.ndarray) -> np.ndarray:
+        z = np.empty(n, dtype=np.complex128)
+        z[kept] = zk
+        z[partners] = zk[source].conj()
+        return z
 
     if max(block_sizes) <= MAX_DENSE_BLOCK:
         path = "expm"
         gaps, counts = np.unique(np.diff(events), return_counts=True)
-        stepper = _BlockPropagator(lmat, blocks, z0[live], set(gaps[counts > 1].tolist()),
-                                   symmetrize)
+        stepper = _BlockPropagator(kmat, [np.searchsorted(kept, idx) for idx in kept_blocks],
+                                   zk0, set(gaps[counts > 1].tolist()), symmetrize)
 
         def state() -> np.ndarray:
-            return stepper.z
+            return unfold(stepper.z)
     else:
         path = "dp45"
 
         def rhs(y: np.ndarray) -> np.ndarray:
-            z = lmat @ (y[:n] + 1j * y[n:])
+            z = kmat @ (y[:n_kept] + 1j * y[n_kept:])
             return np.concatenate((z.real, z.imag))
 
         def on_accept(y: np.ndarray) -> np.ndarray:
-            z = symmetrize(y[:n] + 1j * y[n:])
+            z = symmetrize(y[:n_kept] + 1j * y[n_kept:])
             return np.concatenate((z.real, z.imag))
 
         stepper = _AdaptiveDriver(
             rhs,
-            np.concatenate((z0[live].real, z0[live].imag)),
+            np.concatenate((zk0.real, zk0.imag)),
             span,
             opts.rtol,
             opts.atol,
@@ -463,7 +546,7 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
         )
 
         def state() -> np.ndarray:
-            return stepper.y[:n] + 1j * stepper.y[n:]
+            return unfold(stepper.y[:n_kept] + 1j * stepper.y[n_kept:])
 
     n_t = times.size
     amp_a = np.zeros(n_t, dtype=np.complex128)
@@ -520,6 +603,7 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
         n_live=n,
         path=path,
         block_sizes=block_sizes,
+        n_propagated=n_kept,
     )
 
 
@@ -591,9 +675,10 @@ def generator_check(superop: Superoperator, rho: DensityMatrix, dt: float) -> fl
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    from .liouvillian import apply as l_apply
-
-    deriv = l_apply(superop, rho).data
+    if rho.dims != superop.dims:
+        raise ValueError(f"dimension mismatch: {rho.dims.dims} vs {superop.dims.dims}")
+    deriv = unvec(superop.matrix @ vec(rho.data), rho.dims.total_dim)
+    deriv = 0.5 * (deriv + deriv.conj().T)
     denom = float(np.max(np.abs(deriv)))
     if denom < 1e-14:
         return 0.0

@@ -221,17 +221,3 @@ def combined_kerr_liouvillian(params: SystemParams, n: int) -> Superoperator:
         total = total + dissipator(annihilation(n), params.gamma_m, params.n_mech()).matrix
     return Superoperator(dims, total.tocsr())
 
-
-def apply(superop: Superoperator, rho) -> QOperator:
-    """Evaluate d(rho)/dt = L rho, re-symmetrised to machine precision.
-
-    ``rho`` may be a DensityMatrix or a QOperator.
-    """
-    op = rho.matrix if hasattr(rho, "matrix") else rho
-    if op.dims != superop.dims:
-        raise ValueError(
-            f"dimension mismatch: {op.dims.dims} vs {superop.dims.dims}"
-        )
-    n = superop.dims.total_dim
-    out = unvec(superop.matrix @ vec(op.data), n)
-    return QOperator(superop.dims, 0.5 * (out + out.conj().T))

@@ -36,10 +36,24 @@ def kerr_amplitude(alpha: complex, omega: float, chi: float, n: int, t: float) -
     return complex(np.sum(np.conj(c[:-1]) * c[1:] * np.sqrt(m + 1.0) * phases) / norm2)
 
 
-def kerr_amplitude_closed_form(alpha: complex, omega: float, chi: float, t: float) -> complex:
-    """Untruncated closed form for the same quantity."""
-    return alpha * np.exp(-1j * (omega + chi) * t) * np.exp(
-        abs(alpha) ** 2 * (np.exp(-2j * chi * t) - 1.0)
+def kerr_amplitude_closed_form(alpha: complex, omega: float, chi: float, t,
+                               gamma: float = 0.0):
+    """Untruncated closed form for the same quantity, for H = omega n + chi n^2
+    damped at rate ``gamma`` into a zero-temperature bath (Milburn & Holmes,
+    PRL 56, 2237, 1986):
+
+        alpha e^{-(i omega + i chi + gamma/2) t}
+              exp[-|alpha|^2 (2 i chi / (gamma + 2 i chi)) (1 - e^{-(gamma + 2 i chi) t})]
+
+    ``gamma = 0`` takes the closed limit, which stays finite at chi = 0.
+    """
+    if gamma == 0.0:
+        return alpha * np.exp(-1j * (omega + chi) * t) * np.exp(
+            abs(alpha) ** 2 * (np.exp(-2j * chi * t) - 1.0)
+        )
+    rate = gamma + 2j * chi
+    return alpha * np.exp(-(1j * (omega + chi) + gamma / 2.0) * t) * np.exp(
+        -abs(alpha) ** 2 * (2j * chi / rate) * (1.0 - np.exp(-rate * t))
     )
 
 

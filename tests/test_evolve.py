@@ -1,8 +1,10 @@
 import importlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import expm_multiply
 
 from helpers import kerr_amplitude, kerr_amplitude_closed_form
 
@@ -24,9 +26,10 @@ from optomem.liouvillian import (
     Superoperator,
     combined_kerr_liouvillian,
     liouvillian,
+    unvec,
     vec,
 )
-from optomem.runner import build_problem
+from optomem.runner import build_problem, simulate
 from optomem.states import Ket, coherent_ket, product_dm, vacuum_ket
 
 # the package namespace re-exports the function `evolve`, so fetch the module
@@ -59,6 +62,10 @@ def test_time_grid_validation():
         TimeGrid(np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         TimeGrid(np.array([0.0, 2.0, 2.0]))
+    # NaN passes a "strictly increasing" test, so finiteness is checked apart
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            TimeGrid(np.array([0.0, 1.0, bad]))
     assert len(TimeGrid(np.array([0.0, 1.0]))) == 2
 
 
@@ -149,6 +156,8 @@ def test_snapshot_outside_span_rejected():
     grid = TimeGrid(np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
         evolve(dm, zero_superop(4), grid, EvolveOptions(snapshot_times=(2.0,)))
+    with pytest.raises(ValueError, match="finite"):
+        evolve(dm, zero_superop(4), grid, EvolveOptions(snapshot_times=(0.5, np.nan)))
 
 
 def test_trace_drift_gate_fires():
@@ -398,3 +407,78 @@ def test_tolerances_validated(rtol, atol):
 
 def test_zero_rtol_accepted():
     assert EvolveOptions(rtol=0.0, atol=1e-12).rtol == 0.0
+
+
+@pytest.mark.parametrize("matrix", [
+    # d(rho)/dt = i rho: drives rho_ij and rho_ji with conjugate-breaking phases
+    1j * sp.identity(9, dtype=complex, format="csr"),
+    # feeds rho_10 from rho_00 but not rho_01: keeps the trace, breaks rho = rho^dag
+    sp.csr_matrix(([1.0 + 0j], ([1], [0])), shape=(9, 9)),
+])
+def test_generator_that_breaks_hermiticity_is_rejected(matrix):
+    dm = product_dm([vacuum_ket(3)])
+    with pytest.raises(ValueError, match="Hermiticity"):
+        evolve(dm, Superoperator(HilbertDims((3,)), matrix), TimeGrid(np.array([0.0, 1.0])))
+
+
+def test_one_block_of_each_conjugate_pair_is_propagated():
+    # k = 0 whole plus k = 1..29 (combined mode), the two-mode run's
+    # 10 + 9 + ... + 1; RK4 integrates the full space
+    grid = TimeGrid(np.array([0.0, 1.0]))
+    for name, n_propagated in (("fig2-combined", 30 + 29 * 30 // 2), ("fig4", 55)):
+        superop, dm = build_problem(preset(name))
+        traj = evolve(dm, superop, grid)
+        assert traj.n_propagated == n_propagated
+        assert traj.max_hermiticity_error == 0.0
+    assert evolve_rk4(dm, superop, grid, dt=0.5).n_propagated is None
+
+
+ZERO_TEMPERATURE_COMBINED = [
+    (name, value)
+    for name in ("fig5", "fig6", "fig8")
+    for value in preset(name).values
+]
+
+
+def assert_matches_damped_kerr_closed_form(config, traj):
+    params = config.params
+    assert config.mode == "combined_kerr" and params.bath_temp == 0.0
+    closed = kerr_amplitude_closed_form(config.alpha, params.omega_m, params.k_c + params.k_m,
+                                        traj.times, params.gamma_m)
+    assert np.max(np.abs(traj.amplitude_optical - closed)) < 1e-12
+
+
+def test_fig2_combined_matches_damped_kerr_closed_form(fig2_result):
+    traj, _ = fig2_result
+    assert_matches_damped_kerr_closed_form(preset("fig2-combined"), traj)
+    assert len(traj.snapshots) == 15
+    for _, state in traj.snapshots:
+        assert np.array_equal(state.data, state.data.conj().T)
+
+
+@pytest.mark.parametrize("name, value", ZERO_TEMPERATURE_COMBINED)
+def test_sweep_point_matches_damped_kerr_closed_form(name, value):
+    config = preset(name).point_config(value)
+    traj, _ = simulate(config)
+    assert_matches_damped_kerr_closed_form(config, traj)
+
+
+def test_halved_path_agrees_with_full_rk4_on_optical_storage():
+    config = replace(preset("fig4"), storage_mode=0, dims=(4, 5), alpha=0.8 + 0.3j)
+    superop, dm = build_problem(config)
+    grid = TimeGrid(np.linspace(0.0, 20.0, 11))
+    exact = evolve(dm, superop, grid, EvolveOptions(snapshot_times=(7.5, 20.0)))
+    full = evolve_rk4(dm, superop, grid, dt=1e-3)
+    # pairs of 75, 50 and 5 coordinates beside the self-mirror block of 100
+    assert exact.path == "expm"
+    assert (exact.n_live, exact.n_propagated) == (360, 230)
+    for a, b in ((exact.amplitude_optical, full.amplitude_optical),
+                 (exact.amplitude_mech, full.amplitude_mech),
+                 (exact.purity, full.purity), (exact.trace, full.trace)):
+        assert np.max(np.abs(a - b)) < 1e-9
+    for t, state in exact.snapshots:
+        assert np.array_equal(state.data, state.data.conj().T)
+        # the whole state, left-out half included, against exp(L t) rho(0)
+        # on the full space
+        reference = unvec(expm_multiply(superop.matrix * t, vec(dm.data)), 20)
+        assert np.max(np.abs(state.data - reference)) < 1e-9

@@ -191,6 +191,23 @@ def test_run_config_validation_errors():
         harmonic_auto.resolved_horizon()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("time.horizon", math.nan), ("time.horizon", math.inf),
+    ("snapshots", (0.0, math.nan)), ("snapshots", (math.inf,)),
+])
+def test_non_finite_times_rejected(key, value):
+    with pytest.raises(ValueError, match="finite"):
+        config_from_flat({key: value})
+
+
+def test_cli_non_finite_snapshot_writes_nothing(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="finite"):
+        main(["wigner-snapshots", "--preset", "fig4", "--out", str(out),
+              "--override", "snapshots=0,nan"])
+    assert not out.exists()
+
+
 def test_wigner_mode_validation():
     # anything but "storage" or an in-range index fails before any evolution
     for bad in ("foo", 2, -1, 1.0, True):
@@ -337,7 +354,10 @@ def test_cli_simulate_reports_propagation_path(tmp_path, capsys):
         "--override", "time.horizon=40", "--override", "snapshots=none",
     ])
     assert rc == 0
-    assert "live 36/36, 11 blocks (max 6), expm" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "live 36/36, 11 blocks (max 6), expm" in out
+    # k = 0 whole plus one block of each pair k = +-1 .. +-5
+    assert "expm, 21 propagated" in out
     # run stats stay out of the artifacts
     payload = json.loads((tmp_path / "out" / "revival_report.json").read_text())
     assert sorted(payload["quality"]) == [
