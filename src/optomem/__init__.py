@@ -31,7 +31,6 @@ from .liouvillian import (
 from .evolve import (
     EvolveOptions,
     IntegrationFailure,
-    StiffnessError,
     TimeGrid,
     Trajectory,
     evolve,

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
-from .evolve import validate_tolerances
 from .liouvillian import SystemParams
 from .revival import revival_time
 from .wigner import PhaseSpaceGrid
@@ -69,8 +68,6 @@ class RunConfig:
         default_factory=lambda: PhaseSpaceGrid(-5.0, 5.0, -5.0, 5.0, 201, 201)
     )
     wigner_mode: int | str = "storage"
-    rtol: float = 1e-8
-    atol: float = 1e-10
 
     def validate(self) -> None:
         if self.mode not in (TWO_MODE, COMBINED_KERR):
@@ -95,7 +92,6 @@ class RunConfig:
                 f"wigner.mode must be 'storage' or a mode index below {len(self.dims)}, "
                 f"got {self.wigner_mode!r}"
             )
-        validate_tolerances(self.rtol, self.atol)
         horizon = self.resolved_horizon()
         bad = [t for t in self.snapshot_times if not 0 <= t <= horizon]
         if bad:
@@ -282,8 +278,6 @@ _CONFIG_KEYS = {
     "wigner.nx": _Key("wigner_grid.nx", int),
     "wigner.np": _Key("wigner_grid.np", int),
     "wigner.mode": _Key("wigner_mode", _same),
-    "integrator.rtol": _Key("rtol", float),
-    "integrator.atol": _Key("atol", float),
 }
 
 

@@ -62,11 +62,12 @@ class SystemParams:
     bath_temp: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("omega_c", "omega_m", "k_c", "k_m", "g0", "gamma_c", "gamma_m"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.bath_temp < 0:
-            raise ValueError(f"bath_temp must be >= 0, got {self.bath_temp}")
+        for name in ("omega_c", "omega_m", "k_c", "k_m", "g0", "gamma_c", "gamma_m",
+                     "bath_temp"):
+            value = getattr(self, name)
+            # NaN passes a "< 0" test, and inf fills L with NaN
+            if not math.isfinite(value) or value < 0:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
     @property
     def temp_au(self) -> float:

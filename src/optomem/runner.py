@@ -59,8 +59,6 @@ def simulate(config: RunConfig) -> tuple[Trajectory, RevivalReport]:
     superop, rho0 = build_problem(config)
     grid = TimeGrid(np.linspace(0.0, config.resolved_horizon(), config.n_samples))
     opts = EvolveOptions(
-        rtol=config.rtol,
-        atol=config.atol,
         snapshot_times=tuple(config.snapshot_times),
         overlap_alpha=config.alpha,
         overlap_mode=config.analysis_mode(),

@@ -57,7 +57,7 @@ def test_criterion_1_analytic_kerr_oracle():
         superop = combined_kerr_liouvillian(params, 30)
         rho0 = product_dm([coherent_ket(1.5, 30)])
         grid = TimeGrid(np.linspace(0.0, 2.0 * T_REV, 200))
-        traj = evolve(rho0, superop, grid, EvolveOptions(rtol=1e-10, atol=1e-12))
+        traj = evolve(rho0, superop, grid, EvolveOptions())
         oracle = np.array(
             [kerr_amplitude(1.5, params.omega_m, 0.02, 30, t) for t in grid.times]
         )
@@ -193,10 +193,10 @@ def test_criterion_7_two_mode_structural_suite(fig4_run):
 
         # dual-integrator agreement through collapse and first revival
         grid = TimeGrid(np.linspace(0.0, T_REV / 2.0, 21))
-        adaptive = evolve(rho0, superop, grid, EvolveOptions())
+        exact = evolve(rho0, superop, grid, EvolveOptions())
         fixed = evolve_rk4(rho0, superop, grid, dt=T_REV / 2e5)
         diff = np.max(
-            np.abs(np.abs(adaptive.amplitude_mech) - np.abs(fixed.amplitude_mech))
+            np.abs(np.abs(exact.amplitude_mech) - np.abs(fixed.amplitude_mech))
         )
         assert diff < 1e-5
 

@@ -1,4 +1,5 @@
 import importlib
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -8,11 +9,10 @@ from scipy.sparse.linalg import expm_multiply
 
 from helpers import kerr_amplitude, kerr_amplitude_closed_form
 
-from optomem.config import config_from_flat, default_params, preset
+from optomem.config import default_params, preset
 from optomem.evolve import (
     EvolveOptions,
     IntegrationFailure,
-    StiffnessError,
     TimeGrid,
     evolve,
     evolve_rk4,
@@ -85,7 +85,7 @@ def test_damped_oscillator_matches_closed_form():
     superop = combined_kerr_liouvillian(params, 25)
     dm = product_dm([coherent_ket(alpha, 25)])
     times = np.linspace(0.0, 3.0 / gamma, 25)
-    traj = evolve(dm, superop, TimeGrid(times), EvolveOptions(rtol=1e-10, atol=1e-12))
+    traj = evolve(dm, superop, TimeGrid(times))
     exact = alpha * np.exp((-1j * omega - gamma / 2.0) * times)
     rel = np.abs(traj.amplitude_optical - exact) / np.abs(exact)
     assert rel.max() < 1e-6
@@ -99,7 +99,7 @@ def test_closed_kerr_matches_fock_sum_oracle():
     dm = product_dm([coherent_ket(alpha, n)])
     t_rev = 2.0 * np.pi / chi
     times = np.array([0.0, t_rev / 4.0, t_rev / 2.0, t_rev])
-    traj = evolve(dm, superop, TimeGrid(times), EvolveOptions(rtol=1e-11, atol=1e-13))
+    traj = evolve(dm, superop, TimeGrid(times))
     for i, t in enumerate(times):
         oracle = kerr_amplitude(alpha, 0.0, chi, n, t)
         got = traj.amplitude_optical[i]
@@ -139,9 +139,9 @@ def test_adaptive_agrees_with_fixed_step():
     superop = liouvillian(params, HilbertDims((4, 4)))
     dm = product_dm([vacuum_ket(4), coherent_ket(1.0, 4)])
     grid = TimeGrid(np.linspace(0.0, 20.0, 11))
-    adaptive = evolve(dm, superop, grid, EvolveOptions())
+    exact = evolve(dm, superop, grid, EvolveOptions())
     fixed = evolve_rk4(dm, superop, grid, dt=1e-3)
-    diff = np.abs(np.abs(adaptive.amplitude_mech) - np.abs(fixed.amplitude_mech))
+    diff = np.abs(np.abs(exact.amplitude_mech) - np.abs(fixed.amplitude_mech))
     assert diff.max() < 1e-8
 
 
@@ -174,18 +174,33 @@ EXTREME_DECAY = SystemParams(omega_c=0.0, omega_m=1.0, k_c=0.0, k_m=0.0, g0=0.0,
                              gamma_c=0.0, gamma_m=1e15, bath_temp=0.0)
 
 
-def test_stiffness_error_on_extreme_rates(monkeypatch):
-    # decay rate 15 orders beyond the horizon scale: an explicit scheme
-    # cannot cross this span and must fail loudly instead of spinning
-    monkeypatch.setattr(EVOLVE, "MAX_DENSE_BLOCK", 0)  # force the DP45 driver
+def test_action_path_refuses_extreme_rates(monkeypatch):
+    # decay rate 15 orders beyond the horizon scale: expm_multiply would need
+    # about 1e15 products for this gap and never gives up, so the run must
+    # fail loudly before the first step instead of spinning
+    monkeypatch.setattr(EVOLVE, "MAX_DENSE_BLOCK", 0)  # force expm_multiply
     superop = combined_kerr_liouvillian(EXTREME_DECAY, 4)
     dm = product_dm([coherent_ket(0.8, 4)])
-    with pytest.raises(StiffnessError):
+    start = time.monotonic()
+    with pytest.raises(IntegrationFailure, match="largest gap"):
         evolve(dm, superop, TimeGrid(np.array([0.0, 1.0])), EvolveOptions())
+    assert time.monotonic() - start < 5.0
+
+
+def test_action_path_refuses_nan_generator(monkeypatch):
+    # ||L||_1 is NaN, which a "cost > limit" test would let through to
+    # expm_multiply
+    monkeypatch.setattr(EVOLVE, "MAX_DENSE_BLOCK", 0)
+    n = 3
+    bad = Superoperator(HilbertDims((n,)), sp.csr_matrix(
+        ([np.nan + 0j], ([0], [0])), shape=(n * n, n * n)))
+    dm = product_dm([vacuum_ket(n)])
+    with pytest.raises(IntegrationFailure, match="largest gap = nan"):
+        evolve(dm, bad, TimeGrid(np.linspace(0.0, 1.0, 3)))
 
 
 def test_exact_path_crosses_extreme_rates_to_closed_form_decay():
-    # the generator DP45 cannot cross: exp(L t) still gives
+    # the generator expm_multiply refuses: the dense exp(L t) still gives
     # <a>(t) = <a>(0) exp((-i omega - gamma/2) t), exact in the truncation
     superop = combined_kerr_liouvillian(EXTREME_DECAY, 4)
     dm = product_dm([coherent_ket(0.8, 4)])
@@ -255,7 +270,7 @@ def test_live_set_thermal_optical_bath_is_the_optical_diagonal():
 def test_restricted_evolve_agrees_with_full_rk4_on_thermal_bath():
     superop, dm = mechanical_storage(THERMAL, (3, 4))
     grid = TimeGrid(np.linspace(0.0, 10.0, 11))
-    restricted = evolve(dm, superop, grid, EvolveOptions(rtol=1e-10, atol=1e-12))
+    restricted = evolve(dm, superop, grid)
     full = evolve_rk4(dm, superop, grid, dt=1e-3)
     assert restricted.n_live == 3 * 16
     assert np.max(np.abs(restricted.amplitude_mech - full.amplitude_mech)) < 1e-8
@@ -326,24 +341,25 @@ def thermal_combined_kerr():
     return combined_kerr_liouvillian(params, 12), product_dm([coherent_ket(1.2, 12)])
 
 
-def test_exact_path_agrees_with_dp45_on_thermal_combined_kerr(monkeypatch):
+def test_dense_path_agrees_with_expm_multiply_on_thermal_combined_kerr(monkeypatch):
     superop, dm = thermal_combined_kerr()
     grid = TimeGrid(np.linspace(0.0, 60.0, 121))
-    opts = EvolveOptions(rtol=1e-12, atol=1e-14, snapshot_times=(30.0, 45.25),
-                         overlap_alpha=1.2)
-    exact = evolve(dm, superop, grid, opts)
+    opts = EvolveOptions(snapshot_times=(30.0, 45.25), overlap_alpha=1.2)
+    dense = evolve(dm, superop, grid, opts)
     monkeypatch.setattr(EVOLVE, "MAX_DENSE_BLOCK", 0)
-    dp45 = evolve(dm, superop, grid, opts)
-    assert (exact.path, dp45.path) == ("expm", "dp45")
+    action = evolve(dm, superop, grid, opts)
+    assert (dense.path, action.path) == ("expm", "expm_multiply")
     # 120 grid gaps, one of them split by the snapshot at 45.25
-    assert exact.n_rejected == 0 and exact.n_steps == 121
-    for a, b in ((exact.amplitude_optical, dp45.amplitude_optical),
-                 (exact.trace, dp45.trace), (exact.purity, dp45.purity),
-                 (exact.coherent_overlap, dp45.coherent_overlap)):
+    for traj in (dense, action):
+        assert traj.n_rejected == 0 and traj.n_steps == 121
+        assert traj.max_hermiticity_error < 1e-13
+    for a, b in ((dense.amplitude_optical, action.amplitude_optical),
+                 (dense.trace, action.trace), (dense.purity, action.purity),
+                 (dense.coherent_overlap, action.coherent_overlap)):
         assert np.max(np.abs(a - b)) < 1e-9
-    for (t1, s1), (t2, s2) in zip(exact.snapshots, dp45.snapshots):
+    assert len(dense.snapshots) == len(action.snapshots) == 2
+    for (t1, s1), (t2, s2) in zip(dense.snapshots, action.snapshots):
         assert t1 == t2 and np.max(np.abs(s1.data - s2.data)) < 1e-9
-    assert exact.max_hermiticity_error < 1e-13
 
 
 def test_exact_path_agrees_with_fixed_step_rk4():
@@ -357,7 +373,7 @@ def test_exact_path_agrees_with_fixed_step_rk4():
     assert np.max(np.abs(exact.trace - fixed.trace)) < 1e-9
 
 
-def test_block_larger_than_the_dense_limit_selects_dp45(monkeypatch):
+def test_block_larger_than_the_dense_limit_selects_expm_multiply(monkeypatch):
     superop, dm = thermal_combined_kerr()
     grid = TimeGrid(np.linspace(0.0, 5.0, 6))
     monkeypatch.setattr(EVOLVE, "MAX_DENSE_BLOCK", 12)
@@ -365,8 +381,9 @@ def test_block_larger_than_the_dense_limit_selects_dp45(monkeypatch):
     monkeypatch.setattr(EVOLVE, "MAX_DENSE_BLOCK", 11)
     above = evolve(dm, superop, grid)
     assert max(at_limit.block_sizes) == max(above.block_sizes) == 12
-    assert at_limit.path == "expm" and above.path == "dp45"
-    assert above.n_steps > 5
+    assert at_limit.path == "expm" and above.path == "expm_multiply"
+    # one application of exp(L gap) per gap on both paths
+    assert at_limit.n_steps == above.n_steps == 5
 
 
 def test_repeated_gaps_reuse_cached_propagators(monkeypatch):
@@ -392,21 +409,6 @@ def test_trace_gate_rejects_nan():
     dm = product_dm([vacuum_ket(n)])
     with pytest.raises(IntegrationFailure, match="trace drifted by nan"):
         evolve(dm, bad, TimeGrid(np.linspace(0.0, 1.0, 3)))
-
-
-@pytest.mark.parametrize("rtol, atol", [
-    (-1.0, -1.0), (-1e-8, 1e-10), (1e-8, 0.0), (1e-8, -1e-10),
-    (float("nan"), 1e-10), (1e-8, float("inf")),
-])
-def test_tolerances_validated(rtol, atol):
-    with pytest.raises(ValueError):
-        EvolveOptions(rtol=rtol, atol=atol)
-    with pytest.raises(ValueError, match="integrator"):
-        config_from_flat({"integrator.rtol": rtol, "integrator.atol": atol})
-
-
-def test_zero_rtol_accepted():
-    assert EvolveOptions(rtol=0.0, atol=1e-12).rtol == 0.0
 
 
 @pytest.mark.parametrize("matrix", [
@@ -456,6 +458,16 @@ def test_fig2_combined_matches_damped_kerr_closed_form(fig2_result):
         assert np.array_equal(state.data, state.data.conj().T)
 
 
+def test_fig2_combined_on_expm_multiply_matches_damped_kerr_closed_form(monkeypatch):
+    # the preset's own grid and snapshots: ||L||_1 * largest gap = 5.3
+    monkeypatch.setattr(EVOLVE, "MAX_DENSE_BLOCK", 0)
+    config = preset("fig2-combined")
+    traj, _ = simulate(config)
+    assert traj.path == "expm_multiply" and len(traj.snapshots) == 15
+    assert_matches_damped_kerr_closed_form(config, traj)
+    assert np.max(np.abs(traj.trace - 1.0)) < 1e-12
+
+
 @pytest.mark.parametrize("name, value", ZERO_TEMPERATURE_COMBINED)
 def test_sweep_point_matches_damped_kerr_closed_form(name, value):
     config = preset(name).point_config(value)
@@ -463,22 +475,25 @@ def test_sweep_point_matches_damped_kerr_closed_form(name, value):
     assert_matches_damped_kerr_closed_form(config, traj)
 
 
-def test_halved_path_agrees_with_full_rk4_on_optical_storage():
+def test_halved_path_agrees_with_full_rk4_on_optical_storage(monkeypatch):
     config = replace(preset("fig4"), storage_mode=0, dims=(4, 5), alpha=0.8 + 0.3j)
     superop, dm = build_problem(config)
     grid = TimeGrid(np.linspace(0.0, 20.0, 11))
-    exact = evolve(dm, superop, grid, EvolveOptions(snapshot_times=(7.5, 20.0)))
     full = evolve_rk4(dm, superop, grid, dt=1e-3)
-    # pairs of 75, 50 and 5 coordinates beside the self-mirror block of 100
-    assert exact.path == "expm"
-    assert (exact.n_live, exact.n_propagated) == (360, 230)
-    for a, b in ((exact.amplitude_optical, full.amplitude_optical),
-                 (exact.amplitude_mech, full.amplitude_mech),
-                 (exact.purity, full.purity), (exact.trace, full.trace)):
-        assert np.max(np.abs(a - b)) < 1e-9
-    for t, state in exact.snapshots:
-        assert np.array_equal(state.data, state.data.conj().T)
-        # the whole state, left-out half included, against exp(L t) rho(0)
-        # on the full space
-        reference = unvec(expm_multiply(superop.matrix * t, vec(dm.data)), 20)
-        assert np.max(np.abs(state.data - reference)) < 1e-9
+    # both paths, the largest block (100) below and above the dense limit
+    for max_dense_block, path in ((300, "expm"), (0, "expm_multiply")):
+        monkeypatch.setattr(EVOLVE, "MAX_DENSE_BLOCK", max_dense_block)
+        exact = evolve(dm, superop, grid, EvolveOptions(snapshot_times=(7.5, 20.0)))
+        # pairs of 75, 50 and 5 coordinates beside the self-mirror block of 100
+        assert exact.path == path
+        assert (exact.n_live, exact.n_propagated) == (360, 230)
+        for a, b in ((exact.amplitude_optical, full.amplitude_optical),
+                     (exact.amplitude_mech, full.amplitude_mech),
+                     (exact.purity, full.purity), (exact.trace, full.trace)):
+            assert np.max(np.abs(a - b)) < 1e-9
+        for t, state in exact.snapshots:
+            assert np.array_equal(state.data, state.data.conj().T)
+            # the whole state, left-out half included, against exp(L t) rho(0)
+            # on the full space
+            reference = unvec(expm_multiply(superop.matrix * t, vec(dm.data)), 20)
+            assert np.max(np.abs(state.data - reference)) < 1e-9

@@ -110,8 +110,6 @@ wigner.p_max = 5.0
 wigner.nx = 201
 wigner.np = 201
 wigner.mode = storage
-integrator.rtol = 1e-08
-integrator.atol = 1e-10
 sweep.axis = bath_temp
 sweep.values = 3e-05, 0.03, 0.3, 3.0
 """
@@ -198,6 +196,26 @@ def test_run_config_validation_errors():
 def test_non_finite_times_rejected(key, value):
     with pytest.raises(ValueError, match="finite"):
         config_from_flat({key: value})
+
+
+def test_integrator_tolerance_keys_are_unknown():
+    # the exact propagators take no tolerances; an old config file that
+    # still sets them is rejected, not silently half-applied
+    with pytest.raises(ValueError, match="unknown config keys"):
+        config_from_flat({"integrator.rtol": 1e-8})
+
+
+@pytest.mark.parametrize("override", [
+    "params.gamma_m=nan", "params.k_c=inf", "params.bath_temp=inf", "params.g0=nan",
+])
+def test_cli_non_finite_parameter_writes_nothing(tmp_path, override):
+    # NaN passes a "< 0" check and used to drop the dissipator silently;
+    # inf filled the generator with NaN
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="finite"):
+        main(["simulate", "--preset", "fig2-combined", "--out", str(out),
+              "--override", override, "--override", "snapshots=none"])
+    assert not out.exists()
 
 
 def test_cli_non_finite_snapshot_writes_nothing(tmp_path):
