@@ -33,7 +33,6 @@ from .evolve import (
     IntegrationFailure,
     TimeGrid,
     Trajectory,
-    evolve,
     evolve_rk4,
     generator_check,
 )
@@ -42,7 +41,6 @@ from .wigner import (
     WignerField,
     min_value,
     negativity_volume,
-    wigner,
     wigner_fields,
 )
 from .revival import RevivalReport, detect_revival_series, detect_revivals, revival_time, sweep_summary

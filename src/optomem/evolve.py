@@ -39,7 +39,7 @@ mirror, so the live vector that the observables, the trace gate and the
 snapshots see is Hermitian by construction.  Repeated runs are bitwise
 reproducible.  Snapshots are scattered back into full d x d matrices.  The
 trace is never renormalised: its drift is recorded as an integration
-quality signal and raises once it is not within ``trace_drift_limit``.
+quality signal and raises once it is not within :data:`TRACE_DRIFT_LIMIT`.
 
 A plain fixed-step classical RK4 driver (:func:`evolve_rk4`) is kept as an
 independent cross-validation route and deliberately shares no stepping logic
@@ -105,7 +105,6 @@ class TimeGrid:
 @dataclass
 class EvolveOptions:
     snapshot_times: tuple[float, ...] = ()
-    trace_drift_limit: float = 1e-4
     # Reference coherent amplitude for the per-sample overlap column; None
     # disables the column.
     overlap_alpha: complex | None = None
@@ -117,8 +116,8 @@ class Trajectory:
     """Per-sample observables plus optional full-state snapshots."""
 
     times: np.ndarray
-    amplitude_optical: np.ndarray
-    amplitude_mech: np.ndarray
+    # <a_k>(t) of mode k in row k: complex, shape (n_modes, n_samples)
+    amplitudes: np.ndarray
     trace: np.ndarray
     purity: np.ndarray
     coherent_overlap: np.ndarray | None
@@ -138,13 +137,6 @@ class Trajectory:
     block_sizes: tuple[int, ...] | None = None
     n_propagated: int | None = None
 
-    def amplitude(self, mode: int) -> np.ndarray:
-        if mode == 0:
-            return self.amplitude_optical
-        if mode == 1:
-            return self.amplitude_mech
-        raise ValueError(f"mode must be 0 or 1, got {mode}")
-
 
 # Largest symmetry block propagated by a dense exp(L_b gap); a larger block
 # sends the whole run to expm_multiply.  The cached propagators hold
@@ -162,6 +154,10 @@ MAX_DENSE_BLOCK = 300
 # optical storage at (10, 10); 18 ms at 1e3 and 0.15 s at 1e4 on a 16-dim
 # damped mode.  The presets sit at 0.25 (fig4) to 5.3 (fig2-combined).
 MAX_ACTION_NORM = 1e3
+
+# Largest |Tr rho(t) - 1| a run may reach.  Both paths are exact, so a
+# trace-preserving generator stays at rounding level (<= 8.3e-14 on the presets).
+TRACE_DRIFT_LIMIT = 1e-4
 
 
 class _BlockPropagator:
@@ -203,7 +199,7 @@ class _Observables:
     """Flat-functional extraction of Tr(A rho) quantities from vec(rho).
 
     The functionals act on the coordinates ``live`` of vec(rho) (all of them
-    when None), in that order.
+    when None), in that order; there is one amplitude <a_k> per mode.
     """
 
     def __init__(self, dims: HilbertDims, overlap_alpha, overlap_mode,
@@ -211,13 +207,8 @@ class _Observables:
         d = dims.total_dim
         coords = np.arange(d * d) if live is None else live
         # Tr(A rho) = sum_ij A[i, j] rho[j, i] = A.flatten(C) . vec_F(rho).
-        a0 = embed(annihilation(dims.dims[0]), 0, dims)
-        self.w_a = a0.data.flatten(order="C")[coords]
-        if dims.n_modes >= 2:
-            a1 = embed(annihilation(dims.dims[1]), 1, dims)
-            self.w_b = a1.data.flatten(order="C")[coords]
-        else:
-            self.w_b = None
+        self.w_amp = [embed(annihilation(n_k), k, dims).data.flatten(order="C")[coords]
+                      for k, n_k in enumerate(dims.dims)]
         # rho_ii sits at i * (d + 1) in vec(rho)
         self.trace_idx = np.flatnonzero(coords % (d + 1) == 0)
         self.w_overlap = None
@@ -226,13 +217,11 @@ class _Observables:
             proj = QOperator(HilbertDims((dims.dims[overlap_mode],)), np.outer(c, c.conj()))
             self.w_overlap = embed(proj, overlap_mode, dims).data.flatten(order="C")[coords]
 
-    def amplitude_optical(self, z: np.ndarray) -> complex:
-        return complex(self.w_a @ z)
-
-    def amplitude_mech(self, z: np.ndarray) -> complex:
-        if self.w_b is None:
-            return 0.0 + 0.0j
-        return complex(self.w_b @ z)
+    def amplitudes(self, z: np.ndarray, out: np.ndarray) -> None:
+        """Write <a_k> of each mode k into ``out[k]``."""
+        # one 1-d product per mode: a 2-d product sums in another order
+        for k, w in enumerate(self.w_amp):
+            out[k] = w @ z
 
     def trace(self, z: np.ndarray) -> float:
         return float(np.sum(z[self.trace_idx]).real)
@@ -319,15 +308,17 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
            opts: EvolveOptions | None = None) -> Trajectory:
     """Integrate d(rho)/dt = L rho and sample observables on ``grid``.
 
-    Of the coordinates returned by :func:`live_coordinates`, one block of
-    each conjugate pair of :func:`symmetry_blocks` and every self-mirror
-    block are advanced by exp(L gap) from event to event: with cached dense
-    block propagators when no block exceeds :data:`MAX_DENSE_BLOCK`, and
-    with ``expm_multiply`` otherwise.  Full density matrices are stored
+    The observables are <a_k> of every mode k, the trace, the purity and
+    the optional coherent overlap.  Of the coordinates returned by
+    :func:`live_coordinates`, one block of each conjugate pair of
+    :func:`symmetry_blocks` and every self-mirror block are advanced by
+    exp(L gap) from event to event: with cached dense block propagators
+    when no block exceeds :data:`MAX_DENSE_BLOCK`, and with
+    ``expm_multiply`` otherwise.  Full density matrices are stored
     only at ``opts.snapshot_times`` (which must be finite and lie within the
     grid span).  Raises ValueError when the generator does not preserve
     Hermiticity, and :class:`IntegrationFailure` when the trace drift is not
-    within ``opts.trace_drift_limit`` or, on the ``expm_multiply`` path,
+    within :data:`TRACE_DRIFT_LIMIT` or, on the ``expm_multiply`` path,
     when ||L||_1 times the largest gap exceeds :data:`MAX_ACTION_NORM`.
     """
     opts = opts or EvolveOptions()
@@ -424,8 +415,7 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
             return expm_multiply(kmat * gap, zk)
 
     n_t = times.size
-    amp_a = np.zeros(n_t, dtype=np.complex128)
-    amp_b = np.zeros(n_t, dtype=np.complex128)
+    amps = np.zeros((dims.n_modes, n_t), dtype=np.complex128)
     tr = np.zeros(n_t)
     pur = np.zeros(n_t)
     ovl = np.zeros(n_t) if obs.w_overlap is not None else None
@@ -442,8 +432,7 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
             t_prev = t
         z = unfold(zk)
         if t in grid_set:
-            amp_a[i_rec] = obs.amplitude_optical(z)
-            amp_b[i_rec] = obs.amplitude_mech(z)
+            obs.amplitudes(z, amps[:, i_rec])
             tr[i_rec] = obs.trace(z)
             pur[i_rec] = obs.purity(z)
             if ovl is not None:
@@ -452,10 +441,10 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
             # written so that a NaN drift is kept and fails the gate
             if not drift <= max_drift:
                 max_drift = drift
-            if not drift <= opts.trace_drift_limit:
+            if not drift <= TRACE_DRIFT_LIMIT:
                 raise IntegrationFailure(
                     f"trace drifted by {drift:.3e} at t={t:.6g} "
-                    f"(limit {opts.trace_drift_limit:.1e})"
+                    f"(limit {TRACE_DRIFT_LIMIT:.1e})"
                 )
             i_rec += 1
         if t in snap_set:
@@ -468,8 +457,7 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
 
     return Trajectory(
         times=times.copy(),
-        amplitude_optical=amp_a,
-        amplitude_mech=amp_b,
+        amplitudes=amps,
         trace=tr,
         purity=pur,
         coherent_overlap=ovl,
@@ -506,15 +494,13 @@ def evolve_rk4(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
 
     z = vec(rho0.data).astype(np.complex128)
     n_t = times.size
-    amp_a = np.zeros(n_t, dtype=np.complex128)
-    amp_b = np.zeros(n_t, dtype=np.complex128)
+    amps = np.zeros((dims.n_modes, n_t), dtype=np.complex128)
     tr = np.zeros(n_t)
     pur = np.zeros(n_t)
     n_steps = 0
 
     def record(i: int) -> None:
-        amp_a[i] = obs.amplitude_optical(z)
-        amp_b[i] = obs.amplitude_mech(z)
+        obs.amplitudes(z, amps[:, i])
         tr[i] = obs.trace(z)
         pur[i] = obs.purity(z)
 
@@ -534,8 +520,7 @@ def evolve_rk4(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
 
     return Trajectory(
         times=times.copy(),
-        amplitude_optical=amp_a,
-        amplitude_mech=amp_b,
+        amplitudes=amps,
         trace=tr,
         purity=pur,
         coherent_overlap=None,
@@ -560,7 +545,7 @@ def generator_check(superop: Superoperator, rho: DensityMatrix, dt: float) -> fl
     if denom < 1e-14:
         return 0.0
     grid = TimeGrid(np.array([0.0, dt]))
-    opts = EvolveOptions(trace_drift_limit=1.0, snapshot_times=(dt,))
+    opts = EvolveOptions(snapshot_times=(dt,))
     traj = evolve(rho, superop, grid, opts)
     # DensityMatrix renormalises the trace; undo against the sampled trace so
     # the finite difference sees the raw evolved matrix.

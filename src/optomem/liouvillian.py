@@ -97,10 +97,6 @@ class Superoperator:
                 f"total dimension {self.dims.total_dim}"
             )
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
 
 def vec(mat: np.ndarray) -> np.ndarray:
     """Column-stack a matrix into a vector."""

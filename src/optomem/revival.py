@@ -186,7 +186,7 @@ def detect_revival_series(
 
 def detect_revivals(traj, mode: int, t_rev: float | None) -> RevivalReport:
     """Run :func:`detect_revival_series` on one mode of a trajectory."""
-    return detect_revival_series(traj.times, np.abs(traj.amplitude(mode)), t_rev)
+    return detect_revival_series(traj.times, np.abs(traj.amplitudes[mode]), t_rev)
 
 
 def sweep_summary(points: list[tuple[float, RevivalReport]]) -> list[dict]:

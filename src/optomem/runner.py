@@ -9,9 +9,9 @@ Outputs per run directory:
 * ``wigner_t<...>.dat``   -- self-describing grid text files (snapshot runs)
 
 All numeric output is rendered with ``%.9e`` (JSON floats are rounded to the
-same precision) so repeated runs of one config are byte-identical.  Runs in
-combined mode report the single mode in the ``a`` columns and zeros in the
-``b`` columns.
+same precision) so repeated runs of one config are byte-identical.  The
+``a``/``b`` columns hold ``Trajectory.amplitudes[0]``/``[1]``; a one-mode
+(combined) run has zeros in the ``b`` columns.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .evolve import EvolveOptions, TimeGrid, Trajectory, evolve
 from .liouvillian import Superoperator, combined_kerr_liouvillian, liouvillian
 from .revival import RevivalReport, detect_revivals, sweep_summary
 from .states import DensityMatrix, coherent_ket, partial_trace, product_dm, vacuum_ket
-from .wigner import WIGNER_BATCH, WignerField, wigner_fields
+from .wigner import WignerField, wigner_fields
 
 
 def build_problem(config: RunConfig) -> tuple[Superoperator, DensityMatrix]:
@@ -80,8 +80,8 @@ def _round9(x: float) -> float:
 
 
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
-    a = traj.amplitude_optical
-    b = traj.amplitude_mech
+    a = traj.amplitudes[0]
+    b = traj.amplitudes[1] if len(traj.amplitudes) > 1 else np.zeros_like(a)
     ovl = traj.coherent_overlap
     # np.hypot rounds like abs() of each element; np.abs of a complex array
     # can differ from it in the last bit.
@@ -194,17 +194,14 @@ def run_snapshots(config: RunConfig, out_dir: Path) -> list[Path]:
     write_config_echo(out_dir / "config.txt", config)
     traj, _ = simulate(config)
     mode = config.resolved_wigner_mode()
+    fields = wigner_fields(
+        [reduced_snapshot(config, state) for _, state in traj.snapshots], config.wigner_grid
+    )
     paths = []
-    # one kernel group at a time, so only one group of fields is held
-    for start in range(0, len(traj.snapshots), WIGNER_BATCH):
-        group = traj.snapshots[start:start + WIGNER_BATCH]
-        fields = wigner_fields(
-            [reduced_snapshot(config, state) for _, state in group], config.wigner_grid
-        )
-        for (t, _), field in zip(group, fields):
-            path = out_dir / f"wigner_t{t:.3f}_mode{mode}.dat"
-            write_wigner_field(path, field)
-            paths.append(path)
+    for (t, _), field in zip(traj.snapshots, fields):
+        path = out_dir / f"wigner_t{t:.3f}_mode{mode}.dat"
+        write_wigner_field(path, field)
+        paths.append(path)
     return paths
 
 

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from .fock import HilbertDims, QOperator, annihilation, creation, expectation
+from .fock import HilbertDims, QOperator, annihilation, creation
 
 TRUNCATION_NORM_WARN = 1e-3
 
@@ -77,9 +77,6 @@ class DensityMatrix:
     def purity(self) -> float:
         """Tr(rho^2)."""
         return float(np.sum(np.abs(self.data) ** 2))
-
-    def expect(self, op: QOperator) -> complex:
-        return expectation(op, self.matrix)
 
     def min_eigenvalue(self) -> float:
         """Smallest eigenvalue; cheap positivity check for small dimensions."""

@@ -30,7 +30,7 @@ bitwise those of evaluating one state at a time at every point.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,17 +103,17 @@ class WignerField:
 
 def wigner(rho: DensityMatrix, grid: PhaseSpaceGrid = DEFAULT_GRID) -> WignerField:
     """Evaluate the Wigner function of a single-mode density matrix."""
-    return wigner_fields([rho], grid)[0]
+    return next(wigner_fields([rho], grid))
 
 
 def wigner_fields(
-    states: Sequence[DensityMatrix], grid: PhaseSpaceGrid = DEFAULT_GRID
-) -> list[WignerField]:
+    states: Iterable[DensityMatrix], grid: PhaseSpaceGrid = DEFAULT_GRID
+) -> Iterator[WignerField]:
     """Evaluate the Wigner functions of several single-mode states on one grid.
 
-    All states must share one truncation.  They are evaluated in groups of
-    at most ``WIGNER_BATCH``; each group shares the radial recurrence and the
-    phase powers.
+    All states must share one truncation (checked at the call).  Fields are
+    yielded in order, computed one group of at most ``WIGNER_BATCH`` at a
+    time; a group shares the radial recurrence and the phase powers.
     """
     states = list(states)
     for rho in states:
@@ -124,9 +124,10 @@ def wigner_fields(
             )
     if len({rho.dims.total_dim for rho in states}) > 1:
         raise ValueError("wigner_fields expects states of one truncation")
-    if not states:
-        return []
+    return _fields(states, grid)
 
+
+def _fields(states: list[DensityMatrix], grid: PhaseSpaceGrid) -> Iterator[WignerField]:
     x = grid.x_axis()[:, None]
     p = grid.p_axis()[None, :]
     r2_grid = x * x + p * p
@@ -145,12 +146,10 @@ def wigner_fields(
     log_sqrt2r = np.zeros_like(r)
     np.log(np.sqrt(2.0) * r, out=log_sqrt2r, where=r > 0)
 
-    fields = []
     for start in range(0, len(states), WIGNER_BATCH):
         group = [rho.data for rho in states[start:start + WIGNER_BATCH]]
         for w in _wigner_group(group, r2, r, log_sqrt2r, phase_unit, inverse):
-            fields.append(WignerField(grid, w))
-    return fields
+            yield WignerField(grid, w)
 
 
 def _wigner_group(mats, r2, r, log_sqrt2r, phase_unit, inverse) -> list[np.ndarray]:

@@ -61,7 +61,7 @@ def test_criterion_1_analytic_kerr_oracle():
         oracle = np.array(
             [kerr_amplitude(1.5, params.omega_m, 0.02, 30, t) for t in grid.times]
         )
-        rel = np.abs(np.abs(traj.amplitude_optical) - np.abs(oracle)) / np.abs(oracle)
+        rel = np.abs(np.abs(traj.amplitudes[0]) - np.abs(oracle)) / np.abs(oracle)
         elapsed = time.monotonic() - t0
         assert rel.max() < 1e-6
         assert elapsed < 30.0
@@ -196,7 +196,7 @@ def test_criterion_7_two_mode_structural_suite(fig4_run):
         exact = evolve(rho0, superop, grid, EvolveOptions())
         fixed = evolve_rk4(rho0, superop, grid, dt=T_REV / 2e5)
         diff = np.max(
-            np.abs(np.abs(exact.amplitude_mech) - np.abs(fixed.amplitude_mech))
+            np.abs(np.abs(exact.amplitudes[1]) - np.abs(fixed.amplitudes[1]))
         )
         assert diff < 1e-5
 
@@ -234,4 +234,4 @@ def test_acceptance_runs_reference_configuration(fig2_run, fig4_run):
     assert len(fig2_traj.snapshots) == 15
     assert fig2_traj.times.size == 2000
     assert fig4_traj.times.size == 2000
-    assert np.all(np.abs(fig4_traj.amplitude_optical) < 1e-10)
+    assert np.all(np.abs(fig4_traj.amplitudes[0]) < 1e-10)

@@ -1,4 +1,4 @@
-import importlib
+import sys
 import time
 from dataclasses import replace
 
@@ -9,6 +9,7 @@ from scipy.sparse.linalg import expm_multiply
 
 from helpers import kerr_amplitude, kerr_amplitude_closed_form
 
+import optomem.evolve as EVOLVE
 from optomem.config import default_params, preset
 from optomem.evolve import (
     EvolveOptions,
@@ -32,9 +33,6 @@ from optomem.liouvillian import (
 from optomem.runner import build_problem, simulate
 from optomem.states import Ket, coherent_ket, product_dm, vacuum_ket
 
-# the package namespace re-exports the function `evolve`, so fetch the module
-EVOLVE = importlib.import_module("optomem.evolve")
-
 
 def zero_superop(n: int) -> Superoperator:
     return Superoperator(HilbertDims((n,)), sp.csr_matrix((n * n, n * n), dtype=complex))
@@ -57,6 +55,16 @@ THERMAL = SystemParams(omega_c=0.5, omega_m=0.3, k_c=0.02, k_m=0.02, g0=0.03,
                        gamma_c=0.05, gamma_m=0.05, bath_temp=3e5)
 
 
+def test_submodule_imports_bind_the_modules():
+    # the package must not re-export a function under its module's name,
+    # or `import optomem.evolve as E` binds that function
+    import optomem.evolve as E
+    import optomem.wigner as W
+
+    assert E is sys.modules["optomem.evolve"]
+    assert W is sys.modules["optomem.wigner"]
+
+
 def test_time_grid_validation():
     with pytest.raises(ValueError):
         TimeGrid(np.array([1.0, 2.0]))
@@ -73,7 +81,7 @@ def test_zero_generator_is_identity_evolution():
     dm = product_dm([coherent_ket(1.0, 6)])
     grid = TimeGrid(np.linspace(0.0, 5.0, 11))
     traj = evolve(dm, zero_superop(6), grid, EvolveOptions(snapshot_times=(5.0,)))
-    assert np.allclose(traj.amplitude_optical, traj.amplitude_optical[0], atol=1e-14)
+    assert np.allclose(traj.amplitudes[0], traj.amplitudes[0, 0], atol=1e-14)
     assert np.max(np.abs(traj.snapshots[0][1].data - dm.data)) < 1e-15
     assert np.allclose(traj.trace, 1.0, atol=1e-14)
 
@@ -87,7 +95,7 @@ def test_damped_oscillator_matches_closed_form():
     times = np.linspace(0.0, 3.0 / gamma, 25)
     traj = evolve(dm, superop, TimeGrid(times))
     exact = alpha * np.exp((-1j * omega - gamma / 2.0) * times)
-    rel = np.abs(traj.amplitude_optical - exact) / np.abs(exact)
+    rel = np.abs(traj.amplitudes[0] - exact) / np.abs(exact)
     assert rel.max() < 1e-6
 
 
@@ -102,7 +110,7 @@ def test_closed_kerr_matches_fock_sum_oracle():
     traj = evolve(dm, superop, TimeGrid(times))
     for i, t in enumerate(times):
         oracle = kerr_amplitude(alpha, 0.0, chi, n, t)
-        got = traj.amplitude_optical[i]
+        got = traj.amplitudes[0, i]
         assert abs(got - oracle) / abs(oracle) < 1e-6
     # the closed form itself agrees with the truncated sum at this capture
     closed = kerr_amplitude_closed_form(alpha, 0.0, chi, t_rev / 2.0)
@@ -141,7 +149,7 @@ def test_adaptive_agrees_with_fixed_step():
     grid = TimeGrid(np.linspace(0.0, 20.0, 11))
     exact = evolve(dm, superop, grid, EvolveOptions())
     fixed = evolve_rk4(dm, superop, grid, dt=1e-3)
-    diff = np.abs(np.abs(exact.amplitude_mech) - np.abs(fixed.amplitude_mech))
+    diff = np.abs(np.abs(exact.amplitudes[1]) - np.abs(fixed.amplitudes[1]))
     assert diff.max() < 1e-8
 
 
@@ -207,8 +215,8 @@ def test_exact_path_crosses_extreme_rates_to_closed_form_decay():
     times = np.array([0.0, 1e-15, 2e-15, 4e-15, 1.0])
     traj = evolve(dm, superop, TimeGrid(times), EvolveOptions(snapshot_times=(1.0,)))
     assert traj.path == "expm"
-    exact = traj.amplitude_optical[0] * np.exp((-1j - 0.5e15) * times)
-    assert np.max(np.abs(traj.amplitude_optical - exact)) < 1e-12
+    exact = traj.amplitudes[0, 0] * np.exp((-1j - 0.5e15) * times)
+    assert np.max(np.abs(traj.amplitudes[0] - exact)) < 1e-12
     assert np.max(np.abs(traj.trace - 1.0)) < 1e-12
     vacuum = np.zeros((4, 4))
     vacuum[0, 0] = 1.0
@@ -244,7 +252,7 @@ def test_deterministic_repetition():
     grid = TimeGrid(np.linspace(0.0, 10.0, 21))
     t1 = evolve(dm, superop, grid, EvolveOptions())
     t2 = evolve(dm, superop, grid, EvolveOptions())
-    assert np.array_equal(t1.amplitude_mech, t2.amplitude_mech)
+    assert np.array_equal(t1.amplitudes[1], t2.amplitudes[1])
     assert t1.n_steps == t2.n_steps
 
 
@@ -273,7 +281,7 @@ def test_restricted_evolve_agrees_with_full_rk4_on_thermal_bath():
     restricted = evolve(dm, superop, grid)
     full = evolve_rk4(dm, superop, grid, dt=1e-3)
     assert restricted.n_live == 3 * 16
-    assert np.max(np.abs(restricted.amplitude_mech - full.amplitude_mech)) < 1e-8
+    assert np.max(np.abs(restricted.amplitudes[1] - full.amplitudes[1])) < 1e-8
     assert np.max(np.abs(restricted.purity - full.purity)) < 1e-8
     assert np.max(np.abs(restricted.trace - full.trace)) < 1e-8
 
@@ -353,7 +361,7 @@ def test_dense_path_agrees_with_expm_multiply_on_thermal_combined_kerr(monkeypat
     for traj in (dense, action):
         assert traj.n_rejected == 0 and traj.n_steps == 121
         assert traj.max_hermiticity_error < 1e-13
-    for a, b in ((dense.amplitude_optical, action.amplitude_optical),
+    for a, b in ((dense.amplitudes[0], action.amplitudes[0]),
                  (dense.trace, action.trace), (dense.purity, action.purity),
                  (dense.coherent_overlap, action.coherent_overlap)):
         assert np.max(np.abs(a - b)) < 1e-9
@@ -368,7 +376,8 @@ def test_exact_path_agrees_with_fixed_step_rk4():
     exact = evolve(dm, superop, grid)
     fixed = evolve_rk4(dm, superop, grid, dt=1e-3)
     assert exact.path == "expm" and fixed.path is None
-    assert np.max(np.abs(exact.amplitude_optical - fixed.amplitude_optical)) < 1e-9
+    assert exact.amplitudes.shape == fixed.amplitudes.shape == (1, 11)
+    assert np.max(np.abs(exact.amplitudes[0] - fixed.amplitudes[0])) < 1e-9
     assert np.max(np.abs(exact.purity - fixed.purity)) < 1e-9
     assert np.max(np.abs(exact.trace - fixed.trace)) < 1e-9
 
@@ -447,7 +456,7 @@ def assert_matches_damped_kerr_closed_form(config, traj):
     assert config.mode == "combined_kerr" and params.bath_temp == 0.0
     closed = kerr_amplitude_closed_form(config.alpha, params.omega_m, params.k_c + params.k_m,
                                         traj.times, params.gamma_m)
-    assert np.max(np.abs(traj.amplitude_optical - closed)) < 1e-12
+    assert np.max(np.abs(traj.amplitudes[0] - closed)) < 1e-12
 
 
 def test_fig2_combined_matches_damped_kerr_closed_form(fig2_result):
@@ -487,8 +496,9 @@ def test_halved_path_agrees_with_full_rk4_on_optical_storage(monkeypatch):
         # pairs of 75, 50 and 5 coordinates beside the self-mirror block of 100
         assert exact.path == path
         assert (exact.n_live, exact.n_propagated) == (360, 230)
-        for a, b in ((exact.amplitude_optical, full.amplitude_optical),
-                     (exact.amplitude_mech, full.amplitude_mech),
+        assert exact.amplitudes.shape == full.amplitudes.shape == (2, 11)
+        for a, b in ((exact.amplitudes[0], full.amplitudes[0]),
+                     (exact.amplitudes[1], full.amplitudes[1]),
                      (exact.purity, full.purity), (exact.trace, full.trace)):
             assert np.max(np.abs(a - b)) < 1e-9
         for t, state in exact.snapshots:

@@ -429,7 +429,7 @@ def test_harmonic_check_constant_amplitude():
 
     cfg = preset("harmonic-check")
     traj, report = simulate(cfg)
-    mod = np.abs(traj.amplitude_mech)
+    mod = np.abs(traj.amplitudes[1])
     assert np.max(np.abs(mod - mod[0])) < 1e-8
     assert report.classification == "perfect_revival"
     assert report.n_peaks == 0 and report.collapse_windows == []
@@ -454,8 +454,12 @@ def test_write_wigner_field_matches_per_value_format(tmp_path):
     assert path.read_text() == "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("with_overlap", [True, False])
-def test_write_trajectory_csv_matches_per_value_format(tmp_path, with_overlap):
+@pytest.mark.parametrize("with_overlap, n_modes", [
+    pytest.param(True, 2, id="True"),
+    pytest.param(False, 2, id="False"),
+    pytest.param(False, 1, id="one-mode"),
+])
+def test_write_trajectory_csv_matches_per_value_format(tmp_path, with_overlap, n_modes):
     # the first three amplitudes are complex values whose np.abs, unlike
     # abs(), renders differently in the last printed digit on some builds
     amp = np.array(
@@ -467,14 +471,15 @@ def test_write_trajectory_csv_matches_per_value_format(tmp_path, with_overlap):
     n = amp.size
     real = np.resize(np.array(AWKWARD), n)
     traj = Trajectory(
-        times=np.linspace(0.0, 1.0, n), amplitude_optical=amp, amplitude_mech=amp[::-1],
+        times=np.linspace(0.0, 1.0, n), amplitudes=np.array([amp, amp[::-1]])[:n_modes],
         trace=real, purity=real[::-1], coherent_overlap=real if with_overlap else None,
     )
     path = tmp_path / "t.csv"
     write_trajectory_csv(path, traj)
     lines = ["t,re_a,im_a,abs_a,re_b,im_b,abs_b,trace,purity,coherent_overlap"]
     for i in range(n):
-        a, b = traj.amplitude_optical[i], traj.amplitude_mech[i]
+        # a one-mode run has no b amplitude: its b columns are zeros
+        a, b = traj.amplitudes[0, i], traj.amplitudes[1, i] if n_modes == 2 else 0j
         ovl = traj.coherent_overlap[i] if with_overlap else 0.0
         lines.append(",".join(_f(v) for v in (
             traj.times[i], a.real, a.imag, abs(a), b.real, b.imag, abs(b),

@@ -197,7 +197,7 @@ def test_fields_match_per_point_kernel_bitwise():
         product_dm([coherent_ket(1.2 - 0.7j, n)]),
         damped_snapshot(n),
     ]
-    fields = wigner_fields(states, GRID_201)
+    fields = list(wigner_fields(states, GRID_201))
     assert len(fields) == len(states)
     for rho, field in zip(states, fields):
         assert np.array_equal(bits(field.values), bits(wigner_per_point(rho, GRID_201)))
@@ -210,8 +210,8 @@ def test_groups_give_the_fields_of_their_parts():
     dims = HilbertDims((6,))
     states = [DensityMatrix(QOperator(dims, random_density(rng, 6)))
               for _ in range(WIGNER_BATCH + 3)]
-    together = wigner_fields(states, grid)
-    parts = wigner_fields(states[:4], grid) + wigner_fields(states[4:], grid)
+    together = list(wigner_fields(states, grid))
+    parts = list(wigner_fields(states[:4], grid)) + list(wigner_fields(states[4:], grid))
     alone = [wigner(rho, grid) for rho in states]
     assert len(together) == len(states)
     for a, b, c in zip(together, parts, alone):
@@ -220,7 +220,7 @@ def test_groups_give_the_fields_of_their_parts():
 
 
 def test_fields_reject_bad_input():
-    assert wigner_fields([], GRID_201) == []
+    assert list(wigner_fields([], GRID_201)) == []
     with pytest.raises(ValueError):
         wigner_fields([product_dm([vacuum_ket(4)]), product_dm([vacuum_ket(3), vacuum_ket(3)])])
     with pytest.raises(ValueError):
