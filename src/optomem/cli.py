@@ -10,6 +10,8 @@ Subcommands:
 
 A run is selected either by ``--preset NAME`` or ``--config FILE``; dotted
 keys can be adjusted with repeated ``--override key=value`` flags.
+``sweep`` and ``wigner-snapshots`` run their tasks on ``--threads`` worker
+processes, by default one per CPU this process may use.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -41,10 +44,28 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--preset", help="name of a built-in preset")
     parser.add_argument("--config", help="path to a dotted-key config file")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker pool size for sweep points (default 1)")
     parser.add_argument("--override", action="append", default=[], metavar="KEY=VALUE",
                         help="override a dotted config key (repeatable)")
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _add_threads_flag(parser: argparse.ArgumentParser, tasks: str) -> None:
+    parser.add_argument("--threads", type=_positive_int, default=_usable_cpus(),
+                        help=f"worker processes for {tasks} (default: the %(default)s "
+                             "CPUs this process may use)")
 
 
 def _load(args: argparse.Namespace):
@@ -95,7 +116,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_snapshots(args: argparse.Namespace) -> int:
     config = _require_single(_load(args))
-    paths = run_snapshots(config, Path(args.out))
+    paths = run_snapshots(config, Path(args.out), threads=args.threads)
     for path in paths:
         print(f"wrote {path}")
     return 0
@@ -147,10 +168,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("wigner-snapshots", help="export Wigner grids at snapshot times")
     _add_run_flags(p)
+    _add_threads_flag(p, "parts of the snapshot list")
     p.set_defaults(func=cmd_snapshots)
 
     p = sub.add_parser("sweep", help="run a parameter sweep")
     _add_run_flags(p)
+    _add_threads_flag(p, "sweep points")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("revival-report", help="recompute the report of a finished run")

@@ -8,15 +8,23 @@ Outputs per run directory:
 * ``revival_report.json`` -- collapse/revival report plus integration quality
 * ``wigner_t<...>.dat``   -- self-describing grid text files (snapshot runs)
 
+``run_sweep`` and ``run_snapshots`` take ``threads``: sweep points, or
+contiguous parts of a run's snapshots, are independent tasks that
+``_pool_map`` runs on a process pool of at most one worker per task (inline
+for one worker).  The parent evolves a snapshot run and names its files;
+each worker renders and writes one part's grids and returns only their
+paths.
+
 All numeric output is rendered with ``%.9e`` (JSON floats are rounded to the
-same precision) so repeated runs of one config are byte-identical.  The
-``a``/``b`` columns hold ``Trajectory.amplitudes[0]``/``[1]``; a one-mode
-(combined) run has zeros in the ``b`` columns.
+same precision) so repeated runs of one config are byte-identical, at any
+``threads``.  The ``a``/``b`` columns hold ``Trajectory.amplitudes[0]``/
+``[1]``; a one-mode (combined) run has zeros in the ``b`` columns.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -185,24 +193,58 @@ def reduced_snapshot(config: RunConfig, state: DensityMatrix) -> DensityMatrix:
     return partial_trace(state, config.resolved_wigner_mode())
 
 
-def run_snapshots(config: RunConfig, out_dir: Path) -> list[Path]:
-    """Evolve one config and export a Wigner grid file per snapshot time."""
+def run_snapshots(config: RunConfig, out_dir: Path, threads: int = 1) -> list[Path]:
+    """Evolve one config and export a Wigner grid file per snapshot time.
+
+    The snapshots are split into ``min(threads, n_snapshots)`` contiguous
+    parts of near-equal size; each part is rendered and written as one task
+    (see ``_pool_map``).  Grids are bitwise independent of the split, so the
+    files are identical for any thread count.  Two snapshot times that would
+    share a file name are refused before anything is written.
+    """
     if not config.snapshot_times:
         raise ValueError("config has no snapshot times")
+    mode = config.resolved_wigner_mode()
+    names = {t: f"wigner_t{t:.3f}_mode{mode}.dat" for t in set(config.snapshot_times)}
+    shared = sorted(name for name, n in Counter(names.values()).items() if n > 1)
+    if shared:
+        raise ValueError(
+            f"distinct snapshot times share the grid files {shared}; "
+            "snapshot times must differ in the third decimal"
+        )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_config_echo(out_dir / "config.txt", config)
     traj, _ = simulate(config)
-    mode = config.resolved_wigner_mode()
-    fields = wigner_fields(
-        [reduced_snapshot(config, state) for _, state in traj.snapshots], config.wigner_grid
-    )
-    paths = []
-    for (t, _), field in zip(traj.snapshots, fields):
-        path = out_dir / f"wigner_t{t:.3f}_mode{mode}.dat"
+    states = [reduced_snapshot(config, state) for _, state in traj.snapshots]
+    paths = [out_dir / names[t] for t, _ in traj.snapshots]
+    # one task per worker: a state rendered alone loses the shared recurrence
+    n_parts = max(1, min(threads, len(states)))
+    size, extra = divmod(len(states), n_parts)
+    bounds = [k * size + min(k, extra) for k in range(n_parts + 1)]
+    jobs = [(states[a:b], config.wigner_grid, paths[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return [path for part in _pool_map(_write_fields, jobs, threads) for path in part]
+
+
+def _write_fields(args) -> list[Path]:
+    states, grid, paths = args
+    for path, field in zip(paths, wigner_fields(states, grid)):
         write_wigner_field(path, field)
-        paths.append(path)
     return paths
+
+
+def _pool_map(fn, jobs: list, threads: int) -> list:
+    """``[fn(job) for job in jobs]``, on a process pool when ``threads > 1``.
+
+    The pool has at most one worker per job, and results come back in job
+    order.  With one worker (or ``threads < 1``) the jobs run inline in this
+    process.
+    """
+    workers = min(threads, len(jobs))
+    if workers <= 1:
+        return [fn(job) for job in jobs]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, jobs))
 
 
 def _sweep_point(args) -> tuple[float, RevivalReport]:
@@ -214,9 +256,9 @@ def _sweep_point(args) -> tuple[float, RevivalReport]:
 def run_sweep(spec: SweepSpec, out_dir: Path, threads: int = 1) -> list[dict]:
     """Run every sweep point, write per-point artifacts and a summary CSV.
 
-    Points execute as an unordered pool when ``threads > 1``; the summary is
-    always aggregated in parameter order, so outputs are identical for any
-    thread count.
+    Points run as one task each (see ``_pool_map``); the summary is always
+    aggregated in parameter order, so outputs are identical for any thread
+    count.
     """
     spec.validate()
     out_dir = Path(out_dir)
@@ -227,11 +269,7 @@ def run_sweep(spec: SweepSpec, out_dir: Path, threads: int = 1) -> list[dict]:
     )
 
     jobs = [(spec, value, out_dir) for value in spec.values]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_sweep_point, jobs))
-    else:
-        results = [_sweep_point(job) for job in jobs]
+    results = _pool_map(_sweep_point, jobs, threads)
 
     rows = sweep_summary(results)
     lines = ["parameter,first_revival_ratio,n_peaks,classification"]

@@ -1,10 +1,13 @@
+import hashlib
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
-from optomem.cli import main
+from optomem import runner
+from optomem.cli import build_parser, main
 from optomem.config import (
     COMBINED_KERR,
     DEFAULT_SNAPSHOT_TIMES,
@@ -348,9 +351,108 @@ def test_run_sweep_thread_pool_matches_serial(tmp_path):
     spec = SweepSpec("gamma", (1e-5, 1e-3), base)
     run_sweep(spec, tmp_path / "serial", threads=1)
     run_sweep(spec, tmp_path / "pool", threads=2)
-    assert (tmp_path / "serial" / "sweep_summary.csv").read_bytes() == (
-        tmp_path / "pool" / "sweep_summary.csv"
-    ).read_bytes()
+    serial, pool = _digests(tmp_path / "serial"), _digests(tmp_path / "pool")
+    # summary, sweep echo and config/CSV/report of both points
+    assert len(serial) == 8
+    assert pool == serial
+
+
+def _digests(root) -> dict:
+    return {
+        path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(root.rglob("*")) if path.is_file()
+    }
+
+
+def small_snapshot_config() -> RunConfig:
+    cfg = preset("fig2-combined")
+    cfg.dims = (8,)
+    cfg.horizon = 160.0
+    cfg.n_samples = 100
+    cfg.snapshot_times = (0.0, 20.0, 40.0, 79.0, 120.0)
+    cfg.wigner_grid = PhaseSpaceGrid(-4.0, 4.0, -4.0, 4.0, 21, 17)
+    return cfg
+
+
+def test_run_snapshots_pool_matches_serial(tmp_path):
+    cfg = small_snapshot_config()
+    n = len(cfg.snapshot_times)
+    # one part; parts of 3 and 2; one part per snapshot (threads capped)
+    runs = {threads: run_snapshots(cfg, tmp_path / f"t{threads}", threads=threads)
+            for threads in (1, 2, n + 3)}
+    names = [p.name for p in runs[1]]
+    assert names == [f"wigner_t{t:.3f}_mode0.dat" for t in cfg.snapshot_times]
+    serial = _digests(tmp_path / "t1")
+    assert len(serial) == n + 1
+    for threads, paths in runs.items():
+        assert paths == [tmp_path / f"t{threads}" / name for name in names]
+        assert _digests(tmp_path / f"t{threads}") == serial
+
+
+def test_pool_is_capped_at_the_job_count(tmp_path, monkeypatch):
+    sizes = []
+
+    class InlinePool:
+        """Stand-in for ProcessPoolExecutor: records its size, runs inline."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", InlinePool)
+    base = small_run_config(mode=COMBINED_KERR, dims=(6,), storage_mode=0)
+    base.horizon = 330.0
+    base.n_samples = 120
+    run_sweep(SweepSpec("gamma", (1e-5, 1e-3), base), tmp_path / "sweep", threads=64)
+    cfg = small_snapshot_config()
+    run_snapshots(cfg, tmp_path / "snap", threads=64)
+    # one pool per call, one worker per sweep point or snapshot
+    assert sizes == [2, len(cfg.snapshot_times)]
+    # one worker never starts a pool
+    run_snapshots(cfg, tmp_path / "one", threads=1)
+    assert sizes == [2, len(cfg.snapshot_times)]
+
+
+@pytest.mark.parametrize("threads", ["0", "-3", "two"])
+@pytest.mark.parametrize("command, name", [
+    ("sweep", "fig7"), ("wigner-snapshots", "fig2-combined"),
+])
+def test_cli_rejects_bad_thread_counts(tmp_path, capsys, command, name, threads):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--preset", name, "--out", str(out), "--threads", threads])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_threads_flag_only_on_pooled_commands(tmp_path):
+    # the default is the number of CPUs this process may use
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    parser = build_parser()
+    for command in ("sweep", "wigner-snapshots"):
+        args = parser.parse_args([command, "--preset", "fig7", "--out", str(tmp_path)])
+        assert args.threads == usable
+    with pytest.raises(SystemExit):
+        parser.parse_args(["simulate", "--preset", "fig4", "--out", str(tmp_path),
+                           "--threads", "2"])
+
+
+def test_cli_colliding_snapshot_names_write_nothing(tmp_path):
+    # both times print as t10.000; one grid would silently replace the other
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="wigner_t10.000_mode0.dat"):
+        main(["wigner-snapshots", "--preset", "fig2-combined", "--out", str(out),
+              "--override", "snapshots=0,10.0001,10.0004"])
+    assert not out.exists()
 
 
 def test_cli_simulate_with_overrides(tmp_path, capsys):

@@ -6,7 +6,8 @@ Runs ``optomem.cli.main`` from the ``src`` directory next to this script,
 with one BLAS/OpenMP thread, into subdirectories of OUT_DIR (which must be
 missing or empty):
 
-* ``wigner-snapshots --preset fig2-combined``
+* ``wigner-snapshots --preset fig2-combined``, once with ``--threads 1``
+  and once with ``--threads 2``
 * ``simulate --preset fig4`` and ``simulate --preset harmonic-check``
 * ``sweep --preset fig5`` .. ``fig8``, once with ``--threads 1`` and once
   with ``--threads 2``
@@ -35,12 +36,12 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 RUNS = [
-    ("fig2-combined", ["wigner-snapshots", "--preset", "fig2-combined"]),
     ("fig4", ["simulate", "--preset", "fig4"]),
     ("harmonic-check", ["simulate", "--preset", "harmonic-check"]),
 ] + [
-    (f"{name}-threads{threads}", ["sweep", "--preset", name, "--threads", str(threads)])
-    for name in ("fig5", "fig6", "fig7", "fig8")
+    (f"{name}-threads{threads}", [command, "--preset", name, "--threads", str(threads)])
+    for command, name in [("wigner-snapshots", "fig2-combined")]
+    + [("sweep", name) for name in ("fig5", "fig6", "fig7", "fig8")]
     for threads in (1, 2)
 ]
 
