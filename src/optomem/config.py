@@ -1,11 +1,12 @@
 """Run configuration, presets, and the flat dotted-key config file format.
 
 Config files are plain text, one ``key = value`` assignment per line with
-``#`` comments.  Values parse as int, float, complex (``1.5+0.5j``), bool
-(``true``/``false``), ``none``, ``auto``, comma-separated tuples of the
-above, or bare strings.  The same dotted keys are accepted by the CLI's
-``--override key=value`` flag.  There is no environment-variable
-configuration; a run is fully described by its config echo.
+``#`` comments.  Values parse as int, float, complex (``1.5+0.5j``),
+``none``, ``auto``, comma-separated tuples of the above, or bare strings.
+Integer keys accept only integers: ``2000.7`` is refused, not truncated.
+The same dotted keys are accepted by the CLI's ``--override key=value``
+flag.  There is no environment-variable configuration; a run is fully
+described by its config echo.
 """
 
 from __future__ import annotations
@@ -162,6 +163,12 @@ class SweepSpec:
                 "values must differ in their first 6 significant digits"
             )
         self.base.validate()
+        # every point, so that a bad value fails before anything is written
+        for value in self.values:
+            try:
+                self.point_config(value).validate()
+            except ValueError as exc:
+                raise ValueError(f"sweep point {self.axis} = {value!r}: {exc}") from None
 
     def point_dir(self, value: float) -> str:
         """Name of the directory that holds one sweep point's artifacts."""
@@ -180,10 +187,6 @@ _INT_RE = re.compile(r"^[+-]?\d+$")
 def parse_scalar(text: str):
     text = text.strip()
     low = text.lower()
-    if low == "true":
-        return True
-    if low == "false":
-        return False
     if low == "none":
         return None
     if low == "auto":
@@ -209,8 +212,6 @@ def parse_value(text: str):
 
 
 def format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if value is None:
         return "none"
     if isinstance(value, tuple):
@@ -234,10 +235,14 @@ def _as_float_tuple(value) -> tuple[float, ...]:
     raise ValueError(f"must be a number or a comma-separated list, got {value!r}")
 
 
+def _as_int(value) -> int:
+    if type(value) is not int:
+        raise ValueError(f"must be an integer, got {value!r}")
+    return value
+
+
 def _as_int_tuple(value) -> tuple[int, ...]:
-    if isinstance(value, int):
-        return (value,)
-    return tuple(int(v) for v in value)
+    return tuple(_as_int(v) for v in (value if isinstance(value, tuple) else (value,)))
 
 
 def _same(value):
@@ -254,7 +259,7 @@ class _Key(NamedTuple):
 _CONFIG_KEYS = {
     "mode": _Key("mode", str),
     "dims": _Key("dims", _as_int_tuple, tuple),
-    "storage_mode": _Key("storage_mode", int),
+    "storage_mode": _Key("storage_mode", _as_int),
     "initial.alpha": _Key("alpha", complex),
     "params.omega_c": _Key("params.omega_c", float),
     "params.omega_m": _Key("params.omega_m", float),
@@ -269,14 +274,14 @@ _CONFIG_KEYS = {
         lambda v: None if v in ("auto", None) else float(v),
         lambda v: "auto" if v is None else v,
     ),
-    "time.n_samples": _Key("n_samples", int),
+    "time.n_samples": _Key("n_samples", _as_int),
     "snapshots": _Key("snapshot_times", _as_float_tuple, lambda v: tuple(v) or None),
     "wigner.x_min": _Key("wigner_grid.x_min", float),
     "wigner.x_max": _Key("wigner_grid.x_max", float),
     "wigner.p_min": _Key("wigner_grid.p_min", float),
     "wigner.p_max": _Key("wigner_grid.p_max", float),
-    "wigner.nx": _Key("wigner_grid.nx", int),
-    "wigner.np": _Key("wigner_grid.np", int),
+    "wigner.nx": _Key("wigner_grid.nx", _as_int),
+    "wigner.np": _Key("wigner_grid.np", _as_int),
     "wigner.mode": _Key("wigner_mode", _same),
 }
 

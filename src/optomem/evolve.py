@@ -19,24 +19,26 @@ conjugate of block k's.  Only one block of each such pair is propagated,
 plus every block that is its own mirror image (k = 0): 465 of 900
 coordinates for the combined-Kerr presets, 55 of 100 for the two-mode run.
 
+The kept blocks are stored one after another, the self-mirror blocks first.
 L is time-independent, so the kept coordinates go from one event time (a
 sample or snapshot time) to the next by exp(L gap), evaluated exactly to
 double precision on both paths.  When no block is larger than
-:data:`MAX_DENSE_BLOCK`, the propagator is block diagonal, built from a
-dense exp(L_b gap) per kept block; propagators for gaps the time grid
-repeats are cached, one-off gaps (next to snapshot times) are built, applied
-once and dropped.  Otherwise each gap applies the action exp(L gap) z with
-a truncated Taylor series (Al-Mohy & Higham, SISC 33, 488, 2011;
-``scipy.sparse.linalg.expm_multiply``).  Its cost grows with
-||L||_1 gap and it cannot fail, so the run is refused up front, with
-:class:`IntegrationFailure`, when that product exceeds
+:data:`MAX_DENSE_BLOCK`, the propagator is the block diagonal
+(``scipy.sparse.block_diag``) of a dense exp(L_b gap) per kept block;
+propagators for gaps the time grid repeats are cached, one-off gaps (next
+to snapshot times) are built, applied once and dropped.  Otherwise each gap
+applies the action exp(L gap) z with a truncated Taylor series (Al-Mohy &
+Higham, SISC 33, 488, 2011; ``scipy.sparse.linalg.expm_multiply``).  Its
+cost grows with ||L||_1 gap and it cannot fail, so the run is refused up
+front, with :class:`IntegrationFailure`, when that product exceeds
 :data:`MAX_ACTION_NORM`.
 
-On both paths every new state is re-symmetrised (rho <- (rho + rho^dag)/2)
-on the self-mirror blocks, where its Hermiticity deviation is also
-measured; each left-out coordinate is then written as the conjugate of its
-mirror, so the live vector that the observables, the trace gate and the
-snapshots see is Hermitian by construction.  Repeated runs are bitwise
+On both paths every state, the initial one included, is re-symmetrised
+(rho <- (rho + rho^dag)/2) on the self-mirror blocks, where its Hermiticity
+deviation is also measured (for rho(0), on every live coordinate); each
+left-out coordinate is then written as the conjugate of its mirror, so the
+live vector that the observables, the trace gate and the snapshots see is
+exactly Hermitian.  Repeated runs are bitwise
 reproducible.  Snapshots are scattered back into full d x d matrices.  The
 trace is never renormalised: its drift is recorded as an integration
 quality signal and raises once it is not within :data:`TRACE_DRIFT_LIMIT`.
@@ -160,39 +162,13 @@ MAX_ACTION_NORM = 1e3
 TRACE_DRIFT_LIMIT = 1e-4
 
 
-class _BlockPropagator:
-    """Exact event-to-event propagation by a block-diagonal exp(L gap).
+def _block_exp(dense: list[np.ndarray], gap: float) -> sp.csr_matrix:
+    """exp(L gap) for L = block_diag(dense): one dense expm per block.
 
-    ``blocks`` partitions the coordinates of ``lmat`` so that no entry of
-    ``lmat`` links two blocks; each block's propagator is a dense
-    ``scipy.linalg.expm``.  Propagators for the gaps in ``repeated`` are
-    cached, any other gap is built, applied once and dropped.
+    Every entry of each block, exact zeros included, is stored row by row,
+    so a row of the product sums its block's columns in increasing order.
     """
-
-    def __init__(self, lmat: sp.csr_matrix, blocks: list[np.ndarray], repeated: set[float]):
-        self.dense = [lmat[idx][:, idx].toarray() for idx in blocks]
-        # CSR layout of the block-diagonal propagator: block b's dense
-        # exp(L_b gap), raveled row by row, lands at rows/columns blocks[b]
-        rows = np.concatenate([np.repeat(idx, idx.size) for idx in blocks])
-        cols = np.concatenate([np.tile(idx, idx.size) for idx in blocks])
-        self.order = np.lexsort((cols, rows))
-        self.indices = cols[self.order]
-        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=lmat.shape[0]))))
-        self.n = lmat.shape[0]
-        self.repeated = repeated
-        self.cache: dict[float, sp.csr_matrix] = {}
-
-    def _propagator(self, gap: float) -> sp.csr_matrix:
-        data = np.concatenate([scipy.linalg.expm(block * gap).ravel() for block in self.dense])
-        return sp.csr_matrix((data[self.order], self.indices, self.indptr), shape=(self.n, self.n))
-
-    def __call__(self, z: np.ndarray, gap: float) -> np.ndarray:
-        prop = self.cache.get(gap)
-        if prop is None:
-            prop = self._propagator(gap)
-            if gap in self.repeated:
-                self.cache[gap] = prop
-        return prop @ z
+    return sp.block_diag([scipy.linalg.expm(block * gap) for block in dense], format="csr")
 
 
 class _Observables:
@@ -286,22 +262,25 @@ def _conjugate_symmetric(lmat: sp.csr_matrix, mirror: np.ndarray) -> bool:
             and np.array_equal(mirrored.data, lmat.data.conj(), equal_nan=True))
 
 
-def _fold(blocks: list[np.ndarray], mirror: np.ndarray
-          ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """The blocks to propagate, and those among them that are self-mirror.
+def _fold(blocks: list[np.ndarray], mirror: np.ndarray) -> tuple[list[np.ndarray], int]:
+    """The blocks to propagate, self-mirror blocks first, and their size.
 
     For a generator with L[M, M] == conj(L), M maps each block onto a block:
     block k (coherence index k) onto block -k, whose state is then the
     complex conjugate of block k's.  Each block is paired with the block
     that holds the mirror of its first coordinate.  Of each pair the block
     listed first is kept; a block that is its own partner is kept whole.
+    The kept blocks are returned in the order they are stored: the
+    self-mirror blocks, then one block of each pair.  The second value is
+    the number of coordinates in the self-mirror blocks.
     """
     label = np.empty(mirror.size, dtype=np.intp)
     for b, idx in enumerate(blocks):
         label[idx] = b
     partner = label[mirror[[idx[0] for idx in blocks]]]
-    kept = [idx for b, idx in enumerate(blocks) if partner[b] >= b]
-    return kept, [idx for b, idx in enumerate(blocks) if partner[b] == b]
+    self_blocks = [idx for b, idx in enumerate(blocks) if partner[b] == b]
+    pair_blocks = [idx for b, idx in enumerate(blocks) if partner[b] > b]
+    return self_blocks + pair_blocks, sum(idx.size for idx in self_blocks)
 
 
 def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
@@ -348,18 +327,15 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
         )
     blocks = symmetry_blocks(lmat)
     block_sizes = tuple(idx.size for idx in blocks)
-    kept_blocks, self_blocks = _fold(blocks, mirror)
-    # coordinates advanced (sorted) and those rebuilt as conjugates; every
-    # other index below is a position in the kept vector
-    kept = np.sort(np.concatenate(kept_blocks))
-    partners = np.setdiff1d(np.arange(n), kept, assume_unique=True)
-    source = np.searchsorted(kept, mirror[partners])
-    self_coords = np.concatenate(self_blocks)
-    self_mirror = np.searchsorted(kept, self_coords)
-    self_dag = np.searchsorted(kept, mirror[self_coords])
-    kmat = lmat[kept][:, kept]
-    kmat.sort_indices()
-    zk0 = z0[live[kept]]
+    kept_blocks, n_self = _fold(blocks, mirror)
+    # the kept vector zk holds the coordinates kept[k], block by block; its
+    # leading n_self entries are the self-mirror blocks, whose mirrors sit at
+    # self_dag, and each later entry has its conjugate written to partners
+    kept = np.concatenate(kept_blocks)
+    pos = np.empty(n, dtype=np.intp)
+    pos[kept] = np.arange(kept.size)
+    self_dag = pos[mirror[kept[:n_self]]]
+    partners = mirror[kept[n_self:]]
 
     times = grid.times
     span = float(times[-1])
@@ -375,33 +351,25 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
 
     obs = _Observables(dims, opts.overlap_alpha, opts.overlap_mode, live)
 
-    herm_dev = [0.0]
-
-    def symmetrize(zk: np.ndarray) -> np.ndarray:
-        # only self-mirror blocks hold both rho_ij and rho_ji among the kept
-        # coordinates; the other pairs are made Hermitian by unfold
-        z_self = zk[self_mirror]
-        z_dag = zk[self_dag].conj()
-        dev = float(np.max(np.abs(z_self - z_dag)))
-        if dev > herm_dev[0]:
-            herm_dev[0] = dev
-        zk[self_mirror] = 0.5 * (z_self + z_dag)
-        return zk
-
-    def unfold(zk: np.ndarray) -> np.ndarray:
-        z = np.empty(n, dtype=np.complex128)
-        z[kept] = zk
-        z[partners] = zk[source].conj()
-        return z
-
     gaps = np.diff(events)
     if max(block_sizes) <= MAX_DENSE_BLOCK:
         path = "expm"
+        dense = [lmat[idx][:, idx].toarray() for idx in kept_blocks]
         distinct, counts = np.unique(gaps, return_counts=True)
-        propagate = _BlockPropagator(kmat, [np.searchsorted(kept, idx) for idx in kept_blocks],
-                                     set(distinct[counts > 1].tolist()))
+        repeated = set(distinct[counts > 1].tolist())
+        cache: dict[float, sp.csr_matrix] = {}
+
+        def propagate(zk: np.ndarray, gap: float) -> np.ndarray:
+            prop = cache.get(gap)
+            if prop is None:
+                prop = _block_exp(dense, gap)
+                if gap in repeated:
+                    cache[gap] = prop
+            return prop @ zk
     else:
         path = "expm_multiply"
+        kmat = lmat[kept][:, kept]
+        kmat.sort_indices()
         # one gap costs about ||L||_1 gap products and expm_multiply never
         # gives up, so refuse a run it would not finish (NaN included)
         cost = float(sparse_norm(kmat, 1)) * float(np.max(gaps, initial=0.0))
@@ -421,16 +389,28 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
     ovl = np.zeros(n_t) if obs.w_overlap is not None else None
     snapshots: list[tuple[float, DensityMatrix]] = []
     max_drift = 0.0
+    # rho(0) over every live coordinate: only one of a pair's blocks is kept
+    herm_dev = float(np.max(np.abs(z0[live] - z0[live[mirror]].conj())))
     i_rec = 0
-    zk = zk0
+    zk = z0[live[kept]]
     t_prev = 0.0
 
     for target in events:
         t = float(target)
         if t > 0.0:
-            zk = symmetrize(propagate(zk, t - t_prev))
+            zk = propagate(zk, t - t_prev)
             t_prev = t
-        z = unfold(zk)
+        # only self-mirror blocks hold both rho_ij and rho_ji among the kept
+        # coordinates; each other kept block's mirror is written below as
+        # its conjugate
+        z_dag = zk[self_dag].conj()
+        dev = float(np.max(np.abs(zk[:n_self] - z_dag)))
+        if dev > herm_dev:
+            herm_dev = dev
+        zk[:n_self] = 0.5 * (zk[:n_self] + z_dag)
+        z = np.empty(n, dtype=np.complex128)
+        z[kept] = zk
+        z[partners] = zk[n_self:].conj()
         if t in grid_set:
             obs.amplitudes(z, amps[:, i_rec])
             tr[i_rec] = obs.trace(z)
@@ -450,10 +430,10 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
         if t in snap_set:
             full = np.zeros(m, dtype=np.complex128)
             full[live] = z
-            rho_t = full.reshape((d, d), order="F")
-            snapshots.append(
-                (t, DensityMatrix(QOperator(dims, 0.5 * (rho_t + rho_t.conj().T))))
-            )
+            # Hermitian exactly as it stands; C order like every operator the
+            # package builds, so reductions over its entries sum in one order
+            rho_t = np.ascontiguousarray(unvec(full, d))
+            snapshots.append((t, DensityMatrix(QOperator(dims, rho_t))))
 
     return Trajectory(
         times=times.copy(),
@@ -462,7 +442,7 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
         purity=pur,
         coherent_overlap=ovl,
         snapshots=snapshots,
-        max_hermiticity_error=herm_dev[0],
+        max_hermiticity_error=herm_dev,
         max_trace_drift=max_drift,
         n_steps=events.size - 1,
         n_live=n,

@@ -21,7 +21,7 @@ from optomem.evolve import (
     live_coordinates,
     symmetry_blocks,
 )
-from optomem.fock import HilbertDims
+from optomem.fock import HilbertDims, QOperator
 from optomem.liouvillian import (
     SystemParams,
     Superoperator,
@@ -31,7 +31,7 @@ from optomem.liouvillian import (
     vec,
 )
 from optomem.runner import build_problem, simulate
-from optomem.states import Ket, coherent_ket, product_dm, vacuum_ket
+from optomem.states import DensityMatrix, Ket, coherent_ket, product_dm, vacuum_ket
 
 
 def zero_superop(n: int) -> Superoperator:
@@ -398,9 +398,9 @@ def test_block_larger_than_the_dense_limit_selects_expm_multiply(monkeypatch):
 def test_repeated_gaps_reuse_cached_propagators(monkeypatch):
     superop, dm = thermal_combined_kerr()
     built = []
-    original = EVOLVE._BlockPropagator._propagator
-    monkeypatch.setattr(EVOLVE._BlockPropagator, "_propagator",
-                        lambda self, gap: built.append(gap) or original(self, gap))
+    original = EVOLVE._block_exp
+    monkeypatch.setattr(EVOLVE, "_block_exp",
+                        lambda dense, gap: built.append(gap) or original(dense, gap))
     grid = TimeGrid(np.arange(9) * 0.5)
     traj = evolve(dm, superop, grid, EvolveOptions(snapshot_times=(1.2,)))
     # eight gaps of 0.5, one split by the snapshot: 0.5 is built once and
@@ -507,3 +507,35 @@ def test_halved_path_agrees_with_full_rk4_on_optical_storage(monkeypatch):
             # on the full space
             reference = unvec(expm_multiply(superop.matrix * t, vec(dm.data)), 20)
             assert np.max(np.abs(state.data - reference)) < 1e-9
+
+
+def test_snapshots_are_exactly_hermitian_from_a_nearly_hermitian_start(monkeypatch):
+    # rho0 + i eps |rho0| is Hermitian only to about 1e-12, on the diagonal
+    # (a self-mirror block) and off it; the initial state is re-symmetrised
+    # like every later one, so every snapshot, t = 0 included, is exactly
+    # Hermitian, and the t = 0 deviation is reported
+    config = replace(preset("fig4"), storage_mode=0, dims=(4, 5), alpha=0.8 + 0.3j)
+    superop, dm = build_problem(config)
+    rho0 = DensityMatrix(QOperator(dm.dims, dm.data + 1e-12j * np.abs(dm.data)))
+    deviation = np.max(np.abs(rho0.data - rho0.data.conj().T))
+    assert 5e-13 < deviation < 2e-12
+    for max_dense_block, path in ((300, "expm"), (0, "expm_multiply")):
+        monkeypatch.setattr(EVOLVE, "MAX_DENSE_BLOCK", max_dense_block)
+        for times, snapshot_times in (([0.0], (0.0,)),
+                                      (np.linspace(0.0, 20.0, 11), (0.0, 7.5, 20.0))):
+            traj = evolve(rho0, superop, TimeGrid(times), EvolveOptions(snapshot_times))
+            assert traj.path == path and len(traj.snapshots) == len(snapshot_times)
+            for _, state in traj.snapshots:
+                assert np.array_equal(state.data, state.data.conj().T)
+            assert traj.max_hermiticity_error == deviation
+
+
+def test_initial_deviation_outside_the_self_mirror_blocks_is_reported():
+    # rho_01 and rho_10 sit in a conjugate pair of blocks, of which only one
+    # is propagated; the other's deviation must still reach the report
+    superop, dm = thermal_combined_kerr()
+    data = dm.data.copy()
+    data[0, 1] += 5e-11
+    rho0 = DensityMatrix(QOperator(dm.dims, data))
+    traj = evolve(rho0, superop, TimeGrid(np.array([0.0, 1.0])))
+    assert traj.max_hermiticity_error == np.max(np.abs(rho0.data - rho0.data.conj().T)) > 4e-11

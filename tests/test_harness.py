@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -55,8 +56,9 @@ def test_parse_value_types():
     assert parse_value("0.5") == 0.5
     assert parse_value("1e-5") == 1e-5
     assert parse_value("1.5+0.5j") == 1.5 + 0.5j
-    assert parse_value("true") is True
-    assert parse_value("false") is False
+    # no key is boolean: true and false are bare strings
+    assert parse_value("true") == "true"
+    assert parse_value("false") == "false"
     assert parse_value("none") is None
     assert parse_value("auto") == "auto"
     assert parse_value("two_mode") == "two_mode"
@@ -248,6 +250,30 @@ def test_sweep_spec_validation():
     # distinct values whose point directories would both be gamma_1e-05
     with pytest.raises(ValueError):
         SweepSpec("gamma", (1e-5, 1.0000001e-5), small_run_config()).validate()
+
+
+@pytest.mark.parametrize("key, text", [
+    ("storage_mode", "0.9"), ("time.n_samples", "2000.7"), ("dims", "10.5, 10"),
+    ("wigner.nx", "201.9"), ("params.k_c", "true"), ("initial.alpha", "true"),
+    ("snapshots", "true"),
+])
+def test_config_values_are_not_coerced(key, text):
+    # each used to run truncated or as a bool cast to a number
+    with pytest.raises(ValueError, match=f"^{re.escape(key)}: "):
+        config_from_flat({key: parse_value(text)})
+
+
+@pytest.mark.parametrize("name, values", [
+    ("fig8", "1.0,nan"), ("fig5", "1e-5,-1e-3"), ("fig6", "0.5,inf"),
+])
+def test_cli_bad_sweep_point_writes_nothing(tmp_path, name, values):
+    # the first point is valid; the second used to fail only after the
+    # sweep config and the first point's artifacts were written
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="sweep point"):
+        main(["sweep", "--preset", name, "--out", str(out), "--threads", "1",
+              "--override", f"sweep.values={values}"])
+    assert not out.exists()
 
 
 def test_sweep_point_config_application():

@@ -9,6 +9,8 @@ missing or empty):
 * ``wigner-snapshots --preset fig2-combined``, once with ``--threads 1``
   and once with ``--threads 2``
 * ``simulate --preset fig4`` and ``simulate --preset harmonic-check``
+* ``simulate --preset fig4 --override storage_mode=0`` (optical storage,
+  whose largest symmetry block takes the ``expm_multiply`` path; about 4 s)
 * ``sweep --preset fig5`` .. ``fig8``, once with ``--threads 1`` and once
   with ``--threads 2``
 
@@ -38,6 +40,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 RUNS = [
     ("fig4", ["simulate", "--preset", "fig4"]),
     ("harmonic-check", ["simulate", "--preset", "harmonic-check"]),
+    ("fig4-optical", ["simulate", "--preset", "fig4", "--override", "storage_mode=0"]),
 ] + [
     (f"{name}-threads{threads}", [command, "--preset", name, "--threads", str(threads)])
     for command, name in [("wigner-snapshots", "fig2-combined")]
