@@ -140,7 +140,7 @@ def cmd_revival_report(args: argparse.Namespace) -> int:
     flat = parse_config_text((run_dir / "config.txt").read_text())
     config = _require_single(load_object(flat))
     columns = read_trajectory_csv(run_dir / "trajectory.csv")
-    modulus = columns["abs_a" if config.analysis_mode() == 0 else "abs_b"]
+    modulus = columns["abs_a" if config.storage_mode == 0 else "abs_b"]
     report = detect_revival_series(
         columns["t"], np.asarray(modulus), config.predicted_revival_time()
     )

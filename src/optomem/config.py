@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 
 from .liouvillian import SystemParams
 from .revival import revival_time
-from .wigner import PhaseSpaceGrid
+from .wigner import DEFAULT_GRID, PhaseSpaceGrid
 
 TWO_MODE = "two_mode"
 COMBINED_KERR = "combined_kerr"
@@ -62,12 +62,12 @@ class RunConfig:
     dims: tuple[int, ...] = (10, 10)
     storage_mode: int = 1
     alpha: complex = 1.5 + 0.0j
-    horizon: float | None = None  # None resolves to twice the revival period
+    # None (`auto`) resolves to 4 pi/(k_c + k_m): two combined-Kerr revival
+    # periods, but only one for fig4, whose period is 2 pi/k_m
+    horizon: float | None = None
     n_samples: int = 2000
     snapshot_times: tuple[float, ...] = DEFAULT_SNAPSHOT_TIMES
-    wigner_grid: PhaseSpaceGrid = field(
-        default_factory=lambda: PhaseSpaceGrid(-5.0, 5.0, -5.0, 5.0, 201, 201)
-    )
+    wigner_grid: PhaseSpaceGrid = DEFAULT_GRID
     wigner_mode: int | str = "storage"
 
     def validate(self) -> None:
@@ -109,13 +109,9 @@ class RunConfig:
             )
         return 2.0 * revival_time(self.params.k_c, self.params.k_m)
 
-    def analysis_mode(self) -> int:
-        """Mode whose amplitude carries the stored signal."""
-        return 0 if self.mode == COMBINED_KERR else self.storage_mode
-
     def resolved_wigner_mode(self) -> int:
         if self.wigner_mode == "storage":
-            return self.analysis_mode()
+            return self.storage_mode
         return self.wigner_mode
 
     def predicted_revival_time(self) -> float | None:

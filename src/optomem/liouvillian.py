@@ -13,9 +13,11 @@ Two generator assemblies are provided: the literal two-mode optomechanical
 generator (optical Kerr mode radiation-pressure-coupled to an anharmonic
 mechanical mode, each with its own thermal dissipator) and an effective
 single-mode picture in which the two anharmonicities act as one Kerr mode of
-strength k_c + k_m carrying the storage mode's frequency, damping and bath
-occupation.  Collapse/revival timing in the effective picture matches the
-two-mode revival-time formula exactly.
+strength k_c + k_m carrying the mechanical mode's frequency, damping and bath
+occupation.  The two are different models.  A two-mode state stored in the
+mechanical mode, with the optical mode in vacuum and its bath empty, evolves
+exactly as the effective mode at k_c = 0: only k_m acts, and it revives with
+period 2 pi / k_m rather than 2 pi / (k_c + k_m).
 """
 
 from __future__ import annotations

@@ -148,17 +148,9 @@ def detect_revival_series(
         idx = np.array([], dtype=int)
     peaks = [(float(times[i]), float(modulus[i])) for i in idx]
 
-    below = modulus < collapse_level
-    windows: list[tuple[float, float]] = []
-    start = None
-    for i, flag in enumerate(below):
-        if flag and start is None:
-            start = times[i]
-        elif not flag and start is not None:
-            windows.append((float(start), float(times[i - 1])))
-            start = None
-    if start is not None:
-        windows.append((float(start), float(times[-1])))
+    # edges of the below-threshold runs: first sample in, one past the last
+    edges = np.flatnonzero(np.diff(np.r_[False, modulus < collapse_level, False]))
+    windows = [(float(times[a]), float(times[b - 1])) for a, b in zip(edges[::2], edges[1::2])]
 
     ratio = peaks[0][1] / reference if peaks and reference > 0 else 0.0
 

@@ -9,11 +9,10 @@ Outputs per run directory:
 * ``wigner_t<...>.dat``   -- self-describing grid text files (snapshot runs)
 
 ``run_sweep`` and ``run_snapshots`` take ``threads``: sweep points, or
-contiguous parts of a run's snapshots, are independent tasks that
+interleaved parts of a run's snapshots, are independent tasks that
 ``_pool_map`` runs on a process pool of at most one worker per task (inline
 for one worker).  The parent evolves a snapshot run and names its files;
-each worker renders and writes one part's grids and returns only their
-paths.
+each worker renders and writes one part's grids.
 
 All numeric output is rendered with ``%.9e`` (JSON floats are rounded to the
 same precision) so repeated runs of one config are byte-identical, at any
@@ -42,19 +41,16 @@ from .evolve import EvolveOptions, TimeGrid, Trajectory, evolve
 from .liouvillian import Superoperator, combined_kerr_liouvillian, liouvillian
 from .revival import RevivalReport, detect_revivals, sweep_summary
 from .states import DensityMatrix, coherent_ket, partial_trace, product_dm, vacuum_ket
-from .wigner import WignerField, wigner_fields
+from .wigner import PhaseSpaceGrid, WignerField, wigner_fields
 
 
 def build_problem(config: RunConfig) -> tuple[Superoperator, DensityMatrix]:
-    """Assemble the generator and initial state described by a config."""
+    """Assemble a config's generator (per model) and initial state (per storage mode)."""
     config.validate()
     if config.mode == COMBINED_KERR:
-        n = config.dims[0]
-        return (
-            combined_kerr_liouvillian(config.params, n),
-            product_dm([coherent_ket(config.alpha, n)]),
-        )
-    superop = liouvillian(config.params, config.dims)
+        superop = combined_kerr_liouvillian(config.params, config.dims[0])
+    else:
+        superop = liouvillian(config.params, config.dims)
     kets = [
         coherent_ket(config.alpha, d) if mode == config.storage_mode else vacuum_ket(d)
         for mode, d in enumerate(config.dims)
@@ -69,10 +65,10 @@ def simulate(config: RunConfig) -> tuple[Trajectory, RevivalReport]:
     opts = EvolveOptions(
         snapshot_times=tuple(config.snapshot_times),
         overlap_alpha=config.alpha,
-        overlap_mode=config.analysis_mode(),
+        overlap_mode=config.storage_mode,
     )
     traj = evolve(rho0, superop, grid, opts)
-    report = detect_revivals(traj, config.analysis_mode(), config.predicted_revival_time())
+    report = detect_revivals(traj, config.storage_mode, config.predicted_revival_time())
     return traj, report
 
 
@@ -152,8 +148,6 @@ def write_wigner_field(path: Path, field: WignerField) -> None:
 
 
 def read_wigner_field(path: Path) -> WignerField:
-    from .wigner import PhaseSpaceGrid
-
     lines = path.read_text().strip().splitlines()
     x_min, x_max, nx = lines[0].split()
     p_min, p_max, np_ = lines[1].split()
@@ -177,30 +171,24 @@ def write_config_echo(path: Path, config: RunConfig) -> None:
 
 def run_single(config: RunConfig, out_dir: Path) -> tuple[Trajectory, RevivalReport]:
     """Simulate one config and write config echo, CSV and JSON report."""
+    traj, report = simulate(config)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_config_echo(out_dir / "config.txt", config)
-    traj, report = simulate(config)
     write_trajectory_csv(out_dir / "trajectory.csv", traj)
     write_report_json(out_dir / "revival_report.json", report, traj)
     return traj, report
 
 
-def reduced_snapshot(config: RunConfig, state: DensityMatrix) -> DensityMatrix:
-    """Reduce a snapshot to the mode selected for phase-space rendering."""
-    if config.mode == COMBINED_KERR:
-        return state
-    return partial_trace(state, config.resolved_wigner_mode())
-
-
 def run_snapshots(config: RunConfig, out_dir: Path, threads: int = 1) -> list[Path]:
     """Evolve one config and export a Wigner grid file per snapshot time.
 
-    The snapshots are split into ``min(threads, n_snapshots)`` contiguous
-    parts of near-equal size; each part is rendered and written as one task
-    (see ``_pool_map``).  Grids are bitwise independent of the split, so the
-    files are identical for any thread count.  Two snapshot times that would
-    share a file name are refused before anything is written.
+    The snapshots are split into ``min(threads, n_snapshots)`` interleaved
+    parts, part ``k`` holding every ``n``-th snapshot from the ``k``-th; each
+    part is rendered and written as one task (see ``_pool_map``).  Grids are
+    bitwise independent of the split, so the files are identical for any
+    thread count.  Two snapshot times that would share a file name are
+    refused, and the run is evolved, before anything is written.
     """
     if not config.snapshot_times:
         raise ValueError("config has no snapshot times")
@@ -212,25 +200,26 @@ def run_snapshots(config: RunConfig, out_dir: Path, threads: int = 1) -> list[Pa
             f"distinct snapshot times share the grid files {shared}; "
             "snapshot times must differ in the third decimal"
         )
+    traj, _ = simulate(config)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_config_echo(out_dir / "config.txt", config)
-    traj, _ = simulate(config)
-    states = [reduced_snapshot(config, state) for _, state in traj.snapshots]
+    states = [
+        state if state.dims.n_modes == 1 else partial_trace(state, mode)
+        for _, state in traj.snapshots
+    ]
     paths = [out_dir / names[t] for t, _ in traj.snapshots]
     # one task per worker: a state rendered alone loses the shared recurrence
-    n_parts = max(1, min(threads, len(states)))
-    size, extra = divmod(len(states), n_parts)
-    bounds = [k * size + min(k, extra) for k in range(n_parts + 1)]
-    jobs = [(states[a:b], config.wigner_grid, paths[a:b]) for a, b in zip(bounds, bounds[1:])]
-    return [path for part in _pool_map(_write_fields, jobs, threads) for path in part]
+    n = max(1, min(threads, len(states)))
+    jobs = [(states[k::n], config.wigner_grid, paths[k::n]) for k in range(n)]
+    _pool_map(_write_fields, jobs, threads)
+    return paths
 
 
-def _write_fields(args) -> list[Path]:
+def _write_fields(args) -> None:
     states, grid, paths = args
     for path, field in zip(paths, wigner_fields(states, grid)):
         write_wigner_field(path, field)
-    return paths
 
 
 def _pool_map(fn, jobs: list, threads: int) -> list:

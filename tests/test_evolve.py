@@ -467,6 +467,23 @@ def test_fig2_combined_matches_damped_kerr_closed_form(fig2_result):
         assert np.array_equal(state.data, state.data.conj().T)
 
 
+def test_mechanical_storage_is_the_combined_mode_at_zero_optical_kerr(fig4_result):
+    # optical mode in vacuum with an empty bath: neither k_c nor g0 acts, so
+    # the two-mode generator and the single-mode one give the same numbers
+    two_mode, _ = fig4_result
+    fig4 = preset("fig4")
+    combined = replace(fig4, mode="combined_kerr", dims=(10,), storage_mode=0,
+                       horizon=fig4.resolved_horizon())
+    traj, _ = simulate(replace(combined, params=replace(fig4.params, k_c=0.0)))
+    assert np.max(np.abs(traj.amplitudes[0] - two_mode.amplitudes[1])) == 0.0
+    for name in ("purity", "trace", "coherent_overlap"):
+        assert np.max(np.abs(getattr(traj, name) - getattr(two_mode, name))) == 0.0
+    # at the presets' chi = k_c + k_m the combined mode is another model
+    other, _ = simulate(combined)
+    gap = np.max(np.abs(other.amplitudes[0] - two_mode.amplitudes[1]))
+    assert 2.9 < gap < 3.0
+
+
 def test_fig2_combined_on_expm_multiply_matches_damped_kerr_closed_form(monkeypatch):
     # the preset's own grid and snapshots: ||L||_1 * largest gap = 5.3
     monkeypatch.setattr(EVOLVE, "MAX_DENSE_BLOCK", 0)

@@ -1,8 +1,10 @@
 import hashlib
+import importlib.util
 import json
 import math
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -445,6 +447,51 @@ def test_pool_is_capped_at_the_job_count(tmp_path, monkeypatch):
     # one worker never starts a pool
     run_snapshots(cfg, tmp_path / "one", threads=1)
     assert sizes == [2, len(cfg.snapshot_times)]
+
+
+def test_invalid_run_creates_no_output_directory(tmp_path):
+    with pytest.raises(ValueError, match="n_samples"):
+        run_single(small_run_config(n_samples=5), tmp_path / "single")
+    cfg = small_snapshot_config()
+    cfg.n_samples = 5
+    with pytest.raises(ValueError, match="n_samples"):
+        run_snapshots(cfg, tmp_path / "snap")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_invalid_run_leaves_a_finished_run_untouched(tmp_path):
+    run_single(small_run_config(), tmp_path / "run")
+    before = _digests(tmp_path / "run")
+    with pytest.raises(ValueError, match="n_samples"):
+        run_single(small_run_config(n_samples=5), tmp_path / "run")
+    assert "time.n_samples = 150" in (tmp_path / "run" / "config.txt").read_text()
+    assert _digests(tmp_path / "run") == before
+
+
+def load_benchmark_child():
+    """``perfbench/child.py``, the benchmark's workload process, as a module."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+    spec = importlib.util.spec_from_file_location("perfbench_child", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_finds_what_it_wraps(monkeypatch):
+    child = load_benchmark_child()
+    # the traced run getattr()s each name of its optomem.<layer> module
+    for layer, names in child.LAYERS.items():
+        module = importlib.import_module(f"optomem.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"optomem.{layer}.{name}"
+    # ...and divides by the generator products its stand-in evolve counts
+    records = []
+    monkeypatch.setattr(runner, "evolve", child.counting_evolve(records)(runner.evolve))
+    traj, _ = runner.simulate(small_run_config(mode=COMBINED_KERR, dims=(6,), storage_mode=0))
+    [record] = records
+    assert record["matvecs"] >= 1
+    assert record["steps"] == traj.n_steps > 0
+    assert record["rejected"] == 0
 
 
 @pytest.mark.parametrize("threads", ["0", "-3", "two"])
