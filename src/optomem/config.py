@@ -18,8 +18,10 @@ from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from .liouvillian import SystemParams
-from .revival import revival_time
+from .revival import check_sampling, revival_time
 from .wigner import DEFAULT_GRID, PhaseSpaceGrid
 
 TWO_MODE = "two_mode"
@@ -97,6 +99,14 @@ class RunConfig:
         bad = [t for t in self.snapshot_times if not 0 <= t <= horizon]
         if bad:
             raise ValueError(f"snapshot times not finite or outside [0, {horizon:g}]: {bad}")
+        t_rev = self.predicted_revival_time()
+        if t_rev is not None:
+            # the spacing revival.detect_revival_series will measure
+            check_sampling(float(np.median(np.diff(self.sample_times()))), t_rev)
+
+    def sample_times(self) -> np.ndarray:
+        """The run's sample times: ``n_samples`` evenly spaced from 0 to the horizon."""
+        return np.linspace(0.0, self.resolved_horizon(), self.n_samples)
 
     def resolved_horizon(self) -> float:
         if self.horizon is not None:

@@ -36,12 +36,23 @@ front, with :class:`IntegrationFailure`, when that product exceeds
 On both paths every state, the initial one included, is re-symmetrised
 (rho <- (rho + rho^dag)/2) on the self-mirror blocks, where its Hermiticity
 deviation is also measured (for rho(0), on every live coordinate); each
-left-out coordinate is then written as the conjugate of its mirror, so the
-live vector that the observables, the trace gate and the snapshots see is
-exactly Hermitian.  Repeated runs are bitwise
-reproducible.  Snapshots are scattered back into full d x d matrices.  The
-trace is never renormalised: its drift is recorded as an integration
-quality signal and raises once it is not within :data:`TRACE_DRIFT_LIMIT`.
+left-out coordinate is the conjugate of its mirror, so every state the
+observables, the trace gate and the snapshots see is exactly Hermitian.
+
+The step loop does only what the chain of states needs: per event it
+propagates, symmetrises, copies the kept vector and the self-mirror slice
+from before the symmetrisation into one row each of a block of
+:data:`SAMPLE_BLOCK` rows, and scatters a full d x d snapshot at snapshot
+times.  When a block fills, and once more at the end, the block is
+evaluated at once on the kept coordinates: each functional w of the live
+vector (<a_k> of every mode, the trace, the coherent overlap) is folded
+into w[kept] on the kept vector plus w[partners] on the conjugate of its
+paired part, the purity counts each paired coordinate twice, the
+Hermiticity deviation is the largest over the block, and the trace gate
+raises for the first sample of the block whose drift is not within
+:data:`TRACE_DRIFT_LIMIT`.  The trace is never renormalised; its largest
+drift is recorded as an integration quality signal.  Repeated runs are
+bitwise reproducible.
 
 A plain fixed-step classical RK4 driver (:func:`evolve_rk4`) is kept as an
 independent cross-validation route and deliberately shares no stepping logic
@@ -127,7 +138,8 @@ class Trajectory:
     max_hermiticity_error: float = 0.0
     max_trace_drift: float = 0.0
     # propagator applications (RK4: substeps); no step is ever rejected, so
-    # n_rejected is always 0 and kept only for the report's quality record
+    # n_rejected is always 0, kept for the report's quality record and for
+    # the benchmark, which reads it
     n_steps: int = 0
     n_rejected: int = 0
     # live coordinates of vec(rho), the propagation path ("expm" or
@@ -160,6 +172,15 @@ MAX_ACTION_NORM = 1e3
 # Largest |Tr rho(t) - 1| a run may reach.  Both paths are exact, so a
 # trace-preserving generator stays at rounding level (<= 8.3e-14 on the presets).
 TRACE_DRIFT_LIMIT = 1e-4
+
+# Events whose kept states are held and then evaluated together: their
+# observables, Hermiticity deviation and trace gate.  One thread (2-vCPU Xeon
+# VM), median of 7 `simulate` calls, blocks of 1 / 8 / 16 / 64 / 256 events:
+# fig4 146 / 83 / 79 / 64 / 74 ms, fig2-combined 390 / 301 / 308 / 272 /
+# 310 ms.  At 64 the block holds 64 x 465 complex entries (0.5 MB) on the
+# combined presets; the peak RSS of `simulate --preset fig4` (73.1 MB) and
+# `wigner-snapshots --preset fig2-combined` (85.3 MB) does not move.
+SAMPLE_BLOCK = 64
 
 
 def _block_exp(dense: list[np.ndarray], gap: float) -> sp.csr_matrix:
@@ -207,6 +228,38 @@ class _Observables:
 
     def overlap(self, z: np.ndarray) -> float:
         return float(np.real(self.w_overlap @ z))
+
+
+class _KeptObservables:
+    """The observables of :class:`_Observables` on rows of kept vectors.
+
+    A kept vector zk stands for the live vector z with z[kept] = zk and
+    z[partners] = conj(zk[n_self:]), so a functional w of z is
+    w[kept] . zk + w[partners] . conj(zk[n_self:]), and the purity
+    z^dag z is the sum of |zk|^2 over the self-mirror slice plus twice the
+    sum over the rest.
+    """
+
+    def __init__(self, obs: _Observables, kept: np.ndarray, partners: np.ndarray,
+                 n_self: int):
+        trace_w = np.zeros(kept.size + partners.size)
+        trace_w[obs.trace_idx] = 1.0
+        # one column per functional: <a_k> of each mode, the trace, the overlap
+        weights = np.column_stack([*obs.w_amp, trace_w]
+                                  + ([] if obs.w_overlap is None else [obs.w_overlap]))
+        self.w_kept = weights[kept]
+        self.w_partners = weights[partners]
+        self.n_modes = len(obs.w_amp)
+        self.n_self = n_self
+
+    def evaluate(self, rows: np.ndarray):
+        """<a_k> (one row per mode), trace, purity and overlap of each row."""
+        values = rows @ self.w_kept + rows[:, self.n_self:].conj() @ self.w_partners
+        sq = rows.view(np.float64) ** 2
+        purity = sq[:, :2 * self.n_self].sum(axis=1) + 2.0 * sq[:, 2 * self.n_self:].sum(axis=1)
+        n = self.n_modes
+        overlap = values[:, n + 1].real if values.shape[1] > n + 1 else None
+        return values[:, :n].T, values[:, n].real, purity, overlap
 
 
 def _transpose_index(d: int) -> np.ndarray:
@@ -346,10 +399,11 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
         )
 
     events = np.unique(np.concatenate([times, snapshot_times]))
-    grid_set = set(times.tolist())
+    sampled = np.isin(events, times)
     snap_set = set(snapshot_times.tolist())
 
-    obs = _Observables(dims, opts.overlap_alpha, opts.overlap_mode, live)
+    obs = _KeptObservables(_Observables(dims, opts.overlap_alpha, opts.overlap_mode, live),
+                           kept, partners, n_self)
 
     gaps = np.diff(events)
     if max(block_sizes) <= MAX_DENSE_BLOCK:
@@ -382,68 +436,72 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
         def propagate(zk: np.ndarray, gap: float) -> np.ndarray:
             return expm_multiply(kmat * gap, zk)
 
-    n_t = times.size
-    amps = np.zeros((dims.n_modes, n_t), dtype=np.complex128)
-    tr = np.zeros(n_t)
-    pur = np.zeros(n_t)
-    ovl = np.zeros(n_t) if obs.w_overlap is not None else None
-    snapshots: list[tuple[float, DensityMatrix]] = []
-    max_drift = 0.0
+    n_ev = events.size
+    amps = np.empty((dims.n_modes, n_ev), dtype=np.complex128)
+    tr = np.empty(n_ev)
+    pur = np.empty(n_ev)
+    ovl = np.empty(n_ev) if opts.overlap_alpha is not None else None
+    # each event's kept state after, and its self-mirror slice before,
+    # symmetrisation; evaluated once per block of events
+    rows = np.empty((SAMPLE_BLOCK, kept.size), dtype=np.complex128)
+    pre = np.empty((SAMPLE_BLOCK, n_self), dtype=np.complex128)
+    kept_full = live[kept]
+    partners_full = live[partners]
+    snapshots: list[tuple[float, np.ndarray]] = []
     # rho(0) over every live coordinate: only one of a pair's blocks is kept
     herm_dev = float(np.max(np.abs(z0[live] - z0[live[mirror]].conj())))
-    i_rec = 0
-    zk = z0[live[kept]]
+    zk = z0[kept_full]
     t_prev = 0.0
 
-    for target in events:
-        t = float(target)
-        if t > 0.0:
-            zk = propagate(zk, t - t_prev)
-            t_prev = t
-        # only self-mirror blocks hold both rho_ij and rho_ji among the kept
-        # coordinates; each other kept block's mirror is written below as
-        # its conjugate
-        z_dag = zk[self_dag].conj()
-        dev = float(np.max(np.abs(zk[:n_self] - z_dag)))
+    for start in range(0, n_ev, SAMPLE_BLOCK):
+        block = events[start:start + SAMPLE_BLOCK]
+        for j, t in enumerate(block.tolist()):
+            if t > 0.0:
+                zk = propagate(zk, t - t_prev)
+                t_prev = t
+            # only self-mirror blocks hold both rho_ij and rho_ji among the
+            # kept coordinates; each other kept block's mirror is its conjugate
+            pre[j] = zk[:n_self]
+            zk[:n_self] = 0.5 * (zk[:n_self] + zk[self_dag].conj())
+            rows[j] = zk
+            if t in snap_set:
+                full = np.zeros(m, dtype=np.complex128)
+                full[kept_full] = zk
+                full[partners_full] = zk[n_self:].conj()
+                # Hermitian exactly as it stands; C order like every operator
+                # the package builds, so reductions over its entries sum in
+                # one order
+                snapshots.append((t, np.ascontiguousarray(unvec(full, d))))
+
+        k = block.size
+        stop = start + k
+        dev = float(np.max(np.abs(pre[:k] - pre[:k, self_dag].conj())))
         if dev > herm_dev:
             herm_dev = dev
-        zk[:n_self] = 0.5 * (zk[:n_self] + z_dag)
-        z = np.empty(n, dtype=np.complex128)
-        z[kept] = zk
-        z[partners] = zk[n_self:].conj()
-        if t in grid_set:
-            obs.amplitudes(z, amps[:, i_rec])
-            tr[i_rec] = obs.trace(z)
-            pur[i_rec] = obs.purity(z)
-            if ovl is not None:
-                ovl[i_rec] = obs.overlap(z)
-            drift = abs(tr[i_rec] - 1.0)
-            # written so that a NaN drift is kept and fails the gate
-            if not drift <= max_drift:
-                max_drift = drift
-            if not drift <= TRACE_DRIFT_LIMIT:
-                raise IntegrationFailure(
-                    f"trace drifted by {drift:.3e} at t={t:.6g} "
-                    f"(limit {TRACE_DRIFT_LIMIT:.1e})"
-                )
-            i_rec += 1
-        if t in snap_set:
-            full = np.zeros(m, dtype=np.complex128)
-            full[live] = z
-            # Hermitian exactly as it stands; C order like every operator the
-            # package builds, so reductions over its entries sum in one order
-            rho_t = np.ascontiguousarray(unvec(full, d))
-            snapshots.append((t, DensityMatrix(QOperator(dims, rho_t))))
+        amps[:, start:stop], tr[start:stop], pur[start:stop], overlap = obs.evaluate(rows[:k])
+        if ovl is not None:
+            ovl[start:stop] = overlap
+        # written so that a NaN drift fails the gate
+        drift = np.abs(tr[start:stop] - 1.0)
+        bad = np.flatnonzero(sampled[start:stop] & ~(drift <= TRACE_DRIFT_LIMIT))
+        if bad.size:
+            raise IntegrationFailure(
+                f"trace drifted by {drift[bad[0]]:.3e} at t={block[bad[0]]:.6g} "
+                f"(limit {TRACE_DRIFT_LIMIT:.1e})"
+            )
 
+    tr = tr[sampled]
     return Trajectory(
         times=times.copy(),
-        amplitudes=amps,
+        amplitudes=amps[:, sampled],
         trace=tr,
-        purity=pur,
-        coherent_overlap=ovl,
-        snapshots=snapshots,
+        purity=pur[sampled],
+        coherent_overlap=ovl[sampled] if ovl is not None else None,
+        # wrapped only now, so that a failing trace gate is what a broken
+        # run raises, not a later snapshot's check
+        snapshots=[(t, DensityMatrix(QOperator(dims, rho))) for t, rho in snapshots],
         max_hermiticity_error=herm_dev,
-        max_trace_drift=max_drift,
+        max_trace_drift=float(np.max(np.abs(tr - 1.0))),
         n_steps=events.size - 1,
         n_live=n,
         path=path,
@@ -485,16 +543,26 @@ def evolve_rk4(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
         pur[i] = obs.purity(z)
 
     record(0)
+    stage = np.empty_like(z)
     for i in range(1, n_t):
         interval = times[i] - times[i - 1]
         n_sub = max(1, int(np.ceil(interval / dt)))
         h = interval / n_sub
         for _ in range(n_sub):
+            # z + (h/6) (k1 + 2 k2 + 2 k3 + k4), each stage z + c k formed in
+            # one buffer; the same operations in the same order as the
+            # expressions written out
             k1 = lmat @ z
-            k2 = lmat @ (z + 0.5 * h * k1)
-            k3 = lmat @ (z + 0.5 * h * k2)
-            k4 = lmat @ (z + h * k3)
-            z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            np.add(z, np.multiply(0.5 * h, k1, out=stage), out=stage)
+            k2 = lmat @ stage
+            np.add(z, np.multiply(0.5 * h, k2, out=stage), out=stage)
+            k3 = lmat @ stage
+            np.add(z, np.multiply(h, k3, out=stage), out=stage)
+            k4 = lmat @ stage
+            np.add(k1, np.multiply(2.0, k2, out=k2), out=k1)
+            np.add(k1, np.multiply(2.0, k3, out=k3), out=k1)
+            np.add(k1, k4, out=k1)
+            np.add(z, np.multiply(h / 6.0, k1, out=k1), out=z)
             n_steps += 1
         record(i)
 

@@ -47,6 +47,17 @@ def revival_time(k_c: float, k_m: float) -> float:
     return 2.0 * math.pi / total
 
 
+def check_sampling(dt: float, t_rev: float) -> None:
+    """Raise :class:`SamplingError` unless the sample spacing ``dt`` puts
+    ``MIN_SAMPLES_PER_HALF_PERIOD`` samples into half the period ``t_rev``."""
+    half = 0.5 * t_rev
+    if dt > half / MIN_SAMPLES_PER_HALF_PERIOD:
+        raise SamplingError(
+            f"sample spacing {dt:.4g} too coarse for predicted half period "
+            f"{half:.4g}: need >= {MIN_SAMPLES_PER_HALF_PERIOD} samples per interval"
+        )
+
+
 @dataclass
 class RevivalReport:
     t_rev_predicted: float | None
@@ -134,12 +145,8 @@ def detect_revival_series(
 
     distance = 1
     if t_rev is not None:
+        check_sampling(dt, t_rev)
         half = 0.5 * t_rev
-        if dt > half / MIN_SAMPLES_PER_HALF_PERIOD:
-            raise SamplingError(
-                f"sample spacing {dt:.4g} too coarse for predicted half period "
-                f"{half:.4g}: need >= {MIN_SAMPLES_PER_HALF_PERIOD} samples per interval"
-            )
         distance = max(1, int(round(DEFAULT_MIN_SEPARATION_FRAC * half / dt)))
 
     if reference > 0:

@@ -61,7 +61,7 @@ def build_problem(config: RunConfig) -> tuple[Superoperator, DensityMatrix]:
 def simulate(config: RunConfig) -> tuple[Trajectory, RevivalReport]:
     """Evolve one configuration and detect its collapse/revival structure."""
     superop, rho0 = build_problem(config)
-    grid = TimeGrid(np.linspace(0.0, config.resolved_horizon(), config.n_samples))
+    grid = TimeGrid(config.sample_times())
     opts = EvolveOptions(
         snapshot_times=tuple(config.snapshot_times),
         overlap_alpha=config.alpha,
@@ -103,9 +103,12 @@ def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
 
 
 def read_trajectory_csv(path: Path) -> dict[str, np.ndarray]:
-    rows = path.read_text().strip().splitlines()
-    header = rows[0].split(",")
-    data = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
+    """The columns of a trajectory CSV by header name; ValueError on a bad cell."""
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[1] != len(header):
+        raise ValueError(f"{path}: {data.shape[1]} columns under {len(header)} header names")
     return {name: data[:, i] for i, name in enumerate(header)}
 
 

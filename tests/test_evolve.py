@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
-from helpers import kerr_amplitude, kerr_amplitude_closed_form
+from helpers import coherent_coeffs, kerr_amplitude, kerr_amplitude_closed_form
 
 import optomem.evolve as EVOLVE
 from optomem.config import default_params, preset
@@ -418,6 +418,52 @@ def test_trace_gate_rejects_nan():
     dm = product_dm([vacuum_ket(n)])
     with pytest.raises(IntegrationFailure, match="trace drifted by nan"):
         evolve(dm, bad, TimeGrid(np.linspace(0.0, 1.0, 3)))
+
+
+def test_sample_blocks_match_the_observables_of_each_snapshot():
+    # 150 samples fill two sample blocks and end inside a third; every
+    # sample is also a snapshot, whose matrix gives each observable directly
+    assert 2 * EVOLVE.SAMPLE_BLOCK < 150 < 3 * EVOLVE.SAMPLE_BLOCK
+    superop, dm = thermal_combined_kerr()
+    times = np.linspace(0.0, 30.0, 150)
+    traj = evolve(dm, superop, TimeGrid(times),
+                  EvolveOptions(snapshot_times=tuple(times), overlap_alpha=1.2))
+    assert [t for t, _ in traj.snapshots] == times.tolist()
+    a = np.diag(np.sqrt(np.arange(1.0, 12.0)), 1)
+    ket = coherent_coeffs(1.2, 12)
+    for i, (_, state) in enumerate(traj.snapshots):
+        # a snapshot is rescaled to unit trace; the sampled trace undoes that
+        assert abs(traj.trace[i] - np.trace(state.data).real) < 1e-14
+        rho = state.data * traj.trace[i]
+        direct = (np.trace(a @ rho), np.trace(rho @ rho).real, (ket.conj() @ rho @ ket).real)
+        sampled = (traj.amplitudes[0, i], traj.purity[i], traj.coherent_overlap[i])
+        assert np.max(np.abs(np.subtract(sampled, direct))) < 1e-14
+
+
+def test_trace_gate_names_its_first_offending_time_in_a_later_block():
+    # d(rho)/dt = 1e-6 rho: Tr rho = exp(1e-6 t) first leaves the 1e-4 limit
+    # at t = 100 (t = 99 is within it), a sample inside the second block
+    assert EVOLVE.SAMPLE_BLOCK < 100 < 2 * EVOLVE.SAMPLE_BLOCK - 1
+    n = 3
+    slow = Superoperator(HilbertDims((n,)), 1e-6 * sp.identity(n * n, dtype=complex, format="csr"))
+    with pytest.raises(IntegrationFailure, match=r"trace drifted by 1\.000e-04 at t=100 "):
+        evolve(product_dm([vacuum_ket(n)]), slow, TimeGrid(np.arange(200.0)))
+
+
+def test_hermiticity_error_is_the_largest_per_sample_deviation(monkeypatch):
+    # rho(0) is exactly Hermitian, and the dense block propagators keep it
+    # so; expm_multiply leaves rounding deviations, whose largest over the
+    # samples is the error.  Blocks of one sample take each sample's
+    # deviation on its own
+    monkeypatch.setattr(EVOLVE, "MAX_DENSE_BLOCK", 0)
+    superop, dm = thermal_combined_kerr()
+    grid = TimeGrid(np.linspace(0.0, 30.0, 150))
+    opts = EvolveOptions(snapshot_times=(7.7,))
+    blocked = evolve(dm, superop, grid, opts).max_hermiticity_error
+    assert blocked > 0.0
+    for size in (1, 5):
+        monkeypatch.setattr(EVOLVE, "SAMPLE_BLOCK", size)
+        assert evolve(dm, superop, grid, opts).max_hermiticity_error == blocked
 
 
 @pytest.mark.parametrize("matrix", [

@@ -265,17 +265,30 @@ def test_config_values_are_not_coerced(key, text):
         config_from_flat({key: parse_value(text)})
 
 
-@pytest.mark.parametrize("name, values", [
-    ("fig8", "1.0,nan"), ("fig5", "1e-5,-1e-3"), ("fig6", "0.5,inf"),
+@pytest.mark.parametrize("name, overrides", [
+    pytest.param("fig8", ["sweep.values=1.0,nan"], id="fig8-1.0,nan"),
+    pytest.param("fig5", ["sweep.values=1e-5,-1e-3"], id="fig5-1e-5,-1e-3"),
+    pytest.param("fig6", ["sweep.values=0.5,inf"], id="fig6-0.5,inf"),
+    # the base config is sampled finely enough, the k = 0.5 point is not
+    pytest.param("fig6", ["dims=6,", "time.n_samples=400", "time.horizon=1000"],
+                 id="fig6-too-coarse"),
 ])
-def test_cli_bad_sweep_point_writes_nothing(tmp_path, name, values):
-    # the first point is valid; the second used to fail only after the
-    # sweep config and the first point's artifacts were written
-    out = tmp_path / "out"
-    with pytest.raises(ValueError, match="sweep point"):
+def test_cli_bad_sweep_point_writes_nothing(tmp_path, name, overrides):
+    # each used to fail only after the sweep config (and the points before
+    # the bad one) had been written: into a fresh directory, and over a
+    # finished sweep of the same preset
+    def sweep(out, *items):
         main(["sweep", "--preset", name, "--out", str(out), "--threads", "1",
-              "--override", f"sweep.values={values}"])
-    assert not out.exists()
+              *(arg for item in items for arg in ("--override", item))])
+
+    fresh, finished = tmp_path / "fresh", tmp_path / "finished"
+    sweep(finished, "dims=6,")
+    before = _digests(finished)
+    for out in (fresh, finished):
+        with pytest.raises(ValueError, match="sweep point"):
+            sweep(out, *overrides)
+    assert not fresh.exists()
+    assert _digests(finished) == before
 
 
 def test_sweep_point_config_application():
@@ -314,6 +327,22 @@ def test_run_single_outputs(tmp_path):
     payload = json.loads((tmp_path / "run" / "revival_report.json").read_text())
     assert payload["classification"] == report.classification
     assert "quality" in payload and payload["quality"]["n_steps"] == traj.n_steps
+
+
+def test_read_trajectory_csv_parses_like_float_and_rejects_a_bad_cell(tmp_path):
+    run_single(small_run_config(), tmp_path / "run")
+    path = tmp_path / "run" / "trajectory.csv"
+    lines = path.read_text().splitlines()
+    columns = read_trajectory_csv(path)
+    assert list(columns) == lines[0].split(",")
+    cells = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    for i, column in enumerate(columns.values()):
+        assert column.tobytes() == cells[:, i].tobytes()
+    row = lines[5].split(",")
+    lines[5] = ",".join([row[0], "1.2e-0x", *row[2:]])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError):
+        read_trajectory_csv(path)
 
 
 def test_config_echo_is_resolved(tmp_path):
