@@ -84,6 +84,9 @@ class RunConfig:
             raise ValueError(f"storage_mode {self.storage_mode} out of range")
         if not (math.isfinite(self.alpha.real) and math.isfinite(self.alpha.imag)):
             raise ValueError("alpha must be finite")
+        if self.alpha == 0:
+            # every revival threshold is relative to |<a>(0)|
+            raise ValueError("alpha must be nonzero: the vacuum stores nothing")
         if self.horizon is not None and not (math.isfinite(self.horizon) and self.horizon > 0):
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         if self.n_samples < 100:

@@ -44,20 +44,21 @@ propagates, symmetrises, copies the kept vector and the self-mirror slice
 from before the symmetrisation into one row each of a block of
 :data:`SAMPLE_BLOCK` rows, and scatters a full d x d snapshot at snapshot
 times.  When a block fills, and once more at the end, the block is
-evaluated at once on the kept coordinates: each functional w of the live
-vector (<a_k> of every mode, the trace, the coherent overlap) is folded
-into w[kept] on the kept vector plus w[partners] on the conjugate of its
-paired part, the purity counts each paired coordinate twice, the
-Hermiticity deviation is the largest over the block, and the trace gate
-raises for the first sample of the block whose drift is not within
-:data:`TRACE_DRIFT_LIMIT`.  The trace is never renormalised; its largest
+evaluated at once on the kept coordinates: each observable Tr(A rho)
+(<a_k> of every mode, the trace, the coherent overlap) has the weight
+w = A.flatten(C) on vec(rho), folded into w[kept] on the kept vector plus
+w[partners] on the conjugate of its paired part, the purity counts each
+paired coordinate twice, the Hermiticity deviation is the largest over the
+block, and the trace gate raises for the first sample of the block whose
+drift is not within :data:`TRACE_DRIFT_LIMIT`.  The trace is never renormalised; its largest
 drift is recorded as an integration quality signal.  Repeated runs are
 bitwise reproducible.
 
 A plain fixed-step classical RK4 driver (:func:`evolve_rk4`) is kept as an
-independent cross-validation route and deliberately shares no stepping logic
-with either path; it integrates the full space, so it also checks the
-restriction to the live coordinates.
+independent cross-validation route and shares no stepping or observable
+code with either path: it integrates the full space, so it also checks the
+restriction to the live coordinates, and reads its observables straight
+from the density matrix, so it also checks the weights and their fold.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import expm_multiply
 from scipy.sparse.linalg import norm as sparse_norm
 
-from .fock import HilbertDims, QOperator, annihilation, embed
+from .fock import HilbertDims, QOperator, annihilation, embed, expectation
 from .liouvillian import Superoperator, unvec, vec
 from .states import DensityMatrix, coherent_amplitudes
 
@@ -192,64 +193,33 @@ def _block_exp(dense: list[np.ndarray], gap: float) -> sp.csr_matrix:
     return sp.block_diag([scipy.linalg.expm(block * gap) for block in dense], format="csr")
 
 
-class _Observables:
-    """Flat-functional extraction of Tr(A rho) quantities from vec(rho).
+class _KeptObservables:
+    """<a_k> of every mode, the trace, the purity and the overlap of kept vectors.
 
-    The functionals act on the coordinates ``live`` of vec(rho) (all of them
-    when None), in that order; there is one amplitude <a_k> per mode.
+    Each observable but the purity is Tr(A rho) = sum_ij A[i, j] rho[j, i]
+    = A.flatten(C) . vec_F(rho), for A = a_k embedded in the full space,
+    the identity and the embedded coherent projector |c><c| (when
+    ``overlap_alpha`` is not None).  A kept vector zk stands for the vector
+    z = vec(rho) with z[kept] = zk, z[partners] = conj(zk[n_self:]) and 0
+    elsewhere, so a weight w = A.flatten(C) gives
+    w[kept] . zk + w[partners] . conj(zk[n_self:]), and the purity z^dag z
+    is the sum of |zk|^2 over the self-mirror slice plus twice the sum over
+    the rest.
     """
 
-    def __init__(self, dims: HilbertDims, overlap_alpha, overlap_mode,
-                 live: np.ndarray | None = None):
-        d = dims.total_dim
-        coords = np.arange(d * d) if live is None else live
-        # Tr(A rho) = sum_ij A[i, j] rho[j, i] = A.flatten(C) . vec_F(rho).
-        self.w_amp = [embed(annihilation(n_k), k, dims).data.flatten(order="C")[coords]
-                      for k, n_k in enumerate(dims.dims)]
-        # rho_ii sits at i * (d + 1) in vec(rho)
-        self.trace_idx = np.flatnonzero(coords % (d + 1) == 0)
-        self.w_overlap = None
+    def __init__(self, dims: HilbertDims, overlap_alpha, overlap_mode: int,
+                 kept: np.ndarray, partners: np.ndarray, n_self: int):
+        ops = [embed(annihilation(n_k), k, dims).data for k, n_k in enumerate(dims.dims)]
+        ops.append(np.eye(dims.total_dim))
         if overlap_alpha is not None:
             c = coherent_amplitudes(overlap_alpha, dims.dims[overlap_mode])
             proj = QOperator(HilbertDims((dims.dims[overlap_mode],)), np.outer(c, c.conj()))
-            self.w_overlap = embed(proj, overlap_mode, dims).data.flatten(order="C")[coords]
-
-    def amplitudes(self, z: np.ndarray, out: np.ndarray) -> None:
-        """Write <a_k> of each mode k into ``out[k]``."""
-        # one 1-d product per mode: a 2-d product sums in another order
-        for k, w in enumerate(self.w_amp):
-            out[k] = w @ z
-
-    def trace(self, z: np.ndarray) -> float:
-        return float(np.sum(z[self.trace_idx]).real)
-
-    def purity(self, z: np.ndarray) -> float:
-        return float(np.real(np.vdot(z, z)))
-
-    def overlap(self, z: np.ndarray) -> float:
-        return float(np.real(self.w_overlap @ z))
-
-
-class _KeptObservables:
-    """The observables of :class:`_Observables` on rows of kept vectors.
-
-    A kept vector zk stands for the live vector z with z[kept] = zk and
-    z[partners] = conj(zk[n_self:]), so a functional w of z is
-    w[kept] . zk + w[partners] . conj(zk[n_self:]), and the purity
-    z^dag z is the sum of |zk|^2 over the self-mirror slice plus twice the
-    sum over the rest.
-    """
-
-    def __init__(self, obs: _Observables, kept: np.ndarray, partners: np.ndarray,
-                 n_self: int):
-        trace_w = np.zeros(kept.size + partners.size)
-        trace_w[obs.trace_idx] = 1.0
-        # one column per functional: <a_k> of each mode, the trace, the overlap
-        weights = np.column_stack([*obs.w_amp, trace_w]
-                                  + ([] if obs.w_overlap is None else [obs.w_overlap]))
+            ops.append(embed(proj, overlap_mode, dims).data)
+        # one column per observable: <a_k> of each mode, the trace, the overlap
+        weights = np.column_stack([op.flatten(order="C") for op in ops])
         self.w_kept = weights[kept]
         self.w_partners = weights[partners]
-        self.n_modes = len(obs.w_amp)
+        self.n_modes = dims.n_modes
         self.n_self = n_self
 
     def evaluate(self, rows: np.ndarray):
@@ -402,9 +372,6 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
     sampled = np.isin(events, times)
     snap_set = set(snapshot_times.tolist())
 
-    obs = _KeptObservables(_Observables(dims, opts.overlap_alpha, opts.overlap_mode, live),
-                           kept, partners, n_self)
-
     gaps = np.diff(events)
     if max(block_sizes) <= MAX_DENSE_BLOCK:
         path = "expm"
@@ -447,6 +414,8 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
     pre = np.empty((SAMPLE_BLOCK, n_self), dtype=np.complex128)
     kept_full = live[kept]
     partners_full = live[partners]
+    obs = _KeptObservables(dims, opts.overlap_alpha, opts.overlap_mode,
+                           kept_full, partners_full, n_self)
     snapshots: list[tuple[float, np.ndarray]] = []
     # rho(0) over every live coordinate: only one of a pair's blocks is kept
     herm_dev = float(np.max(np.abs(z0[live] - z0[live[mirror]].conj())))
@@ -516,7 +485,8 @@ def evolve_rk4(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
 
     Each grid interval is split into ceil(interval/dt) equal substeps.  No
     symmetrisation, no adaptivity, no trace gate: the raw fourth-order result
-    is returned for comparison against :func:`evolve`.
+    is returned for comparison against :func:`evolve`.  Each sample reads
+    <a_k> = Tr(a_k rho), Tr rho and sum |rho_ij|^2 off rho = unvec(z).
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -527,7 +497,7 @@ def evolve_rk4(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
         )
     d = dims.total_dim
     lmat = superop.matrix
-    obs = _Observables(dims, None, 0)
+    a_ops = [embed(annihilation(n_k), k, dims) for k, n_k in enumerate(dims.dims)]
     times = grid.times
 
     z = vec(rho0.data).astype(np.complex128)
@@ -538,9 +508,11 @@ def evolve_rk4(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
     n_steps = 0
 
     def record(i: int) -> None:
-        obs.amplitudes(z, amps[:, i])
-        tr[i] = obs.trace(z)
-        pur[i] = obs.purity(z)
+        rho = QOperator(dims, unvec(z, d))
+        for k, a in enumerate(a_ops):
+            amps[k, i] = expectation(a, rho)
+        tr[i] = np.trace(rho.data).real
+        pur[i] = np.sum(np.abs(rho.data) ** 2)
 
     record(0)
     stage = np.empty_like(z)

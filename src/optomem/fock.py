@@ -100,9 +100,6 @@ class QOperator:
         self._check_same_dims(other)
         return QOperator(self.dims, self.data - other.data)
 
-    def __neg__(self) -> "QOperator":
-        return QOperator(self.dims, -self.data)
-
     def __mul__(self, scalar) -> "QOperator":
         if not isinstance(scalar, Number):
             return NotImplemented

@@ -132,7 +132,9 @@ def detect_revival_series(
     """Detect collapse/revival structure in a |amplitude(t)| series.
 
     ``t_rev`` is the predicted revival period; pass None in the harmonic
-    limit, which disables the sampling and regularity checks.
+    limit, which disables the sampling and regularity checks.  Every
+    threshold is relative to ``modulus[0]``, so a series that does not start
+    positive (or starts at NaN) raises ValueError.
     """
     times = np.asarray(times, dtype=float)
     modulus = np.asarray(modulus, dtype=float)
@@ -140,6 +142,8 @@ def detect_revival_series(
         raise ValueError("times and modulus must be matching 1-d arrays (>= 3 samples)")
     dt = float(np.median(np.diff(times)))
     reference = float(modulus[0])
+    if not reference > 0:
+        raise ValueError(f"the modulus must start positive, got {reference}")
     prominence = DEFAULT_PROMINENCE_FRAC * reference
     collapse_level = DEFAULT_COLLAPSE_FRAC * reference
 
@@ -149,17 +153,14 @@ def detect_revival_series(
         half = 0.5 * t_rev
         distance = max(1, int(round(DEFAULT_MIN_SEPARATION_FRAC * half / dt)))
 
-    if reference > 0:
-        idx = _find_peaks(modulus, prominence, distance)
-    else:
-        idx = np.array([], dtype=int)
+    idx = _find_peaks(modulus, prominence, distance)
     peaks = [(float(times[i]), float(modulus[i])) for i in idx]
 
     # edges of the below-threshold runs: first sample in, one past the last
     edges = np.flatnonzero(np.diff(np.r_[False, modulus < collapse_level, False]))
     windows = [(float(times[a]), float(times[b - 1])) for a, b in zip(edges[::2], edges[1::2])]
 
-    ratio = peaks[0][1] / reference if peaks and reference > 0 else 0.0
+    ratio = peaks[0][1] / reference if peaks else 0.0
 
     if not windows:
         classification = "perfect_revival"

@@ -31,7 +31,14 @@ from optomem.liouvillian import (
     vec,
 )
 from optomem.runner import build_problem, simulate
-from optomem.states import DensityMatrix, Ket, coherent_ket, product_dm, vacuum_ket
+from optomem.states import (
+    DensityMatrix,
+    Ket,
+    coherent_ket,
+    partial_trace,
+    product_dm,
+    vacuum_ket,
+)
 
 
 def zero_superop(n: int) -> Superoperator:
@@ -370,10 +377,16 @@ def test_dense_path_agrees_with_expm_multiply_on_thermal_combined_kerr(monkeypat
         assert t1 == t2 and np.max(np.abs(s1.data - s2.data)) < 1e-9
 
 
-def test_exact_path_agrees_with_fixed_step_rk4():
+def test_exact_path_agrees_with_fixed_step_rk4(monkeypatch):
     superop, dm = thermal_combined_kerr()
     grid = TimeGrid(np.linspace(0.0, 20.0, 11))
     exact = evolve(dm, superop, grid)
+
+    def shared(*args, **kwargs):
+        raise AssertionError("RK4 must not read its observables through evolve's weights")
+
+    # a wrong weight or fold would then move only one of the two routes
+    monkeypatch.setattr(EVOLVE, "_KeptObservables", shared)
     fixed = evolve_rk4(dm, superop, grid, dt=1e-3)
     assert exact.path == "expm" and fixed.path is None
     assert exact.amplitudes.shape == fixed.amplitudes.shape == (1, 11)
@@ -420,24 +433,52 @@ def test_trace_gate_rejects_nan():
         evolve(dm, bad, TimeGrid(np.linspace(0.0, 1.0, 3)))
 
 
-def test_sample_blocks_match_the_observables_of_each_snapshot():
+def assert_samples_match_snapshots(superop, dm, lowering, overlap_alpha, overlap_mode):
+    """Every sample's <a_k>, trace, purity and overlap against its snapshot."""
     # 150 samples fill two sample blocks and end inside a third; every
     # sample is also a snapshot, whose matrix gives each observable directly
     assert 2 * EVOLVE.SAMPLE_BLOCK < 150 < 3 * EVOLVE.SAMPLE_BLOCK
-    superop, dm = thermal_combined_kerr()
     times = np.linspace(0.0, 30.0, 150)
     traj = evolve(dm, superop, TimeGrid(times),
-                  EvolveOptions(snapshot_times=tuple(times), overlap_alpha=1.2))
+                  EvolveOptions(snapshot_times=tuple(times), overlap_alpha=overlap_alpha,
+                                overlap_mode=overlap_mode))
     assert [t for t, _ in traj.snapshots] == times.tolist()
-    a = np.diag(np.sqrt(np.arange(1.0, 12.0)), 1)
-    ket = coherent_coeffs(1.2, 12)
+    assert traj.amplitudes.shape == (len(lowering), 150)
+    ket = coherent_coeffs(overlap_alpha, dm.dims.dims[overlap_mode])
     for i, (_, state) in enumerate(traj.snapshots):
-        # a snapshot is rescaled to unit trace; the sampled trace undoes that
-        assert abs(traj.trace[i] - np.trace(state.data).real) < 1e-14
+        # a snapshot is rescaled to unit trace; the sampled trace undoes
+        # that, so a wrong trace would scale every direct value
         rho = state.data * traj.trace[i]
-        direct = (np.trace(a @ rho), np.trace(rho @ rho).real, (ket.conj() @ rho @ ket).real)
-        sampled = (traj.amplitudes[0, i], traj.purity[i], traj.coherent_overlap[i])
+        if dm.dims.n_modes > 1:
+            state = partial_trace(state, overlap_mode)
+        stored = state.data * traj.trace[i]
+        direct = [np.trace(a @ rho) for a in lowering] + [
+            np.trace(rho @ rho).real, (ket.conj() @ stored @ ket).real]
+        sampled = [*traj.amplitudes[:, i], traj.purity[i], traj.coherent_overlap[i]]
         assert np.max(np.abs(np.subtract(sampled, direct))) < 1e-14
+    return traj
+
+
+def test_sample_blocks_match_the_observables_of_each_snapshot():
+    superop, dm = thermal_combined_kerr()
+    a = np.diag(np.sqrt(np.arange(1.0, 12.0)), 1)
+    traj = assert_samples_match_snapshots(superop, dm, [a], 1.2, 0)
+    # this generator keeps the trace to rounding, so each snapshot's trace
+    # before its rescaling is 1
+    assert np.max(np.abs(traj.trace - 1.0)) < 1e-14
+    # two modes, both driven off vacuum by a thermal bath, so every weight
+    # column and both embeddings (optical slow, mechanical fast) are read
+    fig4 = preset("fig4")
+    params = replace(fig4.params, g0=0.05, gamma_c=1e-2, gamma_m=1e-2, bath_temp=3e4)
+    assert 0.02 < params.n_optical() < 0.03
+    a_opt = np.diag(np.sqrt(np.arange(1.0, 3.0)), 1)
+    a_mech = np.diag(np.sqrt(np.arange(1.0, 4.0)), 1)
+    lowering = [np.kron(a_opt, np.eye(4)), np.kron(np.eye(3), a_mech)]
+    for storage_mode in (0, 1):
+        config = replace(fig4, dims=(3, 4), alpha=0.8 + 0.3j, params=params,
+                         storage_mode=storage_mode)
+        superop, dm = build_problem(config)
+        assert_samples_match_snapshots(superop, dm, lowering, config.alpha, storage_mode)
 
 
 def test_trace_gate_names_its_first_offending_time_in_a_later_block():

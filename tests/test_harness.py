@@ -187,6 +187,9 @@ def test_run_config_validation_errors():
         small_run_config(n_samples=50).validate()
     with pytest.raises(ValueError):
         small_run_config(snapshot_times=(100.0,)).validate()
+    # every revival threshold is relative to |<a>(0)|, which is 0 in vacuum
+    with pytest.raises(ValueError, match="alpha must be nonzero"):
+        small_run_config(alpha=0j).validate()
     harmonic_auto = small_run_config()
     harmonic_auto.params = harmonic_auto.params.__class__(
         **{**harmonic_auto.params.__dict__, "k_c": 0.0, "k_m": 0.0}
@@ -269,6 +272,8 @@ def test_config_values_are_not_coerced(key, text):
     pytest.param("fig8", ["sweep.values=1.0,nan"], id="fig8-1.0,nan"),
     pytest.param("fig5", ["sweep.values=1e-5,-1e-3"], id="fig5-1e-5,-1e-3"),
     pytest.param("fig6", ["sweep.values=0.5,inf"], id="fig6-0.5,inf"),
+    # alpha = 0 stores nothing and used to report a perfect revival
+    pytest.param("fig8", ["sweep.values=0,1"], id="fig8-0,1"),
     # the base config is sampled finely enough, the k = 0.5 point is not
     pytest.param("fig6", ["dims=6,", "time.n_samples=400", "time.horizon=1000"],
                  id="fig6-too-coarse"),

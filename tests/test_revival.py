@@ -63,6 +63,16 @@ def test_constant_modulus_is_perfect_revival():
     assert report.classification == "perfect_revival"
 
 
+@pytest.mark.parametrize("start", [0.0, math.nan])
+def test_series_that_does_not_start_positive_is_rejected(start):
+    # every threshold is relative to the first sample; a zero series used to
+    # read as a perfect revival with ratio 0
+    modulus = np.zeros(500)
+    modulus[0] = start
+    with pytest.raises(ValueError, match="must start positive"):
+        detect_revival_series(np.linspace(0.0, 100.0, 500), modulus, t_rev=None)
+
+
 def test_kerr_series_detects_revivals_at_half_period():
     chi, alpha = 0.01, 1.5
     t_rev = revival_time(0.005, 0.005)  # 2 pi / chi
