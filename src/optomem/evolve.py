@@ -20,31 +20,41 @@ plus every block that is its own mirror image (k = 0): 465 of 900
 coordinates for the combined-Kerr presets, 55 of 100 for the two-mode run.
 
 The kept blocks are stored one after another, the self-mirror blocks first.
-L is time-independent, so the kept coordinates go from one event time (a
-sample or snapshot time) to the next by exp(L gap), evaluated exactly to
-double precision on both paths.  When no block is larger than
+L is time-independent, so the kept coordinates go from one sample to the next
+by exp(L h), evaluated exactly to double precision on both paths.  On a grid
+with times[k] == k h bitwise, h = times[1] (``np.linspace`` from 0 gives
+that), one step serves every sample: sample k is the exact state at k h,
+within half an ulp of times[k], and the time error does not build up.  Past
+the longest such prefix, each sample steps by the difference of its sample
+times; these telescope, so the offset stays that of the last lattice time.
+A snapshot at s branches off the chain: exp(L (s - t_k)) applied to the
+state of the last sample t_k <= s (none when s == t_k), so the trajectory
+does not depend on the snapshot times.  When no block is larger than
 :data:`MAX_DENSE_BLOCK`, the propagator is the block diagonal
-(``scipy.sparse.block_diag``) of a dense exp(L_b gap) per kept block;
-propagators for gaps the time grid repeats are cached, one-off gaps (next
-to snapshot times) are built, applied once and dropped.  Otherwise each gap
-applies the action exp(L gap) z with a truncated Taylor series (Al-Mohy &
-Higham, SISC 33, 488, 2011; ``scipy.sparse.linalg.expm_multiply``).  Its
-cost grows with ||L||_1 gap and it cannot fail, so the run is refused up
-front, with :class:`IntegrationFailure`, when that product exceeds
-:data:`MAX_ACTION_NORM`.
+(``scipy.sparse.block_diag``) of a dense exp(L_b gap) per kept block
+(scaling and squaring, Al-Mohy & Higham, SIMAX 31, 970, 2009); propagators
+for gaps that recur are cached, one-off gaps (the snapshot branches) are
+built, applied once and dropped.  Otherwise each gap applies the action
+exp(L gap) z with a truncated Taylor series (Al-Mohy & Higham, SISC 33, 488,
+2011; ``scipy.sparse.linalg.expm_multiply``).  Its cost grows with
+||L||_1 gap and it cannot fail, so the run is refused up front, with
+:class:`IntegrationFailure`, when that product exceeds
+:data:`MAX_ACTION_NORM` for the largest step or branch.
 
-On both paths every state, the initial one included, is re-symmetrised
-(rho <- (rho + rho^dag)/2) on the self-mirror blocks, where its Hermiticity
-deviation is also measured (for rho(0), on every live coordinate); each
-left-out coordinate is the conjugate of its mirror, so every state the
-observables, the trace gate and the snapshots see is exactly Hermitian.
+On both paths every state, the initial one and each snapshot included, is
+re-symmetrised (rho <- (rho + rho^dag)/2) on the self-mirror blocks, where
+its Hermiticity deviation is also measured (for rho(0), on every live
+coordinate); each left-out coordinate is the conjugate of its mirror, so
+every state the observables, the trace gate and the snapshots see is
+exactly Hermitian.
 
-The step loop does only what the chain of states needs: per event it
+The step loop does only what the chain of states needs: per sample it
 propagates, symmetrises, copies the kept vector and the self-mirror slice
 from before the symmetrisation into one row each of a block of
-:data:`SAMPLE_BLOCK` rows, and scatters a full d x d snapshot at snapshot
-times.  When a block fills, and once more at the end, the block is
-evaluated at once on the kept coordinates: each observable Tr(A rho)
+:data:`SAMPLE_BLOCK` rows, and branches off and scatters a full d x d state
+for each snapshot at or after the sample and before the next one.  When a
+block fills, and once more at the end, the block is evaluated at once on
+the kept coordinates: each observable Tr(A rho)
 (<a_k> of every mode, the trace, the coherent overlap) has the weight
 w = A.flatten(C) on vec(rho), folded into w[kept] on the kept vector plus
 w[partners] on the conjugate of its paired part, the purity counts each
@@ -154,8 +164,9 @@ class Trajectory:
 
 
 # Largest symmetry block propagated by a dense exp(L_b gap); a larger block
-# sends the whole run to expm_multiply.  The cached propagators hold
-# sum(s_b^2) entries each and cost O(s_b^3) per distinct gap.  Two-mode
+# sends the whole run to expm_multiply.  A propagator holds sum(s_b^2)
+# entries and costs O(s_b^3) to build: once for the steps of a uniform grid,
+# once per off-grid snapshot.  Two-mode
 # optical storage at (n, 10), 2 000 samples, one thread (2-vCPU Xeon VM),
 # dense blocks vs expm_multiply, wall time and peak RSS: largest block 200:
 # 0.19 s / 84 MB vs 0.80 s / 69 MB; 300: 0.63 s / 110 MB vs 0.98 s / 69 MB;
@@ -314,14 +325,16 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
     the optional coherent overlap.  Of the coordinates returned by
     :func:`live_coordinates`, one block of each conjugate pair of
     :func:`symmetry_blocks` and every self-mirror block are advanced by
-    exp(L gap) from event to event: with cached dense block propagators
+    exp(L gap) from sample to sample: with cached dense block propagators
     when no block exceeds :data:`MAX_DENSE_BLOCK`, and with
     ``expm_multiply`` otherwise.  Full density matrices are stored
     only at ``opts.snapshot_times`` (which must be finite and lie within the
-    grid span).  Raises ValueError when the generator does not preserve
-    Hermiticity, and :class:`IntegrationFailure` when the trace drift is not
-    within :data:`TRACE_DRIFT_LIMIT` or, on the ``expm_multiply`` path,
-    when ||L||_1 times the largest gap exceeds :data:`MAX_ACTION_NORM`.
+    grid span), each branched off the last sample at or before it, so the
+    samples do not depend on them.  Raises ValueError when the generator
+    does not preserve Hermiticity, and :class:`IntegrationFailure` when the
+    trace drift is not within :data:`TRACE_DRIFT_LIMIT` or, on the
+    ``expm_multiply`` path, when ||L||_1 times the largest step or branch
+    exceeds :data:`MAX_ACTION_NORM`.
     """
     opts = opts or EvolveOptions()
     dims = rho0.dims
@@ -361,6 +374,7 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
     partners = mirror[kept[n_self:]]
 
     times = grid.times
+    n_t = times.size
     span = float(times[-1])
     snapshot_times = np.array(sorted(set(float(t) for t in opts.snapshot_times)))
     if np.any(~np.isfinite(snapshot_times) | (snapshot_times < 0) | (snapshot_times > span)):
@@ -368,11 +382,16 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
             f"snapshot times must be finite and lie within the time grid span [0, {span:g}]"
         )
 
-    events = np.unique(np.concatenate([times, snapshot_times]))
-    sampled = np.isin(events, times)
-    snap_set = set(snapshot_times.tolist())
+    # one step h while times[k] == k h bitwise: sample k is then exact at
+    # k h, within half an ulp of times[k], with no time error building up
+    h = times[1] if n_t > 1 else 0.0
+    lattice = np.logical_and.accumulate(times == np.arange(n_t) * h)
+    steps = np.where(lattice[1:], h, np.diff(times))
+    # each snapshot branches off the last sample at or before it
+    base = np.searchsorted(times, snapshot_times, side="right") - 1
+    offsets = snapshot_times - times[base]
+    gaps = np.concatenate([steps, offsets[offsets > 0]])
 
-    gaps = np.diff(events)
     if max(block_sizes) <= MAX_DENSE_BLOCK:
         path = "expm"
         dense = [lmat[idx][:, idx].toarray() for idx in kept_blocks]
@@ -403,13 +422,12 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
         def propagate(zk: np.ndarray, gap: float) -> np.ndarray:
             return expm_multiply(kmat * gap, zk)
 
-    n_ev = events.size
-    amps = np.empty((dims.n_modes, n_ev), dtype=np.complex128)
-    tr = np.empty(n_ev)
-    pur = np.empty(n_ev)
-    ovl = np.empty(n_ev) if opts.overlap_alpha is not None else None
-    # each event's kept state after, and its self-mirror slice before,
-    # symmetrisation; evaluated once per block of events
+    amps = np.empty((dims.n_modes, n_t), dtype=np.complex128)
+    tr = np.empty(n_t)
+    pur = np.empty(n_t)
+    ovl = np.empty(n_t) if opts.overlap_alpha is not None else None
+    # each sample's kept state after, and its self-mirror slice before,
+    # symmetrisation; evaluated once per block of samples
     rows = np.empty((SAMPLE_BLOCK, kept.size), dtype=np.complex128)
     pre = np.empty((SAMPLE_BLOCK, n_self), dtype=np.complex128)
     kept_full = live[kept]
@@ -420,30 +438,39 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
     # rho(0) over every live coordinate: only one of a pair's blocks is kept
     herm_dev = float(np.max(np.abs(z0[live] - z0[live[mirror]].conj())))
     zk = z0[kept_full]
-    t_prev = 0.0
+    branches: dict[int, list[tuple[float, float]]] = {}
+    for s, k, offset in zip(snapshot_times.tolist(), base.tolist(), offsets.tolist()):
+        branches.setdefault(k, []).append((s, offset))
 
-    for start in range(0, n_ev, SAMPLE_BLOCK):
-        block = events[start:start + SAMPLE_BLOCK]
-        for j, t in enumerate(block.tolist()):
-            if t > 0.0:
-                zk = propagate(zk, t - t_prev)
-                t_prev = t
-            # only self-mirror blocks hold both rho_ij and rho_ji among the
-            # kept coordinates; each other kept block's mirror is its conjugate
+    def symmetrise(z: np.ndarray) -> None:
+        # only self-mirror blocks hold both rho_ij and rho_ji among the kept
+        # coordinates; each other kept block's mirror is its conjugate
+        z[:n_self] = 0.5 * (z[:n_self] + z[self_dag].conj())
+
+    for start in range(0, n_t, SAMPLE_BLOCK):
+        stop = min(start + SAMPLE_BLOCK, n_t)
+        for j, i in enumerate(range(start, stop)):
+            if i:
+                zk = propagate(zk, steps[i - 1])
             pre[j] = zk[:n_self]
-            zk[:n_self] = 0.5 * (zk[:n_self] + zk[self_dag].conj())
+            symmetrise(zk)
             rows[j] = zk
-            if t in snap_set:
+            for s, offset in branches.get(i, ()):
+                zs = zk
+                if offset > 0.0:
+                    zs = propagate(zk, offset)
+                    dev = float(np.max(np.abs(zs[:n_self] - zs[self_dag].conj())))
+                    herm_dev = max(herm_dev, dev)
+                    symmetrise(zs)
                 full = np.zeros(m, dtype=np.complex128)
-                full[kept_full] = zk
-                full[partners_full] = zk[n_self:].conj()
+                full[kept_full] = zs
+                full[partners_full] = zs[n_self:].conj()
                 # Hermitian exactly as it stands; C order like every operator
                 # the package builds, so reductions over its entries sum in
                 # one order
-                snapshots.append((t, np.ascontiguousarray(unvec(full, d))))
+                snapshots.append((s, np.ascontiguousarray(unvec(full, d))))
 
-        k = block.size
-        stop = start + k
+        k = stop - start
         dev = float(np.max(np.abs(pre[:k] - pre[:k, self_dag].conj())))
         if dev > herm_dev:
             herm_dev = dev
@@ -452,26 +479,25 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
             ovl[start:stop] = overlap
         # written so that a NaN drift fails the gate
         drift = np.abs(tr[start:stop] - 1.0)
-        bad = np.flatnonzero(sampled[start:stop] & ~(drift <= TRACE_DRIFT_LIMIT))
+        bad = np.flatnonzero(~(drift <= TRACE_DRIFT_LIMIT))
         if bad.size:
             raise IntegrationFailure(
-                f"trace drifted by {drift[bad[0]]:.3e} at t={block[bad[0]]:.6g} "
+                f"trace drifted by {drift[bad[0]]:.3e} at t={times[start + bad[0]]:.6g} "
                 f"(limit {TRACE_DRIFT_LIMIT:.1e})"
             )
 
-    tr = tr[sampled]
     return Trajectory(
         times=times.copy(),
-        amplitudes=amps[:, sampled],
+        amplitudes=amps,
         trace=tr,
-        purity=pur[sampled],
-        coherent_overlap=ovl[sampled] if ovl is not None else None,
+        purity=pur,
+        coherent_overlap=ovl,
         # wrapped only now, so that a failing trace gate is what a broken
         # run raises, not a later snapshot's check
         snapshots=[(t, DensityMatrix(QOperator(dims, rho))) for t, rho in snapshots],
         max_hermiticity_error=herm_dev,
         max_trace_drift=float(np.max(np.abs(tr - 1.0))),
-        n_steps=events.size - 1,
+        n_steps=gaps.size,
         n_live=n,
         path=path,
         block_sizes=block_sizes,

@@ -416,10 +416,80 @@ def test_repeated_gaps_reuse_cached_propagators(monkeypatch):
                         lambda dense, gap: built.append(gap) or original(dense, gap))
     grid = TimeGrid(np.arange(9) * 0.5)
     traj = evolve(dm, superop, grid, EvolveOptions(snapshot_times=(1.2,)))
-    # eight gaps of 0.5, one split by the snapshot: 0.5 is built once and
-    # cached, each one-off gap is built for its single use
+    # eight steps of 0.5 along the samples, built once and cached, and one
+    # branch from the sample at 1.0 to the snapshot, built for its single use
     assert traj.n_steps == 9
-    assert sorted(built) == sorted([1.2 - 1.0, 1.5 - 1.2, 0.5])
+    assert sorted(built) == sorted([1.2 - 1.0, 0.5])
+
+
+@pytest.mark.parametrize("max_dense_block, path", [(300, "expm"), (0, "expm_multiply")])
+def test_trajectory_does_not_depend_on_snapshots(monkeypatch, max_dense_block, path):
+    # snapshots branch off the sample chain, so asking for them, on sample
+    # times or between them, moves no bit of any sampled observable
+    monkeypatch.setattr(EVOLVE, "MAX_DENSE_BLOCK", max_dense_block)
+    superop, dm = thermal_combined_kerr()
+    times = np.linspace(0.0, 30.0, 150)
+    grid = TimeGrid(times)
+    plain = evolve(dm, superop, grid, EvolveOptions(overlap_alpha=1.2))
+    for snapshot_times in ((times[3], times[70], 30.0), (0.1, 7.7, 29.99), (0.0, 7.7, times[99])):
+        traj = evolve(dm, superop, grid,
+                      EvolveOptions(snapshot_times=snapshot_times, overlap_alpha=1.2))
+        assert traj.path == plain.path == path
+        assert [t for t, _ in traj.snapshots] == sorted(snapshot_times)
+        for name in ("amplitudes", "trace", "purity", "coherent_overlap"):
+            assert np.array_equal(getattr(traj, name), getattr(plain, name))
+        assert traj.max_trace_drift == plain.max_trace_drift
+        off_grid = np.count_nonzero(~np.isin(snapshot_times, times))
+        assert traj.n_steps == plain.n_steps + off_grid == 149 + off_grid
+
+
+def test_off_grid_snapshots_match_damped_kerr_closed_form(fig2_result):
+    # each off-grid snapshot is a branch of its own length off the sample
+    # before it; its <a> holds the closed form at its own time
+    traj, _ = fig2_result
+    config = preset("fig2-combined")
+    params = config.params
+    a = np.diag(np.sqrt(np.arange(1.0, 30.0)), 1)
+    off_grid = [(t, state) for t, state in traj.snapshots if t not in traj.times]
+    assert len(off_grid) == 14
+    for t, state in off_grid:
+        closed = kerr_amplitude_closed_form(config.alpha, params.omega_m, params.k_c + params.k_m,
+                                            np.array([t]), params.gamma_m)[0]
+        assert abs(np.trace(a @ state.data) - closed) < 1e-12
+
+
+def test_one_propagator_per_uniform_grid(monkeypatch):
+    # every preset grid is k * times[1] bitwise: one build for the sample
+    # chain, plus one per off-grid snapshot
+    built = []
+    original = EVOLVE._block_exp
+    monkeypatch.setattr(EVOLVE, "_block_exp",
+                        lambda dense, gap: built.append(gap) or original(dense, gap))
+    for config, n_built, n_steps in ((preset("fig2-combined"), 15, 2013),
+                                     (preset("fig4"), 1, 1999),
+                                     (preset("fig7").point_config(3.0), 1, 1999)):
+        built.clear()
+        traj, _ = simulate(config)
+        assert len(built) == n_built and traj.n_steps == n_steps
+        assert built[0] == traj.times[1]
+
+
+def test_grid_whose_uniform_prefix_ends_agrees_with_rk4(monkeypatch):
+    # after the lattice prefix each sample steps by the difference of its
+    # sample times
+    built = []
+    original = EVOLVE._block_exp
+    monkeypatch.setattr(EVOLVE, "_block_exp",
+                        lambda dense, gap: built.append(gap) or original(dense, gap))
+    superop, dm = thermal_combined_kerr()
+    grid = TimeGrid(np.r_[np.arange(5) * 0.5, 2.3, 2.9])
+    exact = evolve(dm, superop, grid)
+    fixed = evolve_rk4(dm, superop, grid, dt=1e-3)
+    assert sorted(built) == sorted([0.5, 2.3 - 2.0, 2.9 - 2.3])
+    assert exact.n_steps == 6
+    for a, b in ((exact.amplitudes, fixed.amplitudes), (exact.purity, fixed.purity),
+                 (exact.trace, fixed.trace)):
+        assert np.max(np.abs(a - b)) < 1e-9
 
 
 def test_trace_gate_rejects_nan():

@@ -236,6 +236,14 @@ def test_cli_non_finite_snapshot_writes_nothing(tmp_path):
     assert not out.exists()
 
 
+def test_cli_simulate_refuses_a_snapshot_outside_the_horizon(tmp_path):
+    # simulate writes no grids, but its config is still checked whole
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="snapshot times"):
+        main(["simulate", "--preset", "fig4", "--out", str(out), "--override", "snapshots=1000"])
+    assert not out.exists()
+
+
 def test_wigner_mode_validation():
     # anything but "storage" or an in-range index fails before any evolution
     for bad in ("foo", 2, -1, 1.0, True):
@@ -703,3 +711,31 @@ def test_cli_simulate_fig4_at_the_reference_bath_temperature(tmp_path):
                "--override", "params.bath_temp=0.03"])
     assert rc == 0
     assert (tmp_path / "out" / "revival_report.json").exists()
+
+
+def test_artifact_diff_counts_values_and_largest_difference(tmp_path, capsys):
+    path = Path(__file__).resolve().parents[1] / "tools" / "artifact_diff.py"
+    spec = importlib.util.spec_from_file_location("artifact_diff", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    files = {
+        "run/trajectory.csv": ("t,x,c\n1.0e+00,2.0,ok\n", "t,x,c\n1.00e+00,2.5,bad\n"),
+        "run/revival_report.json": ('{"q": {"n": 1, "r": 0.5, "s": "a"}}',
+                                    '{"q": {"n": 1, "r": 0.75, "s": "b"}}'),
+        "wigner.dat": ("1 2\n3 4\n", "1 2\n3 4.25\n"),
+        "config.txt": ("a = 1\n", "a = 1\n"),
+    }
+    for side, root in enumerate((tmp_path / "a", tmp_path / "b")):
+        for rel, texts in files.items():
+            (root / rel).parent.mkdir(parents=True, exist_ok=True)
+            (root / rel).write_text(texts[side])
+    (tmp_path / "a" / "gone.txt").write_text("x\n")
+    assert tool.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    # a cell equal as a number but not as text does not differ
+    assert capsys.readouterr().out.splitlines() == [
+        f"only in {tmp_path / 'a'}  gone.txt",
+        "2/3  max |diff| 2.500e-01  changed: q.s a -> b  run/revival_report.json",
+        "2/6  max |diff| 5.000e-01  changed: 2:3 ok -> bad  run/trajectory.csv",
+        "1/4  max |diff| 2.500e-01  wigner.dat",
+    ]
+    assert tool.main([str(tmp_path / "a"), str(tmp_path / "a")]) == 0
