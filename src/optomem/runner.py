@@ -16,8 +16,14 @@ each worker renders and writes one part's grids.
 
 All numeric output is rendered with ``%.9e`` (JSON floats are rounded to the
 same precision) so repeated runs of one config are byte-identical, at any
-``threads``.  The ``a``/``b`` columns hold ``Trajectory.amplitudes[0]``/
-``[1]``; a one-mode (combined) run has zeros in the ``b`` columns.
+``threads``.  The trajectory and grid bodies are rendered in one vectorised
+pass (``_render``): numpy computes each cell's 10-digit significand, which
+is provably the correctly rounded one unless the cell lies within 1e-5 of a
+rounding tie, and hands those cells and the rare non-finite or extreme ones
+to Python's ``'%.9e' %``; the text is byte for byte Python's.
+
+The ``a``/``b`` columns hold ``Trajectory.amplitudes[0]``/``[1]``; a
+one-mode (combined) run has zeros in the ``b`` columns.
 """
 
 from __future__ import annotations
@@ -84,6 +90,85 @@ def _round9(x: float) -> float:
     return float(f"{x:.9e}")
 
 
+# _POW10[e + 100] is 10**(9 - e), parsed from its decimal text and so
+# correctly rounded; _ASCII3[n] holds the three digits of n, zero padded, and
+# _EXP_TEXT[e + 99] the text "e+dd" or "e-dd" of an exponent e.  _ASCII3 is
+# built without integer division, whose first use pages in about 150 kB of
+# numpy code.
+_POW10 = np.array([float(f"1e{9 - e}") for e in range(-100, 101)])
+_DIGITS = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+_ASCII3 = np.stack(
+    [np.repeat(_DIGITS, 100), np.tile(np.repeat(_DIGITS, 10), 10), np.tile(_DIGITS, 100)], axis=1
+)
+_EXP_TEXT = np.array([list(f"e{e:+03d}".encode()) for e in range(-99, 100)], dtype=np.uint8)
+# a fast cell's slot: sign, d.ddddddddd, e+dd, separator; one spare byte
+# fits a fallback cell's three-digit exponent
+_SLOT = 18
+
+
+def _render(values, sep: str) -> bytes:
+    """The rows of a 2-d float array as ``%.9e`` cells joined by ``sep``.
+
+    Each row ends with ``"\\n"``, and every cell is byte for byte
+    ``'%.9e' % v``.  A cell with ``1e-99 <= |v| < 1e100`` or ``v == 0``
+    takes the vectorised path.  There ``e = floor(log10|v|)`` and
+    ``q = |v| * 10**(9 - e)``, and ``rint(q)`` is the 10-digit significand;
+    a significand of ``1e10`` becomes ``1e9`` with exponent ``e + 1``.
+
+    Why that is exact: the table power and the product are each correctly
+    rounded, so ``q`` is within a relative 2**-52 of ``|v| * 10**(9 - e)``,
+    i.e. within 2.3e-6.  ``rint(q)`` is therefore the correctly rounded
+    significand unless ``q`` lies that close to a half-integer; cells within
+    1e-5 of one go to Python's ``'%.9e' %``, as do exact decimal ties.  An
+    ``e`` that ``log10`` misses by one puts ``|v|`` within a relative 1e-12
+    of a power of ten, so ``q`` lies within 1e-2 of ``1e9`` or ``1e10`` and
+    gives the same digits and exponent.  Non-finite values, values outside the
+    range and three-digit exponents also go to Python.  That leaves about
+    2e-5 of random values in range, about one cell of a Wigner grid.
+    """
+    values = np.asarray(values, dtype=float)
+    n_rows, n_cols = values.shape
+    v = values.ravel()
+    mag = np.abs(v)
+    in_range = (mag >= 1e-99) & (mag < 1e100)
+    fast = in_range | (mag == 0.0)
+    mag = np.where(in_range, mag, 1.0)
+    e = np.floor(np.log10(mag)).astype(np.int64)
+    q = np.where(in_range, mag * _POW10[e + 100], 0.0)
+    sig = np.rint(q)
+    fast &= np.abs(np.abs(q - sig) - 0.5) > 1e-5
+    sig = sig.astype(np.int64)
+    carry = sig == 10**10
+    sig[carry] = 10**9
+    e += carry
+    fast &= np.abs(e) < 100
+
+    slots = np.empty((v.size, _SLOT), dtype=np.uint8)
+    slots[:, 0] = ord("-")
+    for col in (9, 6, 3):
+        sig, group = np.divmod(sig, 1000)
+        slots[:, col:col + 3] = np.take(_ASCII3, group, axis=0)
+    slots[:, 1] = sig + ord("0")
+    slots[:, 2] = ord(".")
+    slots[:, 12:16] = np.take(_EXP_TEXT, e + 99, axis=0, mode="clip")
+    ends = np.full(n_cols, ord(sep), dtype=np.uint8)
+    ends[-1] = ord("\n")
+    slots[:, 16] = np.tile(ends, n_rows)
+    keep = np.ones((v.size, _SLOT), dtype=bool)
+    keep[:, 0] = np.signbit(v)
+    keep[:, 17] = False
+
+    slow = np.flatnonzero(~fast)
+    text = np.array(list(map("%.9e".__mod__, v[slow].tolist())), dtype=f"S{_SLOT}")
+    text = text.view(np.uint8).reshape(-1, _SLOT)
+    width = np.count_nonzero(text, axis=1)
+    cell_ends = slots[slow, 16]
+    slots[slow] = text
+    slots[slow, width] = cell_ends
+    keep[slow] = np.arange(_SLOT) <= width[:, None]
+    return slots[keep].tobytes()
+
+
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
     a = traj.amplitudes[0]
     b = traj.amplitudes[1] if len(traj.amplitudes) > 1 else np.zeros_like(a)
@@ -97,10 +182,8 @@ def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
         traj.trace, traj.purity,
         ovl if ovl is not None else np.zeros(len(traj.times)),
     ]
-    row = ",".join(["%.9e"] * len(columns))
-    lines = ["t,re_a,im_a,abs_a,re_b,im_b,abs_b,trace,purity,coherent_overlap"]
-    lines.extend(row % cells for cells in zip(*(c.tolist() for c in columns)))
-    path.write_text("\n".join(lines) + "\n")
+    header = b"t,re_a,im_a,abs_a,re_b,im_b,abs_b,trace,purity,coherent_overlap\n"
+    path.write_bytes(header + _render(np.column_stack(columns), ","))
 
 
 def read_trajectory_csv(path: Path) -> dict[str, np.ndarray]:
@@ -140,27 +223,25 @@ def write_report_json(path: Path, report: RevivalReport, traj: Trajectory) -> No
 
 def write_wigner_field(path: Path, field: WignerField) -> None:
     g = field.grid
-    lines = [
-        f"{_f(g.x_min)} {_f(g.x_max)} {g.nx}",
-        f"{_f(g.p_min)} {_f(g.p_max)} {g.np}",
-    ]
+    header = f"{_f(g.x_min)} {_f(g.x_max)} {g.nx}\n{_f(g.p_min)} {_f(g.p_max)} {g.np}\n"
     # one row per p sample, nx columns per row
-    row = " ".join(["%.9e"] * g.nx)
-    for j in range(g.np):
-        lines.append(row % tuple(field.values[:, j].tolist()))
-    path.write_text("\n".join(lines) + "\n")
+    path.write_bytes(header.encode() + _render(field.values.T, " "))
 
 
 def read_wigner_field(path: Path) -> WignerField:
-    lines = path.read_text().strip().splitlines()
-    x_min, x_max, nx = lines[0].split()
-    p_min, p_max, np_ = lines[1].split()
-    grid = PhaseSpaceGrid(
-        float(x_min), float(x_max), float(p_min), float(p_max), int(nx), int(np_)
-    )
-    rows = np.array([[float(v) for v in line.split()] for line in lines[2:]])
+    """A grid file as ``write_wigner_field`` writes it; ValueError if malformed."""
+    with open(path) as fh:
+        header = [fh.readline().split() for _ in range(2)]
+    try:
+        (x_min, x_max, nx), (p_min, p_max, np_) = header
+        grid = PhaseSpaceGrid(
+            float(x_min), float(x_max), float(p_min), float(p_max), int(nx), int(np_)
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad grid file header: {exc}") from exc
+    rows = np.loadtxt(path, skiprows=2, ndmin=2)
     if rows.shape != (grid.np, grid.nx):
-        raise ValueError(f"grid file body {rows.shape} does not match header")
+        raise ValueError(f"{path}: grid file body {rows.shape} does not match header")
     return WignerField(grid, rows.T)
 
 

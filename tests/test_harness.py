@@ -38,7 +38,7 @@ from optomem.runner import (
     write_wigner_field,
 )
 from optomem.states import coherent_overlap, product_dm, coherent_ket, vacuum_ket
-from optomem.wigner import PhaseSpaceGrid, WignerField
+from optomem.wigner import PhaseSpaceGrid, WignerField, wigner
 
 
 def small_run_config(**kw) -> RunConfig:
@@ -661,14 +661,34 @@ def _f(x) -> str:
     return f"{x:.9e}"
 
 
+def _grid_text(field: WignerField) -> str:
+    """A grid file as written one Python-formatted value at a time."""
+    g = field.grid
+    lines = [f"{_f(g.x_min)} {_f(g.x_max)} {g.nx}", f"{_f(g.p_min)} {_f(g.p_max)} {g.np}"]
+    lines += [" ".join(_f(v) for v in field.values[:, j]) for j in range(g.np)]
+    return "\n".join(lines) + "\n"
+
+
+def _csv_text(traj: Trajectory) -> str:
+    """A trajectory CSV as written one Python-formatted value at a time."""
+    lines = ["t,re_a,im_a,abs_a,re_b,im_b,abs_b,trace,purity,coherent_overlap"]
+    for i in range(traj.times.size):
+        # a one-mode run has no b amplitude: its b columns are zeros
+        a = traj.amplitudes[0, i]
+        b = traj.amplitudes[1, i] if len(traj.amplitudes) > 1 else 0j
+        ovl = traj.coherent_overlap[i] if traj.coherent_overlap is not None else 0.0
+        lines.append(",".join(_f(v) for v in (
+            traj.times[i], a.real, a.imag, abs(a), b.real, b.imag, abs(b),
+            traj.trace[i], traj.purity[i], ovl)))
+    return "\n".join(lines) + "\n"
+
+
 def test_write_wigner_field_matches_per_value_format(tmp_path):
     grid = PhaseSpaceGrid(-1.5, 2.0, -0.5, 0.25, 4, 3)
-    values = np.array(AWKWARD + AWKWARD[::-1][:4]).reshape(4, 3)
+    field = WignerField(grid, np.array(AWKWARD + AWKWARD[::-1][:4]).reshape(4, 3))
     path = tmp_path / "w.dat"
-    write_wigner_field(path, WignerField(grid, values))
-    lines = [f"{_f(-1.5)} {_f(2.0)} 4", f"{_f(-0.5)} {_f(0.25)} 3"]
-    lines += [" ".join(_f(v) for v in values[:, j]) for j in range(3)]
-    assert path.read_text() == "\n".join(lines) + "\n"
+    write_wigner_field(path, field)
+    assert path.read_text() == _grid_text(field)
 
 
 @pytest.mark.parametrize("with_overlap, n_modes", [
@@ -693,15 +713,67 @@ def test_write_trajectory_csv_matches_per_value_format(tmp_path, with_overlap, n
     )
     path = tmp_path / "t.csv"
     write_trajectory_csv(path, traj)
-    lines = ["t,re_a,im_a,abs_a,re_b,im_b,abs_b,trace,purity,coherent_overlap"]
-    for i in range(n):
-        # a one-mode run has no b amplitude: its b columns are zeros
-        a, b = traj.amplitudes[0, i], traj.amplitudes[1, i] if n_modes == 2 else 0j
-        ovl = traj.coherent_overlap[i] if with_overlap else 0.0
-        lines.append(",".join(_f(v) for v in (
-            traj.times[i], a.real, a.imag, abs(a), b.real, b.imag, abs(b),
-            traj.trace[i], traj.purity[i], ovl)))
-    assert path.read_text() == "\n".join(lines) + "\n"
+    assert path.read_text() == _csv_text(traj)
+
+
+# a header-only file makes np.loadtxt warn before the shape check refuses it
+@pytest.mark.filterwarnings("ignore:loadtxt:UserWarning")
+def test_read_wigner_field_parses_like_float_and_rejects_a_malformed_file(tmp_path):
+    grid = PhaseSpaceGrid(-1.5, 2.0, -0.5, 0.25, 4, 3)
+    path = tmp_path / "w.dat"
+    write_wigner_field(path, WignerField(grid, np.array(AWKWARD + AWKWARD[:4]).reshape(4, 3)))
+    lines = path.read_text().splitlines()
+    cells = np.array([[float(v) for v in line.split()] for line in lines[2:]])
+    assert read_wigner_field(path).values.tobytes() == cells.T.tobytes()
+    for text in ("", lines[0] + "\n", "\n".join(lines[:2]) + "\n", "\n".join(lines[:-1]) + "\n"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            read_wigner_field(path)
+
+
+def test_writers_match_per_value_format_on_reference_runs(tmp_path, fig2_result, fig4_result):
+    traj = fig2_result[0]
+    field = wigner(dict(traj.snapshots)[79.0], preset("fig2-combined").wigner_grid)
+    write_wigner_field(tmp_path / "w.dat", field)
+    assert (tmp_path / "w.dat").read_text() == _grid_text(field)
+    write_trajectory_csv(tmp_path / "t.csv", fig4_result[0])
+    assert (tmp_path / "t.csv").read_text() == _csv_text(fig4_result[0])
+
+
+def _near_ties(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Doubles nearest to n random 10-digit half-way points, and +-40 ulps around them."""
+    digits = rng.integers(10**9, 10**10, n)
+    exps = rng.integers(-99, 100, n)
+    ties = np.array([float(f"{d}5e{e - 10}") for d, e in zip(digits.tolist(), exps.tolist())])
+    ulps = np.arange(-40, 41)
+    return (ties[:, None] + ulps * np.spacing(ties)[:, None]).ravel()
+
+
+def test_render_matches_per_value_format():
+    rng = np.random.default_rng(20100605)
+    powers2 = np.ldexp(1.0, np.arange(-1074, 1024))
+    powers10 = np.array([float(f"1e{k}") for k in range(-323, 308)])
+    edges = np.concatenate([powers10, 9.9999999995 * powers10])
+    special = [
+        0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+        np.nan, -np.nan, np.inf, -np.inf, 1e100, -1e-100, 9.99999999949e99,
+        1.7976931348623157e308, 2.0**-15, 12345678905.0, 1.00000000005,
+    ]
+    random_bits = rng.integers(0, 2**64, size=400_000, dtype=np.uint64).view(float)
+    chosen = np.concatenate([
+        powers2, -powers2,
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
+        9.9999999995 + np.arange(-1000, 1000) * np.spacing(9.9999999995),
+        _near_ties(rng, 500),
+        rng.integers(1, 2**52, size=2000, dtype=np.uint64).view(float),  # subnormals
+        special,
+    ])
+    # the random patterns in rows of 20 cells, the chosen values as one column
+    for values in (random_bits.reshape(-1, 20), chosen.reshape(-1, 1)):
+        rows = [list(map("%.9e".__mod__, row)) for row in values.tolist()]
+        for sep in (" ", ","):
+            expected = "".join(sep.join(row) + "\n" for row in rows).encode()
+            assert runner._render(values, sep) == expected
 
 
 def test_cli_simulate_fig4_at_the_reference_bath_temperature(tmp_path):
