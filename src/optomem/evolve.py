@@ -34,7 +34,12 @@ does not depend on the snapshot times.  When no block is larger than
 (``scipy.sparse.block_diag``) of a dense exp(L_b gap) per kept block
 (scaling and squaring, Al-Mohy & Higham, SIMAX 31, 970, 2009); propagators
 for gaps that recur are cached, one-off gaps (the snapshot branches) are
-built, applied once and dropped.  Otherwise each gap applies the action
+built, applied once and dropped.  On this path the lattice also serves
+whole blocks of :data:`SAMPLE_BLOCK` samples: each block of samples after
+the first that lies within the lattice prefix is exp(L times[SAMPLE_BLOCK])
+(bitwise SAMPLE_BLOCK h) applied to the block before it, one dense product
+per kept block, so at most SAMPLE_BLOCK - 1 steps and n_t / SAMPLE_BLOCK
+jumps separate a sample from rho(0).  Otherwise each gap applies the action
 exp(L gap) z with a truncated Taylor series (Al-Mohy & Higham, SISC 33, 488,
 2011; ``scipy.sparse.linalg.expm_multiply``).  Its cost grows with
 ||L||_1 gap and it cannot fail, so the run is refused up front, with
@@ -48,13 +53,14 @@ coordinate); each left-out coordinate is the conjugate of its mirror, so
 every state the observables, the trace gate and the snapshots see is
 exactly Hermitian.
 
-The step loop does only what the chain of states needs: per sample it
-propagates, symmetrises, copies the kept vector and the self-mirror slice
-from before the symmetrisation into one row each of a block of
-:data:`SAMPLE_BLOCK` rows, and branches off and scatters a full d x d state
-for each snapshot at or after the sample and before the next one.  When a
-block fills, and once more at the end, the block is evaluated at once on
-the kept coordinates: each observable Tr(A rho)
+The loop fills one block of :data:`SAMPLE_BLOCK` rows at a time with the
+kept vectors of its samples, after symmetrisation, and the self-mirror
+slices from before it: by one jump of the whole block where it lies within
+the lattice prefix on the dense path, else sample by sample, each row
+propagated from the one before.  It then branches off and scatters a full
+d x d state for each snapshot at or after a sample of the block and before
+the next sample, and evaluates the block at once on the kept coordinates:
+each observable Tr(A rho)
 (<a_k> of every mode, the trace, the coherent overlap) has the weight
 w = A.flatten(C) on vec(rho), folded into w[kept] on the kept vector plus
 w[partners] on the conjugate of its paired part, the purity counts each
@@ -148,9 +154,11 @@ class Trajectory:
     snapshots: list[tuple[float, DensityMatrix]] = field(default_factory=list)
     max_hermiticity_error: float = 0.0
     max_trace_drift: float = 0.0
-    # propagator applications (RK4: substeps); no step is ever rejected, so
-    # n_rejected is always 0, kept for the report's quality record and for
-    # the benchmark, which reads it
+    # samples advanced past t = 0, stepped or jumped, plus off-grid snapshot
+    # branches: the propagator applications of a sample-by-sample chain
+    # (RK4: substeps); no step is ever rejected, so n_rejected is always 0,
+    # kept for the report's quality record and for the benchmark, which
+    # reads it
     n_steps: int = 0
     n_rejected: int = 0
     # live coordinates of vec(rho), the propagation path ("expm" or
@@ -165,13 +173,14 @@ class Trajectory:
 
 # Largest symmetry block propagated by a dense exp(L_b gap); a larger block
 # sends the whole run to expm_multiply.  A propagator holds sum(s_b^2)
-# entries and costs O(s_b^3) to build: once for the steps of a uniform grid,
-# once per off-grid snapshot.  Two-mode
-# optical storage at (n, 10), 2 000 samples, one thread (2-vCPU Xeon VM),
+# entries and costs O(s_b^3) to build: twice for a uniform grid (the step
+# and the block jump), once per off-grid snapshot.  Two-mode optical storage
+# at (n, 10), 2 000 samples, one thread (2-vCPU Xeon VM), `simulate` with
 # dense blocks vs expm_multiply, wall time and peak RSS: largest block 200:
-# 0.19 s / 84 MB vs 0.80 s / 69 MB; 300: 0.63 s / 110 MB vs 0.98 s / 69 MB;
-# 400: 1.3 s / 154 MB vs 1.2 s / 70 MB; 500: 2.5 s / 227 MB vs 1.4 s /
-# 71 MB; 600: 4.4 s / 318 MB vs 1.8 s / 71 MB.
+# 0.11 s / 78 MB vs 2.6 s / 70 MB; 300: 0.33 s / 90 MB vs 2.8 s / 70 MB;
+# 400: 0.67 s / 108 MB vs 3.3 s / 72 MB; 500: 1.4 s / 132 MB vs 4.0 s /
+# 74 MB; 600: 2.4 s / 165 MB vs 5.3 s / 76 MB.  expm_multiply varies most
+# between runs: 1.6 to 2.6 s at 200.
 MAX_DENSE_BLOCK = 300
 
 # Largest ||L||_1 * gap that expm_multiply is asked to cross.  One gap costs
@@ -182,26 +191,25 @@ MAX_DENSE_BLOCK = 300
 MAX_ACTION_NORM = 1e3
 
 # Largest |Tr rho(t) - 1| a run may reach.  Both paths are exact, so a
-# trace-preserving generator stays at rounding level (<= 8.3e-14 on the presets).
+# trace-preserving generator stays at rounding level (<= 3.3e-15 on the presets).
 TRACE_DRIFT_LIMIT = 1e-4
 
-# Events whose kept states are held and then evaluated together: their
-# observables, Hermiticity deviation and trace gate.  One thread (2-vCPU Xeon
-# VM), median of 7 `simulate` calls, blocks of 1 / 8 / 16 / 64 / 256 events:
-# fig4 146 / 83 / 79 / 64 / 74 ms, fig2-combined 390 / 301 / 308 / 272 /
-# 310 ms.  At 64 the block holds 64 x 465 complex entries (0.5 MB) on the
-# combined presets; the peak RSS of `simulate --preset fig4` (73.1 MB) and
-# `wigner-snapshots --preset fig2-combined` (85.3 MB) does not move.
+# Samples whose kept states are held and then evaluated together: their
+# observables, Hermiticity deviation and trace gate.  It also sets the jump
+# length of the dense path, where each block of samples within the lattice
+# prefix, after the first, is exp(L times[SAMPLE_BLOCK]) applied to the block
+# before it.  One thread (2-vCPU Xeon VM), median of 7 `simulate` calls,
+# blocks of 1 / 8 / 16 / 64 / 256 samples: fig4 215 / 58 / 34 / 37 / 44 ms,
+# fig2-combined 487 / 188 / 158 / 132 / 146 ms.  At 64 the block holds
+# 64 x 465 complex entries (0.5 MB) on the combined presets; the peak RSS of
+# `simulate --preset fig4` is 73.4 MB and of `wigner-snapshots --preset
+# fig2-combined` 71.9 MB.
 SAMPLE_BLOCK = 64
 
 
-def _block_exp(dense: list[np.ndarray], gap: float) -> sp.csr_matrix:
-    """exp(L gap) for L = block_diag(dense): one dense expm per block.
-
-    Every entry of each block, exact zeros included, is stored row by row,
-    so a row of the product sums its block's columns in increasing order.
-    """
-    return sp.block_diag([scipy.linalg.expm(block * gap) for block in dense], format="csr")
+def _block_exp(dense: list[np.ndarray], gap: float) -> list[np.ndarray]:
+    """exp(L_b gap) of each block L_b of ``dense``: one dense expm per block."""
+    return [scipy.linalg.expm(block * gap) for block in dense]
 
 
 class _KeptObservables:
@@ -326,7 +334,8 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
     :func:`live_coordinates`, one block of each conjugate pair of
     :func:`symmetry_blocks` and every self-mirror block are advanced by
     exp(L gap) from sample to sample: with cached dense block propagators
-    when no block exceeds :data:`MAX_DENSE_BLOCK`, and with
+    when no block exceeds :data:`MAX_DENSE_BLOCK`, which also advance each
+    later block of :data:`SAMPLE_BLOCK` lattice samples at once, and with
     ``expm_multiply`` otherwise.  Full density matrices are stored
     only at ``opts.snapshot_times`` (which must be finite and lie within the
     grid span), each branched off the last sample at or before it, so the
@@ -402,10 +411,25 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
         def propagate(zk: np.ndarray, gap: float) -> np.ndarray:
             prop = cache.get(gap)
             if prop is None:
-                prop = _block_exp(dense, gap)
+                # every entry of each block, exact zeros included, is stored
+                # row by row, so a row of the product sums its block's
+                # columns in increasing order
+                prop = sp.block_diag(_block_exp(dense, gap), format="csr")
                 if gap in repeated:
                     cache[gap] = prop
             return prop @ zk
+
+        ends = np.cumsum([idx.size for idx in kept_blocks]).tolist()
+        spans = list(zip([0, *ends[:-1]], ends))
+        jump_blocks: list[np.ndarray] = []
+
+        def jump(block: np.ndarray) -> None:
+            # each row becomes the sample SAMPLE_BLOCK after it: one dense
+            # product with exp(L_b times[SAMPLE_BLOCK]) per kept block
+            if not jump_blocks:
+                jump_blocks.extend(_block_exp(dense, times[SAMPLE_BLOCK]))
+            for (a, b), prop in zip(spans, jump_blocks):
+                block[:, a:b] = block[:, a:b] @ prop.T
     else:
         path = "expm_multiply"
         kmat = lmat[kept][:, kept]
@@ -422,6 +446,10 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
         def propagate(zk: np.ndarray, gap: float) -> np.ndarray:
             return expm_multiply(kmat * gap, zk)
 
+        # sample by sample only: a jump would cross SAMPLE_BLOCK steps at
+        # once, so MAX_ACTION_NORM would refuse runs it admits for one step
+        jump = None
+
     amps = np.empty((dims.n_modes, n_t), dtype=np.complex128)
     tr = np.empty(n_t)
     pur = np.empty(n_t)
@@ -437,7 +465,6 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
     snapshots: list[tuple[float, np.ndarray]] = []
     # rho(0) over every live coordinate: only one of a pair's blocks is kept
     herm_dev = float(np.max(np.abs(z0[live] - z0[live[mirror]].conj())))
-    zk = z0[kept_full]
     branches: dict[int, list[tuple[float, float]]] = {}
     for s, k, offset in zip(snapshot_times.tolist(), base.tolist(), offsets.tolist()):
         branches.setdefault(k, []).append((s, offset))
@@ -445,20 +472,28 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
     def symmetrise(z: np.ndarray) -> None:
         # only self-mirror blocks hold both rho_ij and rho_ji among the kept
         # coordinates; each other kept block's mirror is its conjugate
-        z[:n_self] = 0.5 * (z[:n_self] + z[self_dag].conj())
+        z[..., :n_self] = 0.5 * (z[..., :n_self] + z[..., self_dag].conj())
 
     for start in range(0, n_t, SAMPLE_BLOCK):
         stop = min(start + SAMPLE_BLOCK, n_t)
+        k = stop - start
+        if start and jump is not None and lattice[stop - 1]:
+            # sample i is exp(L times[SAMPLE_BLOCK]) applied to sample
+            # i - SAMPLE_BLOCK, the row it replaces
+            jump(rows[:k])
+            pre[:k] = rows[:k, :n_self]
+            symmetrise(rows[:k])
+        else:
+            for j, i in enumerate(range(start, stop)):
+                # rows[-1] is the last sample of the full block before
+                rows[j] = propagate(rows[j - 1], steps[i - 1]) if i else z0[kept_full]
+                pre[j] = rows[j, :n_self]
+                symmetrise(rows[j])
         for j, i in enumerate(range(start, stop)):
-            if i:
-                zk = propagate(zk, steps[i - 1])
-            pre[j] = zk[:n_self]
-            symmetrise(zk)
-            rows[j] = zk
             for s, offset in branches.get(i, ()):
-                zs = zk
+                zs = rows[j]
                 if offset > 0.0:
-                    zs = propagate(zk, offset)
+                    zs = propagate(zs, offset)
                     dev = float(np.max(np.abs(zs[:n_self] - zs[self_dag].conj())))
                     herm_dev = max(herm_dev, dev)
                     symmetrise(zs)
@@ -470,7 +505,6 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
                 # one order
                 snapshots.append((s, np.ascontiguousarray(unvec(full, d))))
 
-        k = stop - start
         dev = float(np.max(np.abs(pre[:k] - pre[:k, self_dag].conj())))
         if dev > herm_dev:
             herm_dev = dev

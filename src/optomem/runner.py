@@ -169,6 +169,9 @@ def _render(values, sep: str) -> bytes:
     return slots[keep].tobytes()
 
 
+_TRAJECTORY_HEADER = "t,re_a,im_a,abs_a,re_b,im_b,abs_b,trace,purity,coherent_overlap"
+
+
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
     a = traj.amplitudes[0]
     b = traj.amplitudes[1] if len(traj.amplitudes) > 1 else np.zeros_like(a)
@@ -182,18 +185,32 @@ def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
         traj.trace, traj.purity,
         ovl if ovl is not None else np.zeros(len(traj.times)),
     ]
-    header = b"t,re_a,im_a,abs_a,re_b,im_b,abs_b,trace,purity,coherent_overlap\n"
+    header = (_TRAJECTORY_HEADER + "\n").encode()
     path.write_bytes(header + _render(np.column_stack(columns), ","))
 
 
 def read_trajectory_csv(path: Path) -> dict[str, np.ndarray]:
-    """The columns of a trajectory CSV by header name; ValueError on a bad cell."""
+    """The columns of a trajectory CSV by header name.
+
+    ValueError naming the file when its header is not the one
+    :func:`write_trajectory_csv` writes, when no row follows it, or on a
+    bad cell.
+    """
     with open(path) as fh:
-        header = fh.readline().strip().split(",")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] != len(header):
-        raise ValueError(f"{path}: {data.shape[1]} columns under {len(header)} header names")
-    return {name: data[:, i] for i, name in enumerate(header)}
+        header = fh.readline().rstrip("\n")
+        first_row = fh.readline()
+    if header != _TRAJECTORY_HEADER:
+        raise ValueError(f"{path}: header {header!r} is not {_TRAJECTORY_HEADER!r}")
+    if not first_row.strip():
+        raise ValueError(f"{path}: no rows under the header")
+    names = header.split(",")
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    if data.shape[1] != len(names):
+        raise ValueError(f"{path}: {data.shape[1]} columns under {len(names)} header names")
+    return {name: data[:, i] for i, name in enumerate(names)}
 
 
 def report_payload(report: RevivalReport, traj: Trajectory) -> dict:

@@ -408,12 +408,18 @@ def test_block_larger_than_the_dense_limit_selects_expm_multiply(monkeypatch):
     assert at_limit.n_steps == above.n_steps == 5
 
 
-def test_repeated_gaps_reuse_cached_propagators(monkeypatch):
-    superop, dm = thermal_combined_kerr()
-    built = []
+@pytest.fixture
+def built(monkeypatch):
+    """The gap of every ``_block_exp`` call, in call order."""
+    gaps = []
     original = EVOLVE._block_exp
     monkeypatch.setattr(EVOLVE, "_block_exp",
-                        lambda dense, gap: built.append(gap) or original(dense, gap))
+                        lambda dense, gap: gaps.append(gap) or original(dense, gap))
+    return gaps
+
+
+def test_repeated_gaps_reuse_cached_propagators(built):
+    superop, dm = thermal_combined_kerr()
     grid = TimeGrid(np.arange(9) * 0.5)
     traj = evolve(dm, superop, grid, EvolveOptions(snapshot_times=(1.2,)))
     # eight steps of 0.5 along the samples, built once and cached, and one
@@ -458,35 +464,70 @@ def test_off_grid_snapshots_match_damped_kerr_closed_form(fig2_result):
         assert abs(np.trace(a @ state.data) - closed) < 1e-12
 
 
-def test_one_propagator_per_uniform_grid(monkeypatch):
-    # every preset grid is k * times[1] bitwise: one build for the sample
-    # chain, plus one per off-grid snapshot
-    built = []
-    original = EVOLVE._block_exp
-    monkeypatch.setattr(EVOLVE, "_block_exp",
-                        lambda dense, gap: built.append(gap) or original(dense, gap))
-    for config, n_built, n_steps in ((preset("fig2-combined"), 15, 2013),
-                                     (preset("fig4"), 1, 1999),
-                                     (preset("fig7").point_config(3.0), 1, 1999)):
+def test_one_propagator_per_uniform_grid(built):
+    # every preset grid is k * times[1] bitwise: one build for the steps of
+    # the first sample block, one for the jump of each later block, plus one
+    # per off-grid snapshot
+    for config, n_built, n_steps in ((preset("fig2-combined"), 16, 2013),
+                                     (preset("fig4"), 2, 1999),
+                                     (preset("fig7").point_config(3.0), 2, 1999)):
         built.clear()
         traj, _ = simulate(config)
         assert len(built) == n_built and traj.n_steps == n_steps
         assert built[0] == traj.times[1]
+        assert built.count(traj.times[EVOLVE.SAMPLE_BLOCK]) == 1
 
 
-def test_grid_whose_uniform_prefix_ends_agrees_with_rk4(monkeypatch):
+def test_grid_whose_uniform_prefix_ends_agrees_with_rk4(built):
     # after the lattice prefix each sample steps by the difference of its
     # sample times
-    built = []
-    original = EVOLVE._block_exp
-    monkeypatch.setattr(EVOLVE, "_block_exp",
-                        lambda dense, gap: built.append(gap) or original(dense, gap))
     superop, dm = thermal_combined_kerr()
     grid = TimeGrid(np.r_[np.arange(5) * 0.5, 2.3, 2.9])
     exact = evolve(dm, superop, grid)
     fixed = evolve_rk4(dm, superop, grid, dt=1e-3)
     assert sorted(built) == sorted([0.5, 2.3 - 2.0, 2.9 - 2.3])
     assert exact.n_steps == 6
+    for a, b in ((exact.amplitudes, fixed.amplitudes), (exact.purity, fixed.purity),
+                 (exact.trace, fixed.trace)):
+        assert np.max(np.abs(a - b)) < 1e-9
+
+
+def test_sample_block_jumps_match_the_per_sample_chain(monkeypatch, built):
+    # 200 samples: the second, third and (partial) fourth sample block are
+    # each exp(L times[SAMPLE_BLOCK]) applied to the block before; with one
+    # block longer than the grid, every sample steps by exp(L h) instead
+    superop, dm = thermal_combined_kerr()
+    times = np.linspace(0.0, 60.0, 200)
+    assert 3 * EVOLVE.SAMPLE_BLOCK < times.size
+    opts = EvolveOptions(snapshot_times=(30.0, 45.25, times[150]), overlap_alpha=1.2)
+    jump = times[EVOLVE.SAMPLE_BLOCK]
+    jumped = evolve(dm, superop, TimeGrid(times), opts)
+    assert built.count(jump) == 1
+    built.clear()
+    monkeypatch.setattr(EVOLVE, "SAMPLE_BLOCK", times.size + 1)
+    stepped = evolve(dm, superop, TimeGrid(times), opts)
+    assert jump not in built
+    assert jumped.path == stepped.path == "expm"
+    assert jumped.n_steps == stepped.n_steps == 199 + 2
+    assert jumped.max_hermiticity_error == stepped.max_hermiticity_error == 0.0
+    # largest difference measured: 4.4e-15
+    for name in ("amplitudes", "trace", "purity", "coherent_overlap"):
+        assert np.max(np.abs(getattr(jumped, name) - getattr(stepped, name))) < 2e-14
+    for (t1, s1), (t2, s2) in zip(jumped.snapshots, stepped.snapshots, strict=True):
+        assert t1 == t2 and np.max(np.abs(s1.data - s2.data)) < 2e-14
+
+
+def test_grid_whose_lattice_breaks_in_the_third_block_jumps_only_before(built):
+    # samples 0..149 are k h bitwise, the rest are not: the second block
+    # jumps, the third steps sample by sample across the break and the
+    # fourth after it
+    superop, dm = thermal_combined_kerr()
+    times = np.r_[np.arange(150) * 0.05, 7.45 + 0.07 * np.arange(1, 51)]
+    assert 2 * EVOLVE.SAMPLE_BLOCK < 150 < 3 * EVOLVE.SAMPLE_BLOCK < times.size
+    grid = TimeGrid(times)
+    exact = evolve(dm, superop, grid)
+    assert built.count(times[EVOLVE.SAMPLE_BLOCK]) == 1
+    fixed = evolve_rk4(dm, superop, grid, dt=1e-3)
     for a, b in ((exact.amplitudes, fixed.amplitudes), (exact.purity, fixed.purity),
                  (exact.trace, fixed.trace)):
         assert np.max(np.abs(a - b)) < 1e-9

@@ -358,6 +358,17 @@ def test_read_trajectory_csv_parses_like_float_and_rejects_a_bad_cell(tmp_path):
         read_trajectory_csv(path)
 
 
+def test_read_trajectory_csv_names_a_file_without_the_header_or_rows(tmp_path):
+    run_single(small_run_config(), tmp_path / "run")
+    path = tmp_path / "run" / "trajectory.csv"
+    lines = path.read_text().splitlines()
+    for text in ("", lines[0] + "\n", "\n".join(["t,abs_b", *lines[1:]]) + "\n",
+                 "\n".join([lines[0], "1.0,2.0"]) + "\n"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            read_trajectory_csv(path)
+
+
 def test_config_echo_is_resolved(tmp_path):
     cfg = preset("fig4")
     cfg.dims = (5, 5)
@@ -621,6 +632,14 @@ def test_cli_revival_report_round_trip(tmp_path, capsys):
     stored = json.loads((tmp_path / "run" / "revival_report.json").read_text())
     assert payload["classification"] == stored["classification"]
     assert payload["n_peaks"] == stored["n_peaks"]
+
+
+def test_cli_revival_report_names_an_empty_trajectory_file(tmp_path):
+    run_single(small_run_config(), tmp_path / "run")
+    path = tmp_path / "run" / "trajectory.csv"
+    path.write_text("")
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        main(["revival-report", "--run", str(tmp_path / "run")])
 
 
 def test_cli_errors(tmp_path):

@@ -10,7 +10,8 @@ missing or empty):
   and once with ``--threads 2``
 * ``simulate --preset fig4`` and ``simulate --preset harmonic-check``
 * ``simulate --preset fig4 --override storage_mode=0`` (optical storage,
-  whose largest symmetry block takes the ``expm_multiply`` path; about 4 s)
+  whose largest symmetry block takes the ``expm_multiply`` path; 9 to 11 s
+  of the script's 12 to 14 s on a 2-vCPU Xeon VM)
 * ``sweep --preset fig5`` .. ``fig8``, once with ``--threads 1`` and once
   with ``--threads 2``
 
