@@ -6,13 +6,11 @@ quantifies information degradation through Wigner snapshots, amplitude
 time series and collapse/revival detection.
 """
 
-from .fock import HilbertDims, QOperator, annihilation, creation, embed, expectation, identity, number
+from .fock import HilbertDims, QOperator, annihilation, embed, expectation, identity, number
 from .states import (
     DensityMatrix,
     Ket,
     coherent_ket,
-    coherent_overlap,
-    displacement_operator,
     fock_ket,
     partial_trace,
     product_dm,
@@ -34,7 +32,6 @@ from .evolve import (
     TimeGrid,
     Trajectory,
     evolve_rk4,
-    generator_check,
 )
 from .wigner import (
     PhaseSpaceGrid,

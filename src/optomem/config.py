@@ -7,6 +7,10 @@ Integer keys accept only integers: ``2000.7`` is refused, not truncated.
 The same dotted keys are accepted by the CLI's ``--override key=value``
 flag.  There is no environment-variable configuration; a run is fully
 described by its config echo.
+
+The model follows from the number of entries in ``dims``: one entry is the
+combined-Kerr model (one Kerr mode of strength ``k_c + k_m``), two entries
+are the two-mode optomechanical model.
 """
 
 from __future__ import annotations
@@ -23,9 +27,6 @@ import numpy as np
 from .liouvillian import SystemParams
 from .revival import check_sampling, revival_time
 from .wigner import DEFAULT_GRID, PhaseSpaceGrid
-
-TWO_MODE = "two_mode"
-COMBINED_KERR = "combined_kerr"
 
 # Reference parameter set, in atomic units (frequencies quoted as angular).
 OMEGA_C_DEFAULT = 2.0 * math.pi * 0.056233
@@ -59,8 +60,8 @@ def default_params(**overrides) -> SystemParams:
 class RunConfig:
     """Fully deterministic description of a single simulation run."""
 
-    mode: str = TWO_MODE
     params: SystemParams = field(default_factory=default_params)
+    # one entry: the combined-Kerr model; two: the two-mode model
     dims: tuple[int, ...] = (10, 10)
     storage_mode: int = 1
     alpha: complex = 1.5 + 0.0j
@@ -73,12 +74,10 @@ class RunConfig:
     wigner_mode: int | str = "storage"
 
     def validate(self) -> None:
-        if self.mode not in (TWO_MODE, COMBINED_KERR):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        want_modes = 2 if self.mode == TWO_MODE else 1
-        if len(self.dims) != want_modes:
+        if not 1 <= len(self.dims) <= 2:
             raise ValueError(
-                f"mode {self.mode!r} needs {want_modes} mode dimension(s), got {self.dims}"
+                "dims needs 1 entry (combined-Kerr model) or 2 (two-mode model), "
+                f"got {len(self.dims)}: {self.dims}"
             )
         if not 0 <= self.storage_mode < len(self.dims):
             raise ValueError(f"storage_mode {self.storage_mode} out of range")
@@ -135,7 +134,7 @@ class RunConfig:
         Kerr constant acts.
         """
         k_c, k_m = self.params.k_c, self.params.k_m
-        if self.mode == TWO_MODE:
+        if len(self.dims) == 2:
             k_c, k_m = (k_c, 0.0) if self.storage_mode == 0 else (0.0, k_m)
         return None if k_c + k_m <= 0 else revival_time(k_c, k_m)
 
@@ -266,7 +265,6 @@ class _Key(NamedTuple):
 
 # Every dotted config key, in config-echo order.
 _CONFIG_KEYS = {
-    "mode": _Key("mode", str),
     "dims": _Key("dims", _as_int_tuple, tuple),
     "storage_mode": _Key("storage_mode", _as_int),
     "initial.alpha": _Key("alpha", complex),
@@ -390,14 +388,14 @@ def load_object(flat: dict):
 # ---------------------------------------------------------------------------
 # presets
 
-_TWO_MODE = RunConfig(mode=TWO_MODE, dims=(10, 10), storage_mode=1, snapshot_times=())
-_COMBINED = RunConfig(mode=COMBINED_KERR, dims=(30,), storage_mode=0, snapshot_times=())
+_OPTOMECHANICAL = RunConfig(dims=(10, 10), storage_mode=1, snapshot_times=())
+_COMBINED = RunConfig(dims=(30,), storage_mode=0, snapshot_times=())
 
 # Every built-in preset, in listing order: name -> (summary, config or sweep).
 PRESETS: dict[str, tuple[str, RunConfig | SweepSpec]] = {
     "fig2-combined": ("combined-Kerr timeline run with full-state snapshots",
                       replace(_COMBINED, snapshot_times=DEFAULT_SNAPSHOT_TIMES)),
-    "fig4": ("two-mode amplitude run, storage in the mechanical mode", _TWO_MODE),
+    "fig4": ("two-mode amplitude run, storage in the mechanical mode", _OPTOMECHANICAL),
     "fig5": ("dissipation sweep (gamma = 1e-5 .. 1e-2, combined mode)",
              SweepSpec("gamma", (1e-5, 1e-4, 1e-3, 1e-2), _COMBINED)),
     "fig6": ("nonlinearity sweep (k = 0.5 .. 0.0005, combined mode)",
@@ -407,7 +405,7 @@ PRESETS: dict[str, tuple[str, RunConfig | SweepSpec]] = {
     "fig8": ("initial-amplitude sweep (alpha = 0.1 .. 2.0, combined mode)",
              SweepSpec("alpha", (0.1, 0.5, 1.0, 2.0), _COMBINED)),
     "harmonic-check": ("harmonic limit: no nonlinearity, no damping",
-                       replace(_TWO_MODE, horizon=628.3185307179587,
+                       replace(_OPTOMECHANICAL, horizon=628.3185307179587,
                                params=default_params(k_c=0.0, k_m=0.0,
                                                      gamma_c=0.0, gamma_m=0.0))),
 }

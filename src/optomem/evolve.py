@@ -99,7 +99,6 @@ __all__ = [
     "IntegrationFailure",
     "evolve",
     "evolve_rk4",
-    "generator_check",
     "live_coordinates",
     "symmetry_blocks",
 ]
@@ -607,28 +606,3 @@ def evolve_rk4(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
         snapshots=[],
         n_steps=n_steps,
     )
-
-
-def generator_check(superop: Superoperator, rho: DensityMatrix, dt: float) -> float:
-    """First-order finite-difference residual of the generator.
-
-    Returns ||(rho(dt) - rho(0))/dt - L rho(0)||_max / ||L rho(0)||_max,
-    which is O(dt) for a correct generator; 0 when ||L rho(0)|| vanishes.
-    """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if rho.dims != superop.dims:
-        raise ValueError(f"dimension mismatch: {rho.dims.dims} vs {superop.dims.dims}")
-    deriv = unvec(superop.matrix @ vec(rho.data), rho.dims.total_dim)
-    deriv = 0.5 * (deriv + deriv.conj().T)
-    denom = float(np.max(np.abs(deriv)))
-    if denom < 1e-14:
-        return 0.0
-    grid = TimeGrid(np.array([0.0, dt]))
-    opts = EvolveOptions(snapshot_times=(dt,))
-    traj = evolve(rho, superop, grid, opts)
-    # DensityMatrix renormalises the trace; undo against the sampled trace so
-    # the finite difference sees the raw evolved matrix.
-    raw = traj.snapshots[0][1].data * traj.trace[-1]
-    fd = (raw - rho.data) / dt
-    return float(np.max(np.abs(fd - deriv)) / denom)

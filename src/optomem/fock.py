@@ -122,11 +122,6 @@ def annihilation(n: int) -> QOperator:
     return QOperator(HilbertDims((n,)), data)
 
 
-def creation(n: int) -> QOperator:
-    """Single-mode raising operator, adjoint of :func:`annihilation`."""
-    return annihilation(n).dag()
-
-
 def number(n: int) -> QOperator:
     """Single-mode number operator diag(0, 1, ..., n-1)."""
     _check_truncation(n)

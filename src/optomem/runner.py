@@ -37,7 +37,6 @@ from pathlib import Path
 import numpy as np
 
 from .config import (
-    COMBINED_KERR,
     RunConfig,
     SweepSpec,
     config_to_flat,
@@ -52,9 +51,13 @@ from .wigner import PhaseSpaceGrid, WignerField, wigner_fields
 
 
 def build_problem(config: RunConfig) -> tuple[Superoperator, DensityMatrix]:
-    """Assemble a config's generator (per model) and initial state (per storage mode)."""
+    """Assemble a config's generator and initial state.
+
+    One entry in ``dims`` selects the combined-Kerr generator, two the
+    two-mode one; the storage mode starts coherent, every other in vacuum.
+    """
     config.validate()
-    if config.mode == COMBINED_KERR:
+    if len(config.dims) == 1:
         superop = combined_kerr_liouvillian(config.params, config.dims[0])
     else:
         superop = liouvillian(config.params, config.dims)

@@ -16,9 +16,8 @@ from functools import reduce
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
-from .fock import HilbertDims, QOperator, annihilation, creation
+from .fock import HilbertDims, QOperator
 
 TRUNCATION_NORM_WARN = 1e-3
 
@@ -78,10 +77,6 @@ class DensityMatrix:
         """Tr(rho^2)."""
         return float(np.sum(np.abs(self.data) ** 2))
 
-    def min_eigenvalue(self) -> float:
-        """Smallest eigenvalue; cheap positivity check for small dimensions."""
-        return float(np.linalg.eigvalsh(self.data)[0])
-
 
 def coherent_amplitudes(alpha: complex, n: int) -> np.ndarray:
     """Truncated coherent-state amplitudes c_m = e^{-|a|^2/2} a^m / sqrt(m!)."""
@@ -120,16 +115,6 @@ def vacuum_ket(n: int) -> Ket:
     return fock_ket(0, n)
 
 
-def displacement_operator(alpha: complex, n: int) -> QOperator:
-    """exp(alpha a^dag - alpha* a) on an n-level mode.
-
-    Computed by Pade scaling-and-squaring of the anti-Hermitian generator,
-    so the result is unitary on the truncated space to machine precision.
-    """
-    gen = alpha * creation(n).data - np.conj(alpha) * annihilation(n).data
-    return QOperator(HilbertDims((n,)), scipy.linalg.expm(gen))
-
-
 def product_dm(kets: Sequence[Ket]) -> DensityMatrix:
     """|psi><psi| for the tensor product of per-mode kets, unit-trace."""
     if not kets:
@@ -153,15 +138,3 @@ def partial_trace(rho: DensityMatrix, keep_mode: int) -> DensityMatrix:
     else:
         reduced = np.einsum("mimj->ij", blocks)
     return DensityMatrix(QOperator(HilbertDims((dims.dims[keep_mode],)), reduced))
-
-
-def coherent_overlap(rho: DensityMatrix, alpha: complex, mode: int = 0) -> float:
-    """<alpha| rho_mode |alpha> against the truncated reference coherent state.
-
-    Multi-mode inputs are reduced to ``mode`` first.  The reference ket keeps
-    its raw truncated amplitudes, so for well-captured states the value is the
-    fidelity of the reduced state with |alpha>.
-    """
-    reduced = rho if rho.dims.n_modes == 1 else partial_trace(rho, mode)
-    c = coherent_amplitudes(alpha, reduced.dims.total_dim)
-    return float(np.real(c.conj() @ reduced.data @ c))

@@ -9,7 +9,6 @@ from optomem.fock import (
     HilbertDims,
     QOperator,
     annihilation,
-    creation,
     embed,
     expectation,
     identity,
@@ -42,7 +41,7 @@ def test_annihilation_entries():
 
 def test_annihilation_vacuum_only_space():
     assert np.array_equal(annihilation(1).data, np.zeros((1, 1)))
-    assert np.array_equal(creation(1).data, np.zeros((1, 1)))
+    assert np.array_equal(annihilation(1).dag().data, np.zeros((1, 1)))
 
 
 def test_annihilation_invalid_dimension():
@@ -59,7 +58,7 @@ def test_adjoint_product_is_number_operator():
 
 
 def test_creation_entries():
-    c = creation(3).data
+    c = annihilation(3).dag().data
     assert c[1, 0] == 1.0
     assert c[2, 1] == pytest.approx(math.sqrt(2.0))
     assert np.count_nonzero(c) == 2
@@ -78,7 +77,7 @@ def test_commutator_truncation_artifact():
 def test_number_operator():
     assert np.array_equal(number(4).data, np.diag([0, 1, 2, 3]).astype(complex))
     assert np.array_equal(number(1).data, np.zeros((1, 1)))
-    prod = (creation(10) @ annihilation(10)).data
+    prod = (annihilation(10).dag() @ annihilation(10)).data
     assert np.allclose(prod, number(10).data, atol=1e-13, rtol=0)
 
 

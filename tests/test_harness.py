@@ -9,10 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import coherent_overlap
+
 from optomem import runner
 from optomem.cli import build_parser, main
 from optomem.config import (
-    COMBINED_KERR,
     DEFAULT_SNAPSHOT_TIMES,
     PRESET_NAMES,
     RunConfig,
@@ -37,7 +38,7 @@ from optomem.runner import (
     write_trajectory_csv,
     write_wigner_field,
 )
-from optomem.states import coherent_overlap, product_dm, coherent_ket, vacuum_ket
+from optomem.states import product_dm, coherent_ket, vacuum_ket
 from optomem.wigner import PhaseSpaceGrid, WignerField, wigner
 
 
@@ -95,7 +96,6 @@ def test_sweep_text_round_trip():
 
 
 FIG7_TEXT = """\
-mode = combined_kerr
 dims = 30,
 storage_mode = 0
 initial.alpha = 1.5+0j
@@ -129,7 +129,7 @@ def test_config_text_frozen():
 
 def test_parse_rejects_malformed_lines():
     with pytest.raises(ValueError):
-        parse_config_text("mode two_mode")
+        parse_config_text("dims 10, 10")
     with pytest.raises(ValueError):
         parse_config_text("a = 1\na = 2")
     with pytest.raises(ValueError):
@@ -146,7 +146,6 @@ def test_preset_names_complete():
 
 def test_preset_values_frozen():
     fig2 = preset("fig2-combined")
-    assert fig2.mode == COMBINED_KERR
     assert fig2.dims == (30,)
     assert fig2.alpha == 1.5 + 0.0j
     assert fig2.params.k_c == 0.01 and fig2.params.k_m == 0.01
@@ -156,7 +155,6 @@ def test_preset_values_frozen():
     assert fig2.resolved_horizon() == pytest.approx(2.0 * 2.0 * math.pi / 0.02, rel=1e-12)
 
     fig4 = preset("fig4")
-    assert fig4.mode == "two_mode"
     assert fig4.dims == (10, 10)
     assert fig4.storage_mode == 1
     assert fig4.params.g0 == pytest.approx(0.20472e-2)
@@ -172,15 +170,13 @@ def test_preset_values_frozen():
     assert preset("fig7").values == (30e-6, 30e-3, 0.3, 3.0)
     assert preset("fig8").values == (0.1, 0.5, 1.0, 2.0)
     for name in ("fig5", "fig6", "fig7", "fig8"):
-        assert preset(name).base.mode == COMBINED_KERR
         assert preset(name).base.dims == (30,)
 
 
 def test_run_config_validation_errors():
-    with pytest.raises(ValueError):
-        RunConfig(mode="bogus").validate()
-    with pytest.raises(ValueError):
-        RunConfig(mode=COMBINED_KERR, dims=(10, 10)).validate()
+    for dims in ((), (5, 5, 5)):
+        with pytest.raises(ValueError, match="dims needs 1 entry"):
+            RunConfig(dims=dims).validate()
     with pytest.raises(ValueError):
         small_run_config(storage_mode=5).validate()
     with pytest.raises(ValueError):
@@ -213,6 +209,29 @@ def test_integrator_tolerance_keys_are_unknown():
     # still sets them is rejected, not silently half-applied
     with pytest.raises(ValueError, match="unknown config keys"):
         config_from_flat({"integrator.rtol": 1e-8})
+
+
+def test_mode_key_is_unknown():
+    # the model follows from the number of entries in dims; an old config
+    # that still names it is refused like any other unknown key
+    with pytest.raises(ValueError, match=r"unknown config keys: \['mode'\]"):
+        config_from_flat({"mode": "two_mode"})
+
+
+def test_cli_refuses_three_modes(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=r"dims needs 1 entry \(combined-Kerr model\) or 2"):
+        main(["simulate", "--preset", "fig4", "--out", str(out), "--override", "dims=5,5,5"])
+    assert not out.exists()
+
+
+def test_cli_model_follows_from_dims(tmp_path):
+    # one entry in dims is the combined-Kerr model, whatever preset it came from
+    main(["simulate", "--preset", "fig4", "--out", str(tmp_path / "fig4"),
+          "--override", "dims=30,", "--override", "storage_mode=0"])
+    main(["simulate", "--preset", "fig2-combined", "--out", str(tmp_path / "fig2")])
+    for name in ("trajectory.csv", "revival_report.json"):
+        assert (tmp_path / "fig4" / name).read_bytes() == (tmp_path / "fig2" / name).read_bytes()
 
 
 @pytest.mark.parametrize("override", [
@@ -378,7 +397,8 @@ def test_config_echo_is_resolved(tmp_path):
     run_single(cfg, tmp_path / "run")
     echo = parse_config_text((tmp_path / "run" / "config.txt").read_text())
     assert echo["time.horizon"] == pytest.approx(628.3185307179587)
-    assert echo["mode"] == "two_mode"
+    assert echo["dims"] == (5, 5)
+    assert "mode" not in echo
 
 
 def test_run_single_deterministic(tmp_path):
@@ -411,7 +431,7 @@ def test_run_snapshots_requires_snapshot_times(tmp_path):
 
 
 def test_run_sweep_summary_and_point_artifacts(tmp_path):
-    base = small_run_config(mode=COMBINED_KERR, dims=(8,), storage_mode=0)
+    base = small_run_config(dims=(8,), storage_mode=0)
     base.horizon = 330.0
     base.n_samples = 140
     spec = SweepSpec("alpha", (0.6, 0.1), base)
@@ -426,7 +446,7 @@ def test_run_sweep_summary_and_point_artifacts(tmp_path):
 
 
 def test_run_sweep_thread_pool_matches_serial(tmp_path):
-    base = small_run_config(mode=COMBINED_KERR, dims=(6,), storage_mode=0)
+    base = small_run_config(dims=(6,), storage_mode=0)
     base.horizon = 330.0
     base.n_samples = 120
     spec = SweepSpec("gamma", (1e-5, 1e-3), base)
@@ -489,7 +509,7 @@ def test_pool_is_capped_at_the_job_count(tmp_path, monkeypatch):
             return map(fn, jobs)
 
     monkeypatch.setattr(runner, "ProcessPoolExecutor", InlinePool)
-    base = small_run_config(mode=COMBINED_KERR, dims=(6,), storage_mode=0)
+    base = small_run_config(dims=(6,), storage_mode=0)
     base.horizon = 330.0
     base.n_samples = 120
     run_sweep(SweepSpec("gamma", (1e-5, 1e-3), base), tmp_path / "sweep", threads=64)
@@ -540,7 +560,7 @@ def test_benchmark_tracer_finds_what_it_wraps(monkeypatch):
     # ...and divides by the generator products its stand-in evolve counts
     records = []
     monkeypatch.setattr(runner, "evolve", child.counting_evolve(records)(runner.evolve))
-    traj, _ = runner.simulate(small_run_config(mode=COMBINED_KERR, dims=(6,), storage_mode=0))
+    traj, _ = runner.simulate(small_run_config(dims=(6,), storage_mode=0))
     [record] = records
     assert record["matvecs"] >= 1
     assert record["steps"] == traj.n_steps > 0
@@ -622,7 +642,7 @@ def test_cli_config_file(tmp_path):
 
 
 def test_cli_revival_report_round_trip(tmp_path, capsys):
-    cfg = small_run_config(mode=COMBINED_KERR, dims=(8,), storage_mode=0)
+    cfg = small_run_config(dims=(8,), storage_mode=0)
     cfg.horizon = 330.0
     run_single(cfg, tmp_path / "run")
     capsys.readouterr()
@@ -640,6 +660,16 @@ def test_cli_revival_report_names_an_empty_trajectory_file(tmp_path):
     path.write_text("")
     with pytest.raises(ValueError, match=re.escape(str(path))):
         main(["revival-report", "--run", str(tmp_path / "run")])
+
+
+def test_cli_revival_report_refuses_a_config_with_a_mode_line(tmp_path, capsys):
+    run_single(small_run_config(), tmp_path / "run")
+    path = tmp_path / "run" / "config.txt"
+    path.write_text("mode = two_mode\n" + path.read_text())
+    capsys.readouterr()
+    with pytest.raises(ValueError, match=r"unknown config keys: \['mode'\]"):
+        main(["revival-report", "--run", str(tmp_path / "run")])
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_errors(tmp_path):
