@@ -34,7 +34,8 @@ does not depend on the snapshot times.  When no block is larger than
 (``scipy.sparse.block_diag``) of a dense exp(L_b gap) per kept block
 (scaling and squaring, Al-Mohy & Higham, SIMAX 31, 970, 2009); propagators
 for gaps that recur are cached, one-off gaps (the snapshot branches) are
-built, applied once and dropped.  On this path the lattice also serves
+built, applied once and dropped, and the lattice step's is dropped once the
+first jump below replaces it.  On this path the lattice also serves
 whole blocks of :data:`SAMPLE_BLOCK` samples: each block of samples after
 the first that lies within the lattice prefix is exp(L times[SAMPLE_BLOCK])
 (bitwise SAMPLE_BLOCK h) applied to the block before it, one dense product
@@ -427,6 +428,9 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
             # product with exp(L_b times[SAMPLE_BLOCK]) per kept block
             if not jump_blocks:
                 jump_blocks.extend(_block_exp(dense, times[SAMPLE_BLOCK]))
+                # the chain steps by h only before its first jump; a later
+                # step by h, past the lattice prefix, builds it again
+                cache.pop(h, None)
             for (a, b), prop in zip(spans, jump_blocks):
                 block[:, a:b] = block[:, a:b] @ prop.T
     else:

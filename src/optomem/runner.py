@@ -319,7 +319,7 @@ def run_snapshots(config: RunConfig, out_dir: Path, threads: int = 1) -> list[Pa
         for _, state in traj.snapshots
     ]
     paths = [out_dir / names[t] for t, _ in traj.snapshots]
-    # one task per worker: a state rendered alone loses the shared recurrence
+    # one task per worker: each task builds the grid's Wigner table once
     n = max(1, min(threads, len(states)))
     jobs = [(states[k::n], config.wigner_grid, paths[k::n]) for k in range(n)]
     _pool_map(_write_fields, jobs, threads)

@@ -6,26 +6,31 @@ coherent state |alpha> peaks at (sqrt(2) Re alpha, sqrt(2) Im alpha).  In
 this convention every Wigner value lies in [-1/pi, 1/pi] and the function
 integrates to the state's trace.
 
-The field is assembled diagonal by diagonal from the Fock-basis kernels
+The field is an exact finite separable sum (Beijersbergen et al., Opt.
+Commun. 96, 123, 1993: Laguerre-Gauss modes are finite sums of
+Hermite-Gauss modes of the same order).  The Wigner function of |m><n| is a
+Laguerre-Gauss function of (x, p) of order m + n, so for an N-level state
 
-    W_{n+k,n}(x, p) = (1/pi) e^{-ik theta} R^k_n(r),
-    R^k_n(r) = (sqrt(2) r)^k e^{-r^2} (-1)^n sqrt(n!/(n+k)!) L^k_n(2 r^2),
+    W(x_i, p_j) = (Phi_x C Phi_p^T)[i, j],
+    Phi_x[i, a] = psi_a(sqrt(2) x_i),   Phi_p[j, b] = psi_b(sqrt(2) p_j),
+    C_ab = pi^(-1/2) Re[(-i)^b sum_{m+n=a+b} rho_mn U^{a+b}[m, a]],
 
-where r, theta are polar coordinates of (x, p).  The radial parts are
-generated by the upward three-term associated-Laguerre recurrence
+for a, b < K = 2N - 1, where psi_a are the orthonormal Hermite functions
+and U^M = diag((-1)^(M-m)) expm((pi/4) J_M) is a real orthogonal
+(M+1) x (M+1) matrix, J_M the generator of ``_shell_rotation``.
+The map rho -> C is block diagonal by shell M = m + n and has O(N^3)
+entries (27 000 at N = 30).  ``wigner_fields`` builds it and the two Phi
+once per call (13 ms at N = 30 on a 2-vCPU Xeon VM, one BLAS thread); each
+grid is then one sparse product and two small dense ones (0.2 ms on the
+default 201 x 201 grid).  A state's field depends only on that state.
 
-    sqrt((n+1)(n+k+1)) R^k_{n+1} = (2r^2 - 2n - k - 1) R^k_n
-                                   - sqrt(n(n+k)) R^k_{n-1},
-
-seeded in log space, which keeps the evaluation stable for truncations up
-to N ~ 60 without overflow.  The radial parts depend on a grid point only
-through r^2, so the recurrence runs once per distinct value of x^2 + p^2
-(10 524 of the 40 401 points of the default grid) and its results are
-gathered back to the points; no symmetry of the grid is assumed.  States
-evaluated together (``wigner_fields``, in groups of ``WIGNER_BATCH``)
-share the recurrence and the phase powers e^{-ik theta}.  Each grid point
-sees exactly the arithmetic of a per-point evaluation, so the values are
-bitwise those of evaluating one state at a time at every point.
+The error is absolute, not relative.  Against a 40-digit evaluation of
+Fock |N-1> at N = 30, 60 and 90 (every 7th point of the default grid and of
+one reaching past the state's turning radius) it is at most 1.6e-15; on the
+``fig2-combined`` snapshots the fields agree with the earlier Laguerre
+recurrence kernel to 7.2e-16.  Cells far below that, in the tails, carry
+no guaranteed relative accuracy: on those snapshots, cells under 1e-16
+differ from the earlier kernel's by up to 7% of their value.
 """
 
 from __future__ import annotations
@@ -34,16 +39,10 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+import scipy.linalg
+import scipy.sparse as sp
 
 from .states import DensityMatrix
-
-# Most states evaluated together in one pass.  On the default grid with
-# N = 30 (2-vCPU Xeon VM, one BLAS thread), 15 states took 0.99 s one at a
-# time, 0.44 s in groups of 8 and 0.40 s in one group, with 5, 7 and 9 MB
-# of working arrays; 16 keeps a 15-snapshot run in one group and the
-# working arrays bounded beyond it.
-WIGNER_BATCH = 16
 
 
 @dataclass(frozen=True)
@@ -111,9 +110,9 @@ def wigner_fields(
 ) -> Iterator[WignerField]:
     """Evaluate the Wigner functions of several single-mode states on one grid.
 
-    All states must share one truncation (checked at the call).  Fields are
-    yielded in order, computed one group of at most ``WIGNER_BATCH`` at a
-    time; a group shares the radial recurrence and the phase powers.
+    All states must share one truncation (checked at the call).  The shell
+    table and the Hermite functions are built once, on the first field;
+    fields are then yielded in order, each from its own state alone.
     """
     states = list(states)
     for rho in states:
@@ -128,62 +127,84 @@ def wigner_fields(
 
 
 def _fields(states: list[DensityMatrix], grid: PhaseSpaceGrid) -> Iterator[WignerField]:
-    x = grid.x_axis()[:, None]
-    p = grid.p_axis()[None, :]
-    r2_grid = x * x + p * p
-    r_grid = np.sqrt(r2_grid)
-    # Unit phase e^{-i theta}; the radial seed vanishes at r = 0, so the
-    # placeholder value there never contributes.
-    with np.errstate(invalid="ignore", divide="ignore"):
-        phase_unit = np.where(
-            r_grid > 0, (x - 1j * p) / np.where(r_grid > 0, r_grid, 1.0), 1.0
-        )
-    # Radial parts depend on the grid point only through r^2: evaluate them
-    # on the distinct values and gather them back through ``inverse``.
-    r2, inverse = np.unique(r2_grid, return_inverse=True)
-    inverse = inverse.reshape(r2_grid.shape)
-    r = np.sqrt(r2)
-    log_sqrt2r = np.zeros_like(r)
-    np.log(np.sqrt(2.0) * r, out=log_sqrt2r, where=r > 0)
-
-    for start in range(0, len(states), WIGNER_BATCH):
-        group = [rho.data for rho in states[start:start + WIGNER_BATCH]]
-        for w in _wigner_group(group, r2, r, log_sqrt2r, phase_unit, inverse):
-            yield WignerField(grid, w)
+    if not states:
+        return
+    n = states[0].dims.total_dim
+    k = 2 * n - 1
+    table = _shell_table(n)
+    phi_x = _hermite_functions(np.sqrt(2.0) * grid.x_axis(), k)
+    phi_p = _hermite_functions(np.sqrt(2.0) * grid.p_axis(), k)
+    for rho in states:
+        # (Re rho_mn, Im rho_mn) interleaved, as the table's columns expect
+        parts = np.ascontiguousarray(rho.data, dtype=np.complex128).reshape(-1).view(np.float64)
+        coeffs = (table @ parts).reshape(k, k)
+        yield WignerField(grid, phi_x @ coeffs @ phi_p.T)
 
 
-def _wigner_group(mats, r2, r, log_sqrt2r, phase_unit, inverse) -> list[np.ndarray]:
-    n_levels = mats[0].shape[0]
-    ws = [np.zeros(inverse.shape) for _ in mats]
-    for k in range(n_levels):
-        diags = [np.diagonal(m, -k) for m in mats]
-        active = [i for i, diag in enumerate(diags) if np.any(diag)]
-        if not active:
-            continue
-        if k == 0:
-            r_prev = np.exp(-r2)
-        else:
-            r_prev = np.where(
-                r > 0,
-                np.exp(k * log_sqrt2r - r2 - 0.5 * gammaln(k + 1.0)),
-                0.0,
-            )
-        accs = [diags[i][0] * r_prev for i in active]
-        r_nm1 = None
-        for n in range(1, n_levels - k):
-            coeff = 1.0 / np.sqrt(n * (n + k))
-            r_cur = coeff * ((2.0 * r2 - (2 * n + k - 1)) * r_prev)
-            if r_nm1 is not None:
-                r_cur -= coeff * np.sqrt((n - 1) * (n - 1 + k)) * r_nm1
-            for acc, i in zip(accs, active):
-                acc += diags[i][n] * r_cur
-            r_nm1, r_prev = r_prev, r_cur
-        phase_k = phase_unit ** k if k else 1.0
-        for acc, i in zip(accs, active):
-            acc = acc[inverse]
-            contrib = np.real(phase_k * acc) if k else np.real(acc)
-            ws[i] += (2.0 if k else 1.0) * contrib / np.pi
-    return ws
+def _hermite_functions(s: np.ndarray, k: int) -> np.ndarray:
+    """psi_a(s) for a < k, one column per order: the orthonormal Hermite
+    functions from psi_0 = pi^(-1/4) e^(-s^2/2) and the normalised recurrence
+    psi_{a+1} = sqrt(2/(a+1)) s psi_a - sqrt(a/(a+1)) psi_{a-1}.
+    """
+    psi = np.empty((k, s.size))
+    psi[0] = np.pi ** -0.25 * np.exp(-0.5 * s * s)
+    if k > 1:
+        psi[1] = np.sqrt(2.0) * s * psi[0]
+    for a in range(1, k - 1):
+        psi[a + 1] = np.sqrt(2.0 / (a + 1)) * s * psi[a] - np.sqrt(a / (a + 1)) * psi[a - 1]
+    return psi.T
+
+
+def _shell_rotation(shell: int) -> np.ndarray:
+    """U^M for M = ``shell``: diag((-1)^(M-m)) expm((pi/4) J_M), where J_M is
+    the real antisymmetric tridiagonal matrix with
+    J_M[a+1, a] = -J_M[a, a+1] = sqrt((a+1)(M-a)).
+
+    With D = diag(i^a), D^-1 J_M D = -i S for the real symmetric tridiagonal
+    S of the same off-diagonal, whose eigenvalues are the integers
+    l = -M, -M+2, ..., M.  So with S = V diag(l) V^T from LAPACK,
+    expm((pi/4) J_M)[r, c] = Re(i^(r-c) sum_k V[r, k] V[c, k] e^(-i pi l_k/4))
+                           = (-1)^(((r-c) mod 4) // 2) G[r, c],
+    G = V diag(cos(pi l/4) + sin(pi l/4)) V^T, whose weights
+    sqrt(2) sin(pi (l+1)/4) are taken exactly from a table.  Against a
+    40-digit expm, at M = 5, 10, 20, 30 and 40, this is off by at most
+    5.1e-15, scipy.linalg.expm of (pi/4) J_M by up to 7.1e-14.
+    """
+    a = np.arange(shell)
+    off = np.sqrt((a + 1.0) * (shell - a))
+    _, vecs = scipy.linalg.eigh_tridiagonal(np.zeros(shell + 1), off)
+    levels = np.arange(-shell, shell + 1, 2)
+    weights = np.array([0.0, 1.0, np.sqrt(2.0), 1.0, 0.0, -1.0, -np.sqrt(2.0), -1.0])
+    g = (vecs * weights[(levels + 1) % 8]) @ vecs.T
+    r = np.arange(shell + 1)
+    signs = (-1.0) ** ((r[:, None] - r[None, :]) % 4 // 2 + (shell - r)[:, None])
+    return signs * g
+
+
+def _shell_table(n: int) -> sp.csr_array:
+    """The linear map rho -> C for an n-level mode, as a sparse matrix.
+
+    Its columns are the interleaved (Re, Im) parts of the row-major rho,
+    its rows the row-major C of shape (k, k), k = 2n - 1.  Since
+    (-i)^b is real for even b and imaginary for odd b,
+    C_ab = pi^(-1/2) sum_{m+n=a+b} (-1)^(b//2) U^{a+b}[m, a] x_mn, where x_mn
+    is Re rho_mn for even b and Im rho_mn for odd b.  The map is block
+    diagonal by shell M = m + n = a + b, with O(n^3) entries.
+    """
+    k = 2 * n - 1
+    rows, cols, vals = [], [], []
+    for shell in range(k):
+        u = _shell_rotation(shell)
+        m = np.arange(max(0, shell - n + 1), min(shell, n - 1) + 1)[:, None]
+        a = np.arange(shell + 1)[None, :]
+        b = shell - a
+        rows.append(np.broadcast_to(a * k + b, (m.size, a.size)).ravel())
+        cols.append((2 * (m * n + shell - m) + b % 2).ravel())
+        vals.append(((-1.0) ** (b // 2) * u[m.ravel()]).ravel())
+    vals = np.concatenate(vals) / np.sqrt(np.pi)
+    return sp.csr_array(
+        (vals, (np.concatenate(rows), np.concatenate(cols))), shape=(k * k, 2 * n * n)
+    )
 
 
 def min_value(field: WignerField) -> tuple[float, float, float]:

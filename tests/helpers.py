@@ -3,10 +3,11 @@
 Everything here is deliberately written from scratch (direct factorial
 formulas, explicit sums, normalised Hermite recurrences, ladder matrices
 built in place) so tests never validate the package against its own
-primitives.  Two exceptions: ``wigner_per_point``, a frozen copy of the
-earlier per-grid-point Wigner kernel that the batched kernel must reproduce
-bit for bit, and ``generator_check``, which runs the package's ``evolve``
-against a finite difference of the generator it propagates.
+primitives.  Two exceptions: ``wigner_per_point``, a frozen copy of an
+earlier Wigner kernel (the associated-Laguerre recurrence, run at every grid
+point) that the Hermite-Gauss kernel must match to rounding, and
+``generator_check``, which runs the package's ``evolve`` against a finite
+difference of the generator it propagates.
 """
 
 import math
@@ -154,10 +155,10 @@ def position_density(rho: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def wigner_per_point(rho, grid) -> np.ndarray:
-    """Wigner values of a single-mode state, the radial recurrence run at
-    every grid point: the kernel ``optomem.wigner`` used before it evaluated
-    radial parts once per distinct radius.  The batched kernel must agree
-    with it bit for bit.
+    """Wigner values of a single-mode state, diagonal by diagonal from the
+    associated-Laguerre radial recurrence run at every grid point: a kernel
+    independent of the Hermite-Gauss sum in ``optomem.wigner``, which must
+    agree with it to rounding (absolute, see ``test_wigner``).
     """
     n_levels = rho.dims.total_dim
     x = grid.x_axis()[:, None]

@@ -207,7 +207,8 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     src = str(Path(optomem.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, optomem.cli; print('scipy.signal' in sys.modules)"],
+        [sys.executable, "-c",
+         "import sys, optomem.cli; print('scipy.signal' in sys.modules, 'scipy.special' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"

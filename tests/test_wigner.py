@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
 
-from helpers import coherent_coeffs, position_density, random_density, wigner_per_point
+from helpers import (
+    coherent_coeffs,
+    hermite_functions,
+    position_density,
+    random_density,
+    wigner_per_point,
+)
 
 from optomem.fock import HilbertDims, QOperator
 from optomem.liouvillian import SystemParams, combined_kerr_liouvillian
 from optomem.evolve import EvolveOptions, TimeGrid, evolve
 from optomem.states import DensityMatrix, coherent_ket, fock_ket, product_dm, vacuum_ket
+from optomem import wigner as WIGNER
 from optomem.wigner import (
-    WIGNER_BATCH,
     PhaseSpaceGrid,
     WignerField,
     min_value,
@@ -187,6 +193,8 @@ def damped_snapshot(n: int) -> DensityMatrix:
 
 
 def test_fields_match_per_point_kernel_bitwise():
+    # against the Laguerre-recurrence kernel, in absolute terms: largest
+    # difference measured 6.1e-16 here, 7.2e-16 on the fig2-combined snapshots;
     # linspace(-5, 5, 201) is not exactly mirror-symmetric, so this also
     # checks that no symmetry of the grid is assumed
     n = 20
@@ -200,7 +208,7 @@ def test_fields_match_per_point_kernel_bitwise():
     fields = list(wigner_fields(states, GRID_201))
     assert len(fields) == len(states)
     for rho, field in zip(states, fields):
-        assert np.array_equal(bits(field.values), bits(wigner_per_point(rho, GRID_201)))
+        assert np.max(np.abs(field.values - wigner_per_point(rho, GRID_201))) <= 1e-14
         assert np.array_equal(bits(wigner(rho, GRID_201).values), bits(field.values))
 
 
@@ -209,7 +217,7 @@ def test_groups_give_the_fields_of_their_parts():
     rng = np.random.default_rng(5)
     dims = HilbertDims((6,))
     states = [DensityMatrix(QOperator(dims, random_density(rng, 6)))
-              for _ in range(WIGNER_BATCH + 3)]
+              for _ in range(19)]
     together = list(wigner_fields(states, grid))
     parts = list(wigner_fields(states[:4], grid)) + list(wigner_fields(states[4:], grid))
     alone = [wigner(rho, grid) for rho in states]
@@ -225,3 +233,63 @@ def test_fields_reject_bad_input():
         wigner_fields([product_dm([vacuum_ket(4)]), product_dm([vacuum_ket(3), vacuum_ket(3)])])
     with pytest.raises(ValueError):
         wigner_fields([product_dm([vacuum_ket(4)]), product_dm([vacuum_ket(5)])])
+
+
+def support_grid(n: int) -> PhaseSpaceGrid:
+    """201 x 201 points reaching 3 past the turning radius sqrt(2n - 1) of |n-1>."""
+    edge = np.sqrt(2.0 * n - 1.0) + 3.0
+    return PhaseSpaceGrid(-edge, edge, -edge, edge, 201, 201)
+
+
+def fock_closed_form(k: int, grid: PhaseSpaceGrid) -> np.ndarray:
+    """(-1)^k e^{-r^2} L_k(2 r^2) / pi, with e^{-y/2} L_j(y) from the Laguerre
+    recurrence (j+1) L_{j+1} = (2j+1-y) L_j - j L_{j-1} at y = 2 r^2.
+
+    Its own error, against a 40-digit evaluation at every 7th point of
+    ``support_grid`` and the default grid, is at most 5.7e-15 for k = 29,
+    59 and 89.
+    """
+    x = grid.x_axis()[:, None]
+    p = grid.p_axis()[None, :]
+    y = 2.0 * (x * x + p * p)
+    prev, cur = np.zeros_like(y), np.exp(-0.5 * y)
+    for j in range(k):
+        prev, cur = cur, ((2 * j + 1 - y) * cur - j * prev) / (j + 1)
+    return (-1) ** k * cur / np.pi
+
+
+@pytest.mark.parametrize("n, coherent_bound", [(30, 1e-7), (60, 3e-15), (90, 3e-15)])
+def test_fields_match_closed_forms_up_to_n_90(n, coherent_bound):
+    # largest absolute differences measured (n = 30 / 60 / 90): vacuum
+    # 5.6e-17 / 1.1e-16 / 6.9e-17, |n-1> 1.5e-15 / 4.9e-15 / 1.1e-14 (mostly
+    # the recurrence's own error), |2 - i> 4.3e-8 / 6.1e-16 / 6.9e-16; at
+    # n = 30 the truncated coherent state lacks a tail whose field is 4.3e-8,
+    # so its bound there is the truncation's, not the kernel's
+    alpha = 2.0 - 1.0j
+    grid = support_grid(n)
+    x = grid.x_axis()[:, None]
+    p = grid.p_axis()[None, :]
+    vacuum, fock, coherent = (field.values for field in wigner_fields(
+        [product_dm([vacuum_ket(n)]), product_dm([fock_ket(n - 1, n)]),
+         product_dm([coherent_ket(alpha, n)])], grid))
+    shifted = (x - np.sqrt(2.0) * alpha.real) ** 2 + (p - np.sqrt(2.0) * alpha.imag) ** 2
+    assert np.max(np.abs(vacuum - np.exp(-(x * x + p * p)) / np.pi)) <= 5e-16
+    assert np.max(np.abs(fock - fock_closed_form(n - 1, grid))) <= 3e-14
+    assert np.max(np.abs(coherent - np.exp(-shifted) / np.pi)) <= coherent_bound
+
+
+def test_shell_rotations_match_gauss_hermite_quadrature():
+    # U^M[m, a] = int int psi_m((s+t)/sqrt2) psi_{M-m}((s-t)/sqrt2)
+    # psi_a(s) psi_{M-a}(t) ds dt.  The integrand is e^{-s^2-t^2} times a
+    # polynomial of degree at most 2M in s and in t, so the (M+1)-node
+    # Gauss-Hermite rule in each variable is exact.  Largest difference
+    # measured: 1.6e-15
+    for shell in range(11):
+        nodes, weights = np.polynomial.hermite.hermgauss(shell + 1)
+        s, t = (v.ravel() for v in np.meshgrid(nodes, nodes, indexing="ij"))
+        w = np.outer(weights, weights).ravel() * np.exp(s * s + t * t)
+        plus = hermite_functions(shell + 1, (s + t) / np.sqrt(2.0))
+        minus = hermite_functions(shell + 1, (s - t) / np.sqrt(2.0))
+        quad = (w * plus * minus[::-1]) @ (hermite_functions(shell + 1, s)
+                                           * hermite_functions(shell + 1, t)[::-1]).T
+        assert np.max(np.abs(WIGNER._shell_rotation(shell) - quad)) <= 5e-15

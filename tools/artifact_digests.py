@@ -8,6 +8,9 @@ missing or empty):
 
 * ``wigner-snapshots --preset fig2-combined``, once with ``--threads 1``
   and once with ``--threads 2``
+* ``wigner-snapshots --preset fig4 --override snapshots=0,50,157,314``,
+  once with ``--threads 1`` and once with ``--threads 2``: grids of the
+  stored mode's partial trace, at a second truncation (N = 10)
 * ``simulate --preset fig4`` and ``simulate --preset harmonic-check``
 * ``simulate --preset fig4 --override storage_mode=0`` (optical storage,
   whose largest symmetry block takes the ``expm_multiply`` path; 9 to 11 s
@@ -46,6 +49,11 @@ RUNS = [
     (f"{name}-threads{threads}", [command, "--preset", name, "--threads", str(threads)])
     for command, name in [("wigner-snapshots", "fig2-combined")]
     + [("sweep", name) for name in ("fig5", "fig6", "fig7", "fig8")]
+    for threads in (1, 2)
+] + [
+    (f"fig4-snapshots-threads{threads}",
+     ["wigner-snapshots", "--preset", "fig4", "--override", "snapshots=0,50,157,314",
+      "--threads", str(threads)])
     for threads in (1, 2)
 ]
 
