@@ -31,7 +31,6 @@ from .evolve import (
     IntegrationFailure,
     TimeGrid,
     Trajectory,
-    evolve_rk4,
 )
 from .wigner import (
     PhaseSpaceGrid,

@@ -10,8 +10,9 @@ Subcommands:
 
 A run is selected either by ``--preset NAME`` or ``--config FILE``; dotted
 keys can be adjusted with repeated ``--override key=value`` flags.
-``sweep`` and ``wigner-snapshots`` run their tasks on ``--threads`` worker
-processes, by default one per CPU this process may use.
+``--threads`` sets how many tasks run at once, by default one per CPU this
+process may use: sweep points on worker processes, snapshot grids on
+threads of this process.
 """
 
 from __future__ import annotations
@@ -62,10 +63,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_threads_flag(parser: argparse.ArgumentParser, tasks: str) -> None:
+def _add_threads_flag(parser: argparse.ArgumentParser, meaning: str) -> None:
     parser.add_argument("--threads", type=_positive_int, default=_usable_cpus(),
-                        help=f"worker processes for {tasks} (default: the %(default)s "
-                             "CPUs this process may use)")
+                        help=f"{meaning} (default: the %(default)s CPUs this process "
+                             "may use)")
 
 
 def _load(args: argparse.Namespace):
@@ -168,12 +169,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("wigner-snapshots", help="export Wigner grids at snapshot times")
     _add_run_flags(p)
-    _add_threads_flag(p, "parts of the snapshot list")
+    _add_threads_flag(p, "how many grids are evaluated and written at once, one thread each")
     p.set_defaults(func=cmd_snapshots)
 
     p = sub.add_parser("sweep", help="run a parameter sweep")
     _add_run_flags(p)
-    _add_threads_flag(p, "sweep points")
+    _add_threads_flag(p, "how many sweep points run at once, one worker process each")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("revival-report", help="recompute the report of a finished run")

@@ -30,22 +30,26 @@ times; these telescope, so the offset stays that of the last lattice time.
 A snapshot at s branches off the chain: exp(L (s - t_k)) applied to the
 state of the last sample t_k <= s (none when s == t_k), so the trajectory
 does not depend on the snapshot times.  When no block is larger than
-:data:`MAX_DENSE_BLOCK`, the propagator is the block diagonal
+:data:`MAX_DENSE_BLOCK`, the sample propagator is the block diagonal
 (``scipy.sparse.block_diag``) of a dense exp(L_b gap) per kept block
-(scaling and squaring, Al-Mohy & Higham, SIMAX 31, 970, 2009); propagators
-for gaps that recur are cached, one-off gaps (the snapshot branches) are
-built, applied once and dropped, and the lattice step's is dropped once the
-first jump below replaces it.  On this path the lattice also serves
-whole blocks of :data:`SAMPLE_BLOCK` samples: each block of samples after
-the first that lies within the lattice prefix is exp(L times[SAMPLE_BLOCK])
-(bitwise SAMPLE_BLOCK h) applied to the block before it, one dense product
-per kept block, so at most SAMPLE_BLOCK - 1 steps and n_t / SAMPLE_BLOCK
-jumps separate a sample from rho(0).  Otherwise each gap applies the action
-exp(L gap) z with a truncated Taylor series (Al-Mohy & Higham, SISC 33, 488,
-2011; ``scipy.sparse.linalg.expm_multiply``).  Its cost grows with
-||L||_1 gap and it cannot fail, so the run is refused up front, with
-:class:`IntegrationFailure`, when that product exceeds
-:data:`MAX_ACTION_NORM` for the largest step or branch.
+(scaling and squaring, Al-Mohy & Higham, SIMAX 31, 970, 2009), built from
+the dense blocks that one scatter of L's entries fills
+(:func:`_dense_blocks`); propagators for steps that recur are cached, a
+one-off step is built, applied once and dropped, and the lattice step's is
+dropped once the first jump below replaces it.  On this path the lattice
+also serves whole blocks of :data:`SAMPLE_BLOCK` samples: each block of
+samples after the first that lies within the lattice prefix is
+exp(L times[SAMPLE_BLOCK]) (bitwise SAMPLE_BLOCK h) applied to the block
+before it, one dense product per kept block, so at most SAMPLE_BLOCK - 1
+steps and n_t / SAMPLE_BLOCK jumps separate a sample from rho(0).
+
+Every snapshot branch, and on the other path every gap, applies the action
+exp(L gap) z to the kept vector alone with a truncated Taylor series
+(Al-Mohy & Higham, SISC 33, 488, 2011; ``scipy.sparse.linalg.expm_multiply``)
+of the kept generator, which is built only when a run has such a gap.  Its
+cost grows with ||L||_1 gap and it cannot fail, so the run is refused up
+front, with :class:`IntegrationFailure`, when that product exceeds
+:data:`MAX_ACTION_NORM` for the largest gap it is asked to cross.
 
 On both paths every state, the initial one and each snapshot included, is
 re-symmetrised (rho <- (rho + rho^dag)/2) on the self-mirror blocks, where
@@ -71,11 +75,9 @@ drift is not within :data:`TRACE_DRIFT_LIMIT`.  The trace is never renormalised;
 drift is recorded as an integration quality signal.  Repeated runs are
 bitwise reproducible.
 
-A plain fixed-step classical RK4 driver (:func:`evolve_rk4`) is kept as an
-independent cross-validation route and shares no stepping or observable
-code with either path: it integrates the full space, so it also checks the
-restriction to the live coordinates, and reads its observables straight
-from the density matrix, so it also checks the weights and their fold.
+The tests cross-check both paths against a fixed-step RK4 on the full space
+(``evolve_rk4`` in ``tests/helpers.py``), which shares no stepping or
+observable code with this module.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import expm_multiply
 from scipy.sparse.linalg import norm as sparse_norm
 
-from .fock import HilbertDims, QOperator, annihilation, embed, expectation
+from .fock import HilbertDims, QOperator, annihilation, embed
 from .liouvillian import Superoperator, unvec, vec
 from .states import DensityMatrix, coherent_amplitudes
 
@@ -99,7 +101,6 @@ __all__ = [
     "EvolveOptions",
     "IntegrationFailure",
     "evolve",
-    "evolve_rk4",
     "live_coordinates",
     "symmetry_blocks",
 ]
@@ -174,7 +175,7 @@ class Trajectory:
 # Largest symmetry block propagated by a dense exp(L_b gap); a larger block
 # sends the whole run to expm_multiply.  A propagator holds sum(s_b^2)
 # entries and costs O(s_b^3) to build: twice for a uniform grid (the step
-# and the block jump), once per off-grid snapshot.  Two-mode optical storage
+# and the block jump); snapshot branches build none.  Two-mode optical storage
 # at (n, 10), 2 000 samples, one thread (2-vCPU Xeon VM), `simulate` with
 # dense blocks vs expm_multiply, wall time and peak RSS: largest block 200:
 # 0.11 s / 78 MB vs 2.6 s / 70 MB; 300: 0.33 s / 90 MB vs 2.8 s / 70 MB;
@@ -183,7 +184,8 @@ class Trajectory:
 # between runs: 1.6 to 2.6 s at 200.
 MAX_DENSE_BLOCK = 300
 
-# Largest ||L||_1 * gap that expm_multiply is asked to cross.  One gap costs
+# Largest ||L||_1 * gap that expm_multiply is asked to cross, on either path
+# (on the dense one, the snapshot branches only).  One gap costs
 # O(||L||_1 gap) products: one thread (2-vCPU Xeon VM), 1.5 -> 4.9 ms,
 # 1e2 -> 0.10 s and 1e3 -> 0.63 s on the 9 820 live coordinates of two-mode
 # optical storage at (10, 10); 18 ms at 1e3 and 0.15 s at 1e4 on a 16-dim
@@ -210,6 +212,31 @@ SAMPLE_BLOCK = 64
 def _block_exp(dense: list[np.ndarray], gap: float) -> list[np.ndarray]:
     """exp(L_b gap) of each block L_b of ``dense``: one dense expm per block."""
     return [scipy.linalg.expm(block * gap) for block in dense]
+
+
+def _dense_blocks(lmat: sp.csr_matrix, kept_blocks: list[np.ndarray]) -> list[np.ndarray]:
+    """``lmat[idx][:, idx].toarray()`` for each ``idx`` of ``kept_blocks``.
+
+    One scatter of ``lmat``'s entries: each entry in a kept block goes to
+    its block's row-major slice of one buffer at its local indices.  No
+    entry links two blocks, and a canonical matrix stores each entry once,
+    so every entry is assigned, not summed.
+    """
+    assert lmat.has_canonical_format
+    kept = np.concatenate(kept_blocks)
+    sizes = np.array([idx.size for idx in kept_blocks])
+    # each live coordinate's kept block (-1: not kept) and index within it
+    owner = np.full(lmat.shape[0], -1)
+    owner[kept] = np.repeat(np.arange(sizes.size), sizes)
+    local = np.empty(lmat.shape[0], dtype=np.intp)
+    local[kept] = np.arange(kept.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    coo = lmat.tocoo()
+    inside = owner[coo.row] >= 0
+    row, col, block = coo.row[inside], coo.col[inside], owner[coo.row[inside]]
+    starts = np.concatenate([[0], np.cumsum(sizes * sizes)])
+    flat = np.zeros(starts[-1], dtype=lmat.dtype)
+    flat[starts[block] + local[row] * sizes[block] + local[col]] = coo.data[inside]
+    return [flat[a:b].reshape(s, s) for a, b, s in zip(starts[:-1], starts[1:], sizes)]
 
 
 class _KeptObservables:
@@ -338,12 +365,13 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
     later block of :data:`SAMPLE_BLOCK` lattice samples at once, and with
     ``expm_multiply`` otherwise.  Full density matrices are stored
     only at ``opts.snapshot_times`` (which must be finite and lie within the
-    grid span), each branched off the last sample at or before it, so the
-    samples do not depend on them.  Raises ValueError when the generator
-    does not preserve Hermiticity, and :class:`IntegrationFailure` when the
-    trace drift is not within :data:`TRACE_DRIFT_LIMIT` or, on the
-    ``expm_multiply`` path, when ||L||_1 times the largest step or branch
-    exceeds :data:`MAX_ACTION_NORM`.
+    grid span), each branched off the last sample at or before it by
+    ``expm_multiply`` on the kept vector, so the samples do not depend on
+    them.  Raises ValueError when the generator does not preserve
+    Hermiticity, and :class:`IntegrationFailure` when the trace drift is not
+    within :data:`TRACE_DRIFT_LIMIT` or when ||L||_1 times the largest gap
+    that ``expm_multiply`` crosses (each snapshot branch, and on that path
+    each step) exceeds :data:`MAX_ACTION_NORM`.
     """
     opts = opts or EvolveOptions()
     dims = rho0.dims
@@ -399,12 +427,31 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
     # each snapshot branches off the last sample at or before it
     base = np.searchsorted(times, snapshot_times, side="right") - 1
     offsets = snapshot_times - times[base]
-    gaps = np.concatenate([steps, offsets[offsets > 0]])
+    branch_gaps = offsets[offsets > 0]
+    gaps = np.concatenate([steps, branch_gaps])
 
-    if max(block_sizes) <= MAX_DENSE_BLOCK:
+    dense_path = max(block_sizes) <= MAX_DENSE_BLOCK
+    # expm_multiply crosses every gap, or on the dense path only the branches
+    acted = branch_gaps if dense_path else gaps
+    if not dense_path or acted.size:
+        kmat = lmat[kept][:, kept]
+        kmat.sort_indices()
+        # one gap costs about ||L||_1 gap products and expm_multiply never
+        # gives up, so refuse a run it would not finish (NaN included)
+        cost = float(sparse_norm(kmat, 1)) * float(np.max(acted, initial=0.0))
+        if not cost <= MAX_ACTION_NORM:
+            raise IntegrationFailure(
+                f"||L||_1 * largest gap = {cost:.3e} exceeds {MAX_ACTION_NORM:.0e}; "
+                "shrink the rates, the sample spacing or the truncation"
+            )
+
+    def act(zk: np.ndarray, gap: float) -> np.ndarray:
+        return expm_multiply(kmat * gap, zk)
+
+    if dense_path:
         path = "expm"
-        dense = [lmat[idx][:, idx].toarray() for idx in kept_blocks]
-        distinct, counts = np.unique(gaps, return_counts=True)
+        dense = _dense_blocks(lmat, kept_blocks)
+        distinct, counts = np.unique(steps, return_counts=True)
         repeated = set(distinct[counts > 1].tolist())
         cache: dict[float, sp.csr_matrix] = {}
 
@@ -435,20 +482,7 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
                 block[:, a:b] = block[:, a:b] @ prop.T
     else:
         path = "expm_multiply"
-        kmat = lmat[kept][:, kept]
-        kmat.sort_indices()
-        # one gap costs about ||L||_1 gap products and expm_multiply never
-        # gives up, so refuse a run it would not finish (NaN included)
-        cost = float(sparse_norm(kmat, 1)) * float(np.max(gaps, initial=0.0))
-        if not cost <= MAX_ACTION_NORM:
-            raise IntegrationFailure(
-                f"||L||_1 * largest gap = {cost:.3e} exceeds {MAX_ACTION_NORM:.0e}; "
-                "shrink the rates, the sample spacing or the truncation"
-            )
-
-        def propagate(zk: np.ndarray, gap: float) -> np.ndarray:
-            return expm_multiply(kmat * gap, zk)
-
+        propagate = act
         # sample by sample only: a jump would cross SAMPLE_BLOCK steps at
         # once, so MAX_ACTION_NORM would refuse runs it admits for one step
         jump = None
@@ -496,7 +530,7 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
             for s, offset in branches.get(i, ()):
                 zs = rows[j]
                 if offset > 0.0:
-                    zs = propagate(zs, offset)
+                    zs = act(zs, offset)
                     dev = float(np.max(np.abs(zs[:n_self] - zs[self_dag].conj())))
                     herm_dev = max(herm_dev, dev)
                     symmetrise(zs)
@@ -539,74 +573,4 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
         path=path,
         block_sizes=block_sizes,
         n_propagated=kept.size,
-    )
-
-
-def evolve_rk4(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
-               dt: float) -> Trajectory:
-    """Fixed-step classical RK4 integration; independent cross-check route.
-
-    Each grid interval is split into ceil(interval/dt) equal substeps.  No
-    symmetrisation, no adaptivity, no trace gate: the raw fourth-order result
-    is returned for comparison against :func:`evolve`.  Each sample reads
-    <a_k> = Tr(a_k rho), Tr rho and sum |rho_ij|^2 off rho = unvec(z).
-    """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    dims = rho0.dims
-    if dims != superop.dims:
-        raise ValueError(
-            f"dimension mismatch: state {dims.dims} vs generator {superop.dims.dims}"
-        )
-    d = dims.total_dim
-    lmat = superop.matrix
-    a_ops = [embed(annihilation(n_k), k, dims) for k, n_k in enumerate(dims.dims)]
-    times = grid.times
-
-    z = vec(rho0.data).astype(np.complex128)
-    n_t = times.size
-    amps = np.zeros((dims.n_modes, n_t), dtype=np.complex128)
-    tr = np.zeros(n_t)
-    pur = np.zeros(n_t)
-    n_steps = 0
-
-    def record(i: int) -> None:
-        rho = QOperator(dims, unvec(z, d))
-        for k, a in enumerate(a_ops):
-            amps[k, i] = expectation(a, rho)
-        tr[i] = np.trace(rho.data).real
-        pur[i] = np.sum(np.abs(rho.data) ** 2)
-
-    record(0)
-    stage = np.empty_like(z)
-    for i in range(1, n_t):
-        interval = times[i] - times[i - 1]
-        n_sub = max(1, int(np.ceil(interval / dt)))
-        h = interval / n_sub
-        for _ in range(n_sub):
-            # z + (h/6) (k1 + 2 k2 + 2 k3 + k4), each stage z + c k formed in
-            # one buffer; the same operations in the same order as the
-            # expressions written out
-            k1 = lmat @ z
-            np.add(z, np.multiply(0.5 * h, k1, out=stage), out=stage)
-            k2 = lmat @ stage
-            np.add(z, np.multiply(0.5 * h, k2, out=stage), out=stage)
-            k3 = lmat @ stage
-            np.add(z, np.multiply(h, k3, out=stage), out=stage)
-            k4 = lmat @ stage
-            np.add(k1, np.multiply(2.0, k2, out=k2), out=k1)
-            np.add(k1, np.multiply(2.0, k3, out=k3), out=k1)
-            np.add(k1, k4, out=k1)
-            np.add(z, np.multiply(h / 6.0, k1, out=k1), out=z)
-            n_steps += 1
-        record(i)
-
-    return Trajectory(
-        times=times.copy(),
-        amplitudes=amps,
-        trace=tr,
-        purity=pur,
-        coherent_overlap=None,
-        snapshots=[],
-        n_steps=n_steps,
     )

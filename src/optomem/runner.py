@@ -8,19 +8,26 @@ Outputs per run directory:
 * ``revival_report.json`` -- collapse/revival report plus integration quality
 * ``wigner_t<...>.dat``   -- self-describing grid text files (snapshot runs)
 
-``run_sweep`` and ``run_snapshots`` take ``threads``: sweep points, or
-interleaved parts of a run's snapshots, are independent tasks that
-``_pool_map`` runs on a process pool of at most one worker per task (inline
-for one worker).  The parent evolves a snapshot run and names its files;
-each worker renders and writes one part's grids.
+``run_sweep`` and ``run_snapshots`` take ``threads``, how many of their
+independent tasks run at once, never more than there are tasks.  Sweep
+points run on a process pool (``_pool_map``, inline for one worker), since
+``evolve`` holds the GIL for most of a point.  A snapshot run is evolved in
+the calling thread, which also builds the Wigner table once
+(``wigner.wigner_map``); that thread and up to ``threads - 1`` pool threads
+then evaluate, render and write one grid per task from the shared table
+(``_thread_each``).  Those are large numpy calls that release the GIL, so
+the threads run in parallel, and no state or table is copied to another
+process.
 
 All numeric output is rendered with ``%.9e`` (JSON floats are rounded to the
 same precision) so repeated runs of one config are byte-identical, at any
-``threads``.  The trajectory and grid bodies are rendered in one vectorised
-pass (``_render``): numpy computes each cell's 10-digit significand, which
-is provably the correctly rounded one unless the cell lies within 1e-5 of a
-rounding tie, and hands those cells and the rare non-finite or extreme ones
-to Python's ``'%.9e' %``; the text is byte for byte Python's.
+``threads``.  The trajectory and grid bodies are rendered by vectorised
+passes (``_render``; a grid :data:`_GRID_ROWS` rows at a time): numpy
+computes each cell's 10-digit significand, which is provably the correctly
+rounded one unless the cell lies within 1e-5 of a rounding tie, and hands
+those cells and the rare non-finite or extreme ones to Python's
+``'%.9e' %``.  Each cell is a fixed record whose unused bytes are NUL, and
+``bytes.translate`` drops them; the text is byte for byte Python's.
 
 The ``a``/``b`` columns hold ``Trajectory.amplitudes[0]``/``[1]``; a
 one-mode (combined) run has zeros in the ``b`` columns.
@@ -30,7 +37,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -47,7 +54,7 @@ from .evolve import EvolveOptions, TimeGrid, Trajectory, evolve
 from .liouvillian import Superoperator, combined_kerr_liouvillian, liouvillian
 from .revival import RevivalReport, detect_revivals, sweep_summary
 from .states import DensityMatrix, coherent_ket, partial_trace, product_dm, vacuum_ket
-from .wigner import PhaseSpaceGrid, WignerField, wigner_fields
+from .wigner import PhaseSpaceGrid, WignerField, wigner_map
 
 
 def build_problem(config: RunConfig) -> tuple[Superoperator, DensityMatrix]:
@@ -94,44 +101,93 @@ def _round9(x: float) -> float:
 
 
 # _POW10[e + 100] is 10**(9 - e), parsed from its decimal text and so
-# correctly rounded; _ASCII3[n] holds the three digits of n, zero padded, and
-# _EXP_TEXT[e + 99] the text "e+dd" or "e-dd" of an exponent e.  _ASCII3 is
-# built without integer division, whose first use pages in about 150 kB of
-# numpy code.
+# correctly rounded; _ASCII4[n] holds the four digits of n, zero padded, and
+# _EXP_TEXT[e + 99] the text "e+dd" or "e-dd" of an exponent e.  _ASCII4
+# (40 kB) is built without integer division, whose first use pages in about
+# 150 kB of numpy code.
 _POW10 = np.array([float(f"1e{9 - e}") for e in range(-100, 101)])
 _DIGITS = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
-_ASCII3 = np.stack(
-    [np.repeat(_DIGITS, 100), np.tile(np.repeat(_DIGITS, 10), 10), np.tile(_DIGITS, 100)], axis=1
-)
+_ASCII4 = np.stack([
+    np.repeat(_DIGITS, 1000), np.tile(np.repeat(_DIGITS, 100), 10),
+    np.tile(np.repeat(_DIGITS, 10), 100), np.tile(_DIGITS, 1000),
+], axis=1)
 _EXP_TEXT = np.array([list(f"e{e:+03d}".encode()) for e in range(-99, 100)], dtype=np.uint8)
-# a fast cell's slot: sign, d.ddddddddd, e+dd, separator; one spare byte
-# fits a fallback cell's three-digit exponent
-_SLOT = 18
+# a cell's record: its text in the first 17 bytes, NUL padded, then its
+# separator; the longest text Python writes is "-1.797693135e+308"
+_RECORD = 18
 
 
 def _render(values, sep: str) -> bytes:
     """The rows of a 2-d float array as ``%.9e`` cells joined by ``sep``.
 
     Each row ends with ``"\\n"``, and every cell is byte for byte
-    ``'%.9e' % v``.  A cell with ``1e-99 <= |v| < 1e100`` or ``v == 0``
-    takes the vectorised path.  There ``e = floor(log10|v|)`` and
-    ``q = |v| * 10**(9 - e)``, and ``rint(q)`` is the 10-digit significand;
-    a significand of ``1e10`` becomes ``1e9`` with exponent ``e + 1``.
+    ``'%.9e' % v``.  Each cell is one fixed record of :data:`_RECORD`
+    bytes (``_records``) whose unused bytes are NUL; dropping every NUL
+    joins the records into the text.  Rows are independent, so rendering a
+    block of rows at a time gives the same bytes.
+    """
+    # the records are freed before the NULs are dropped from their bytes
+    return _records(np.asarray(values, dtype=float), sep).tobytes().translate(None, b"\0")
+
+
+def _records(values: np.ndarray, sep: str) -> np.ndarray:
+    """One record per cell of ``values``, row by row: its text, NUL padded.
+
+    A cell that ``_significands`` takes is its sign (NUL when positive),
+    the significand as two, four and four digits from ``_ASCII4`` with the
+    point after the first, the exponent text and NUL; any other cell is
+    Python's ``'%.9e' %`` text.  The last byte is the separator, or
+    ``"\\n"`` at the end of a row.
+    """
+    n_rows, n_cols = values.shape
+    v = values.ravel()
+    sig, e, fast = _significands(v)
+    # the bytes every row shares: the point, a NUL, the separators
+    row = np.zeros((n_cols, _RECORD), dtype=np.uint8)
+    row[:, 2] = ord(".")
+    row[:, 17] = ord(sep)
+    row[-1, 17] = ord("\n")
+    records = np.empty((n_rows, n_cols, _RECORD), dtype=np.uint8)
+    records[:] = row
+    records = records.reshape(v.size, _RECORD)
+    records[:, 0] = np.signbit(v).view(np.uint8) * np.uint8(ord("-"))
+    # sig = k 1e4 + r is an integer below 1e10, r <= 9999: sig / 1e4 rounds
+    # to within 2**-33 of k + r / 1e4, at least 1e-4 below k + 1, so its
+    # floor is k, and k * 1e4 and sig - k * 1e4 = r are exact
+    for col in (8, 4):
+        high = np.floor(sig / 1e4)
+        records[:, col:col + 4] = np.take(_ASCII4, (sig - high * 1e4).astype(np.intp), axis=0)
+        sig = high
+    records[:, 1:4:2] = np.take(_ASCII4[:, 2:], sig.astype(np.intp), axis=0)
+    records[:, 12:16] = np.take(_EXP_TEXT, e + 99, axis=0, mode="clip")
+
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = np.array(list(map("%.9e".__mod__, v[slow].tolist())), dtype=f"S{_RECORD - 1}")
+        records[slow, :-1] = text.view(np.uint8).reshape(-1, _RECORD - 1)
+    return records
+
+
+def _significands(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 10-digit significand (an integral float) and exponent of each
+    value of ``v``, and whether they are ``'%.9e' % v``'s.
+
+    A value with ``1e-99 <= |v| < 1e100`` or ``v == 0`` is tried.  There
+    ``e = floor(log10|v|)`` and ``q = |v| * 10**(9 - e)``, and ``rint(q)`` is
+    the 10-digit significand; a significand of ``1e10`` becomes ``1e9`` with
+    exponent ``e + 1``.
 
     Why that is exact: the table power and the product are each correctly
     rounded, so ``q`` is within a relative 2**-52 of ``|v| * 10**(9 - e)``,
     i.e. within 2.3e-6.  ``rint(q)`` is therefore the correctly rounded
-    significand unless ``q`` lies that close to a half-integer; cells within
-    1e-5 of one go to Python's ``'%.9e' %``, as do exact decimal ties.  An
-    ``e`` that ``log10`` misses by one puts ``|v|`` within a relative 1e-12
-    of a power of ten, so ``q`` lies within 1e-2 of ``1e9`` or ``1e10`` and
-    gives the same digits and exponent.  Non-finite values, values outside the
-    range and three-digit exponents also go to Python.  That leaves about
-    2e-5 of random values in range, about one cell of a Wigner grid.
+    significand unless ``q`` lies that close to a half-integer; values within
+    1e-5 of one are left to Python's ``'%.9e' %``, as are exact decimal ties.
+    An ``e`` that ``log10`` misses by one puts ``|v|`` within a relative
+    1e-12 of a power of ten, so ``q`` lies within 1e-2 of ``1e9`` or ``1e10``
+    and gives the same digits and exponent.  Non-finite values, values outside
+    the range and three-digit exponents are also left to Python.  That leaves
+    about 2e-5 of random values in range, about one cell of a Wigner grid.
     """
-    values = np.asarray(values, dtype=float)
-    n_rows, n_cols = values.shape
-    v = values.ravel()
     mag = np.abs(v)
     in_range = (mag >= 1e-99) & (mag < 1e100)
     fast = in_range | (mag == 0.0)
@@ -140,36 +196,11 @@ def _render(values, sep: str) -> bytes:
     q = np.where(in_range, mag * _POW10[e + 100], 0.0)
     sig = np.rint(q)
     fast &= np.abs(np.abs(q - sig) - 0.5) > 1e-5
-    sig = sig.astype(np.int64)
-    carry = sig == 10**10
-    sig[carry] = 10**9
+    carry = sig == 1e10
+    sig[carry] = 1e9
     e += carry
     fast &= np.abs(e) < 100
-
-    slots = np.empty((v.size, _SLOT), dtype=np.uint8)
-    slots[:, 0] = ord("-")
-    for col in (9, 6, 3):
-        sig, group = np.divmod(sig, 1000)
-        slots[:, col:col + 3] = np.take(_ASCII3, group, axis=0)
-    slots[:, 1] = sig + ord("0")
-    slots[:, 2] = ord(".")
-    slots[:, 12:16] = np.take(_EXP_TEXT, e + 99, axis=0, mode="clip")
-    ends = np.full(n_cols, ord(sep), dtype=np.uint8)
-    ends[-1] = ord("\n")
-    slots[:, 16] = np.tile(ends, n_rows)
-    keep = np.ones((v.size, _SLOT), dtype=bool)
-    keep[:, 0] = np.signbit(v)
-    keep[:, 17] = False
-
-    slow = np.flatnonzero(~fast)
-    text = np.array(list(map("%.9e".__mod__, v[slow].tolist())), dtype=f"S{_SLOT}")
-    text = text.view(np.uint8).reshape(-1, _SLOT)
-    width = np.count_nonzero(text, axis=1)
-    cell_ends = slots[slow, 16]
-    slots[slow] = text
-    slots[slow, width] = cell_ends
-    keep[slow] = np.arange(_SLOT) <= width[:, None]
-    return slots[keep].tobytes()
+    return sig, e, fast
 
 
 _TRAJECTORY_HEADER = "t,re_a,im_a,abs_a,re_b,im_b,abs_b,trace,purity,coherent_overlap"
@@ -241,11 +272,24 @@ def write_report_json(path: Path, report: RevivalReport, traj: Trajectory) -> No
     path.write_text(json.dumps(report_payload(report, traj), indent=2, sort_keys=True) + "\n")
 
 
+# Grid rows rendered per _render call.  A call's temporaries take about
+# 60 bytes a cell, and each thread writing grids holds its own; smaller
+# calls cost more interpreter time, for which the threads contend.  On
+# `wigner-snapshots --preset fig2-combined` with two threads (2-vCPU Xeon
+# VM, one BLAS thread), peak RSS was 71.4 MB at 24 rows and 71.8 MB at 32;
+# 16 rows took 0.03 to 0.06 s more wall time than 32.
+_GRID_ROWS = 24
+
+
 def write_wigner_field(path: Path, field: WignerField) -> None:
     g = field.grid
     header = f"{_f(g.x_min)} {_f(g.x_max)} {g.nx}\n{_f(g.p_min)} {_f(g.p_max)} {g.np}\n"
     # one row per p sample, nx columns per row
-    path.write_bytes(header.encode() + _render(field.values.T, " "))
+    rows = field.values.T
+    with open(path, "wb") as fh:
+        fh.write(header.encode())
+        for start in range(0, g.np, _GRID_ROWS):
+            fh.write(_render(rows[start:start + _GRID_ROWS], " "))
 
 
 def read_wigner_field(path: Path) -> WignerField:
@@ -293,12 +337,12 @@ def run_single(config: RunConfig, out_dir: Path) -> tuple[Trajectory, RevivalRep
 def run_snapshots(config: RunConfig, out_dir: Path, threads: int = 1) -> list[Path]:
     """Evolve one config and export a Wigner grid file per snapshot time.
 
-    The snapshots are split into ``min(threads, n_snapshots)`` interleaved
-    parts, part ``k`` holding every ``n``-th snapshot from the ``k``-th; each
-    part is rendered and written as one task (see ``_pool_map``).  Grids are
-    bitwise independent of the split, so the files are identical for any
-    thread count.  Two snapshot times that would share a file name are
-    refused, and the run is evolved, before anything is written.
+    The Wigner table is built once, in this thread; each grid is then
+    evaluated from it, rendered and written as one task, up to ``threads``
+    at once (see ``_thread_each``).  A grid depends only on its own state,
+    so the files are identical for any thread count.  Two snapshot times
+    that would share a file name are refused, and the run is evolved, before
+    anything is written.
     """
     if not config.snapshot_times:
         raise ValueError("config has no snapshot times")
@@ -319,17 +363,39 @@ def run_snapshots(config: RunConfig, out_dir: Path, threads: int = 1) -> list[Pa
         for _, state in traj.snapshots
     ]
     paths = [out_dir / names[t] for t, _ in traj.snapshots]
-    # one task per worker: each task builds the grid's Wigner table once
-    n = max(1, min(threads, len(states)))
-    jobs = [(states[k::n], config.wigner_grid, paths[k::n]) for k in range(n)]
-    _pool_map(_write_fields, jobs, threads)
+    field_of = wigner_map(states[0].dims.total_dim, config.wigner_grid)
+
+    def write(job: tuple[Path, DensityMatrix]) -> None:
+        path, state = job
+        write_wigner_field(path, field_of(state))
+
+    _thread_each(write, list(zip(paths, states)), threads)
     return paths
 
 
-def _write_fields(args) -> None:
-    states, grid, paths = args
-    for path, field in zip(paths, wigner_fields(states, grid)):
-        write_wigner_field(path, field)
+def _thread_each(fn, jobs: list, threads: int) -> None:
+    """``fn(job)`` for every job, at most ``threads`` at once.
+
+    This thread and ``min(threads, len(jobs)) - 1`` pool threads take jobs
+    from one iterator until it runs out, so none waits while a job is left.
+    This thread works rather than waits because its memory allocator
+    already holds free memory, which a pool thread would allocate afresh.
+    """
+    remaining = iter(jobs)
+
+    def drain() -> None:
+        for job in remaining:
+            fn(job)
+
+    helpers = min(threads, len(jobs)) - 1
+    if helpers < 1:
+        drain()
+        return
+    with ThreadPoolExecutor(max_workers=helpers) as pool:
+        futures = [pool.submit(drain) for _ in range(helpers)]
+        drain()
+        for future in futures:
+            future.result()
 
 
 def _pool_map(fn, jobs: list, threads: int) -> list:

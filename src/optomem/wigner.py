@@ -19,10 +19,10 @@ for a, b < K = 2N - 1, where psi_a are the orthonormal Hermite functions
 and U^M = diag((-1)^(M-m)) expm((pi/4) J_M) is a real orthogonal
 (M+1) x (M+1) matrix, J_M the generator of ``_shell_rotation``.
 The map rho -> C is block diagonal by shell M = m + n and has O(N^3)
-entries (27 000 at N = 30).  ``wigner_fields`` builds it and the two Phi
-once per call (13 ms at N = 30 on a 2-vCPU Xeon VM, one BLAS thread); each
-grid is then one sparse product and two small dense ones (0.2 ms on the
-default 201 x 201 grid).  A state's field depends only on that state.
+entries (27 000 at N = 30).  ``wigner_map`` builds it and the two Phi
+once (13 ms at N = 30 on a 2-vCPU Xeon VM, one BLAS thread); each grid is
+then one sparse product and two small dense ones (0.2 ms on the default
+201 x 201 grid).  A state's field depends only on that state.
 
 The error is absolute, not relative.  Against a 40-digit evaluation of
 Fock |N-1> at N = 30, 60 and 90 (every 7th point of the default grid and of
@@ -35,7 +35,7 @@ differ from the earlier kernel's by up to 7% of their value.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,13 +80,19 @@ DEFAULT_GRID = PhaseSpaceGrid(-5.0, 5.0, -5.0, 5.0, 201, 201)
 
 @dataclass(frozen=True)
 class WignerField:
-    """Wigner values sampled on a grid; values[i, j] = W(x_i, p_j)."""
+    """Wigner values sampled on a grid; values[i, j] = W(x_i, p_j).
+
+    ``values`` is held read-only.  A read-only float array that owns its
+    data, as ``wigner_map`` makes, is held as it is; anything else is copied.
+    """
 
     grid: PhaseSpaceGrid
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.array(self.values, dtype=float)
+        vals = np.asarray(self.values, dtype=float)
+        if vals.flags.writeable or not vals.flags.owndata:
+            vals = vals.copy()
         if vals.shape != (self.grid.nx, self.grid.np):
             raise ValueError(
                 f"values shape {vals.shape} does not match grid "
@@ -111,34 +117,51 @@ def wigner_fields(
     """Evaluate the Wigner functions of several single-mode states on one grid.
 
     All states must share one truncation (checked at the call).  The shell
-    table and the Hermite functions are built once, on the first field;
+    table and the Hermite functions are built once (:func:`wigner_map`);
     fields are then yielded in order, each from its own state alone.
     """
     states = list(states)
-    for rho in states:
-        if rho.dims.n_modes != 1:
-            raise ValueError(
-                f"wigner expects a single-mode state; got {rho.dims.n_modes} modes "
-                "(reduce with partial_trace first)"
-            )
-    if len({rho.dims.total_dim for rho in states}) > 1:
+    sizes = {_levels(rho) for rho in states}
+    if len(sizes) > 1:
         raise ValueError("wigner_fields expects states of one truncation")
-    return _fields(states, grid)
+    return map(wigner_map(sizes.pop(), grid), states) if states else iter(())
 
 
-def _fields(states: list[DensityMatrix], grid: PhaseSpaceGrid) -> Iterator[WignerField]:
-    if not states:
-        return
-    n = states[0].dims.total_dim
+def wigner_map(
+    n: int, grid: PhaseSpaceGrid = DEFAULT_GRID
+) -> Callable[[DensityMatrix], WignerField]:
+    """The map from an ``n``-level single-mode state to its field on ``grid``.
+
+    The shell table and the Hermite functions are built here, once; each
+    call then costs one sparse and two small dense products and only reads
+    them, so the map may be called from several threads at once.
+    """
     k = 2 * n - 1
     table = _shell_table(n)
     phi_x = _hermite_functions(np.sqrt(2.0) * grid.x_axis(), k)
     phi_p = _hermite_functions(np.sqrt(2.0) * grid.p_axis(), k)
-    for rho in states:
+
+    def field(rho: DensityMatrix) -> WignerField:
+        if _levels(rho) != n:
+            raise ValueError(f"a map for {n} levels got a {rho.dims.total_dim}-level state")
         # (Re rho_mn, Im rho_mn) interleaved, as the table's columns expect
         parts = np.ascontiguousarray(rho.data, dtype=np.complex128).reshape(-1).view(np.float64)
         coeffs = (table @ parts).reshape(k, k)
-        yield WignerField(grid, phi_x @ coeffs @ phi_p.T)
+        values = phi_x @ coeffs @ phi_p.T
+        values.setflags(write=False)
+        return WignerField(grid, values)
+
+    return field
+
+
+def _levels(rho: DensityMatrix) -> int:
+    """The truncation of a single-mode state; ValueError for more modes."""
+    if rho.dims.n_modes != 1:
+        raise ValueError(
+            f"wigner expects a single-mode state; got {rho.dims.n_modes} modes "
+            "(reduce with partial_trace first)"
+        )
+    return rho.dims.total_dim
 
 
 def _hermite_functions(s: np.ndarray, k: int) -> np.ndarray:
@@ -189,22 +212,27 @@ def _shell_table(n: int) -> sp.csr_array:
     (-i)^b is real for even b and imaginary for odd b,
     C_ab = pi^(-1/2) sum_{m+n=a+b} (-1)^(b//2) U^{a+b}[m, a] x_mn, where x_mn
     is Re rho_mn for even b and Im rho_mn for odd b.  The map is block
-    diagonal by shell M = m + n = a + b, with O(n^3) entries.
+    diagonal by shell M = m + n = a + b, with O(n^3) entries.  Row
+    a k + b holds one entry per m of its shell, in increasing m, so the
+    arrays are filled shell by shell in their final CSR order.
     """
     k = 2 * n - 1
-    rows, cols, vals = [], [], []
+    shells = np.add.outer(np.arange(k), np.arange(k)).ravel()
+    first = np.maximum(0, shells - n + 1)
+    counts = np.maximum(np.minimum(shells, n - 1) + 1 - first, 0)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    data = np.empty(indptr[-1])
+    indices = np.empty(indptr[-1], dtype=np.int32)
     for shell in range(k):
         u = _shell_rotation(shell)
-        m = np.arange(max(0, shell - n + 1), min(shell, n - 1) + 1)[:, None]
-        a = np.arange(shell + 1)[None, :]
+        m = np.arange(max(0, shell - n + 1), min(shell, n - 1) + 1)
+        a = np.arange(shell + 1)[:, None]
         b = shell - a
-        rows.append(np.broadcast_to(a * k + b, (m.size, a.size)).ravel())
-        cols.append((2 * (m * n + shell - m) + b % 2).ravel())
-        vals.append(((-1.0) ** (b // 2) * u[m.ravel()]).ravel())
-    vals = np.concatenate(vals) / np.sqrt(np.pi)
-    return sp.csr_array(
-        (vals, (np.concatenate(rows), np.concatenate(cols))), shape=(k * k, 2 * n * n)
-    )
+        at = indptr[a * k + b] + np.arange(m.size)
+        indices[at] = 2 * (m * n + shell - m) + b % 2
+        data[at] = (-1.0) ** (b // 2) * u[m].T
+    data /= np.sqrt(np.pi)
+    return sp.csr_array((data, indices, indptr), shape=(k * k, 2 * n * n))
 
 
 def min_value(field: WignerField) -> tuple[float, float, float]:

@@ -13,10 +13,10 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from helpers import generator_check, kerr_amplitude
+from helpers import evolve_rk4, generator_check, kerr_amplitude
 
 from optomem.config import default_params, preset
-from optomem.evolve import EvolveOptions, TimeGrid, evolve, evolve_rk4
+from optomem.evolve import EvolveOptions, TimeGrid, evolve
 from optomem.fock import HilbertDims
 from optomem.liouvillian import combined_kerr_liouvillian, liouvillian, thermal_occupation
 from optomem.revival import revival_time

@@ -9,6 +9,7 @@ from scipy.sparse.linalg import expm_multiply
 
 from helpers import (
     coherent_coeffs,
+    evolve_rk4,
     generator_check,
     kerr_amplitude,
     kerr_amplitude_closed_form,
@@ -22,7 +23,6 @@ from optomem.evolve import (
     IntegrationFailure,
     TimeGrid,
     evolve,
-    evolve_rk4,
     live_coordinates,
     symmetry_blocks,
 )
@@ -235,6 +235,20 @@ def test_exact_path_crosses_extreme_rates_to_closed_form_decay():
     assert np.max(np.abs(traj.snapshots[0][1].data - vacuum)) < 1e-12
 
 
+def test_dense_path_refuses_a_branch_beyond_the_action_bound():
+    # the dense propagators cross these rates between samples, but an
+    # off-grid snapshot branches by expm_multiply, whose cost grows with
+    # ||L||_1 times the branch; the run is refused before its first step
+    superop = combined_kerr_liouvillian(EXTREME_DECAY, 4)
+    dm = product_dm([coherent_ket(0.8, 4)])
+    grid = TimeGrid(np.array([0.0, 1.0]))
+    assert evolve(dm, superop, grid, EvolveOptions(snapshot_times=(1.0,))).path == "expm"
+    start = time.monotonic()
+    with pytest.raises(IntegrationFailure, match="largest gap"):
+        evolve(dm, superop, grid, EvolveOptions(snapshot_times=(0.5,)))
+    assert time.monotonic() - start < 5.0
+
+
 def test_generator_check_first_order():
     params = SystemParams(omega_c=0.9, omega_m=0.31, k_c=0.07, k_m=0.05, g0=0.11,
                           gamma_c=0.21, gamma_m=0.13, bath_temp=40000.0)
@@ -413,6 +427,28 @@ def test_block_larger_than_the_dense_limit_selects_expm_multiply(monkeypatch):
     assert at_limit.n_steps == above.n_steps == 5
 
 
+def test_dense_blocks_are_the_slices_of_the_generator(monkeypatch):
+    # one scatter of the restricted generator's entries gives each kept
+    # block bitwise as two sparse slices of it do
+    original = EVOLVE._dense_blocks
+    checked = []
+
+    def sliced(lmat, kept_blocks):
+        dense = original(lmat, kept_blocks)
+        for idx, block in zip(kept_blocks, dense, strict=True):
+            assert block.tobytes() == lmat[idx][:, idx].toarray().tobytes()
+        checked.append(len(dense))
+        return dense
+
+    monkeypatch.setattr(EVOLVE, "_dense_blocks", sliced)
+    grid = TimeGrid(np.array([0.0, 1.0]))
+    for config in (preset("fig2-combined"), preset("fig4"), preset("fig7").point_config(3.0)):
+        superop, dm = build_problem(config)
+        assert evolve(dm, superop, grid).path == "expm"
+    # kept blocks k = 0..29 of the combined mode, k = 0..9 of fig4
+    assert checked == [30, 10, 30]
+
+
 @pytest.fixture
 def built(monkeypatch):
     """The gap of every ``_block_exp`` call, in call order."""
@@ -423,14 +459,19 @@ def built(monkeypatch):
     return gaps
 
 
-def test_repeated_gaps_reuse_cached_propagators(built):
+def test_repeated_gaps_reuse_cached_propagators(monkeypatch, built):
+    acted = []
+    monkeypatch.setattr(EVOLVE, "expm_multiply",
+                        lambda a, z: acted.append(a.shape) or expm_multiply(a, z))
     superop, dm = thermal_combined_kerr()
     grid = TimeGrid(np.arange(9) * 0.5)
     traj = evolve(dm, superop, grid, EvolveOptions(snapshot_times=(1.2,)))
-    # eight steps of 0.5 along the samples, built once and cached, and one
-    # branch from the sample at 1.0 to the snapshot, built for its single use
-    assert traj.n_steps == 9
-    assert sorted(built) == sorted([1.2 - 1.0, 0.5])
+    # eight steps of 0.5 along the samples, built once and cached; the branch
+    # from the sample at 1.0 to the snapshot builds no propagator but acts
+    # once on the kept vector
+    assert traj.path == "expm" and traj.n_steps == 9
+    assert built == [0.5]
+    assert acted == [(traj.n_propagated, traj.n_propagated)]
 
 
 @pytest.mark.parametrize("max_dense_block, path", [(300, "expm"), (0, "expm_multiply")])
@@ -471,9 +512,9 @@ def test_off_grid_snapshots_match_damped_kerr_closed_form(fig2_result):
 
 def test_one_propagator_per_uniform_grid(built):
     # every preset grid is k * times[1] bitwise: one build for the steps of
-    # the first sample block, one for the jump of each later block, plus one
-    # per off-grid snapshot
-    for config, n_built, n_steps in ((preset("fig2-combined"), 16, 2013),
+    # the first sample block and one for the jump of each later block; the
+    # off-grid snapshots build none
+    for config, n_built, n_steps in ((preset("fig2-combined"), 2, 2013),
                                      (preset("fig4"), 2, 1999),
                                      (preset("fig7").point_config(3.0), 2, 1999)):
         built.clear()
@@ -505,16 +546,24 @@ def test_sample_block_jumps_match_the_per_sample_chain(monkeypatch, built):
     times = np.linspace(0.0, 60.0, 200)
     assert 3 * EVOLVE.SAMPLE_BLOCK < times.size
     opts = EvolveOptions(snapshot_times=(30.0, 45.25, times[150]), overlap_alpha=1.2)
+    on_grid = EvolveOptions(snapshot_times=(times[150],), overlap_alpha=1.2)
     jump = times[EVOLVE.SAMPLE_BLOCK]
     jumped = evolve(dm, superop, TimeGrid(times), opts)
     assert built.count(jump) == 1
+    plain = [evolve(dm, superop, TimeGrid(times), on_grid)]
     built.clear()
     monkeypatch.setattr(EVOLVE, "SAMPLE_BLOCK", times.size + 1)
     stepped = evolve(dm, superop, TimeGrid(times), opts)
     assert jump not in built
+    plain.append(evolve(dm, superop, TimeGrid(times), on_grid))
     assert jumped.path == stepped.path == "expm"
     assert jumped.n_steps == stepped.n_steps == 199 + 2
-    assert jumped.max_hermiticity_error == stepped.max_hermiticity_error == 0.0
+    # the dense propagators keep every sample Hermitian bitwise; the two
+    # off-grid snapshots branch by expm_multiply, whose rounding the error
+    # records (largest measured: 2.7e-17)
+    assert [traj.max_hermiticity_error for traj in plain] == [0.0, 0.0]
+    assert 0.0 < jumped.max_hermiticity_error < 1e-16
+    assert 0.0 < stepped.max_hermiticity_error < 1e-16
     # largest difference measured: 4.4e-15
     for name in ("amplitudes", "trace", "purity", "coherent_overlap"):
         assert np.max(np.abs(getattr(jumped, name) - getattr(stepped, name))) < 2e-14

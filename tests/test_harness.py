@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -478,7 +479,7 @@ def small_snapshot_config() -> RunConfig:
 def test_run_snapshots_pool_matches_serial(tmp_path):
     cfg = small_snapshot_config()
     n = len(cfg.snapshot_times)
-    # one part; parts of 3 and 2; one part per snapshot (threads capped)
+    # inline; two threads; one thread per snapshot (threads capped)
     runs = {threads: run_snapshots(cfg, tmp_path / f"t{threads}", threads=threads)
             for threads in (1, 2, n + 3)}
     names = [p.name for p in runs[1]]
@@ -494,10 +495,12 @@ def test_pool_is_capped_at_the_job_count(tmp_path, monkeypatch):
     sizes = []
 
     class InlinePool:
-        """Stand-in for ProcessPoolExecutor: records its size, runs inline."""
+        """Stand-in for a pool executor: records its kind and size, runs inline."""
+
+        kind = None
 
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            sizes.append((self.kind, max_workers))
 
         def __enter__(self):
             return self
@@ -508,18 +511,46 @@ def test_pool_is_capped_at_the_job_count(tmp_path, monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", InlinePool)
+        def submit(self, fn):
+            future = Future()
+            future.set_result(fn())
+            return future
+
+    class Processes(InlinePool):
+        kind = "process"
+
+    class Threads(InlinePool):
+        kind = "thread"
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", Processes)
+    monkeypatch.setattr(runner, "ThreadPoolExecutor", Threads)
     base = small_run_config(dims=(6,), storage_mode=0)
     base.horizon = 330.0
     base.n_samples = 120
     run_sweep(SweepSpec("gamma", (1e-5, 1e-3), base), tmp_path / "sweep", threads=64)
     cfg = small_snapshot_config()
     run_snapshots(cfg, tmp_path / "snap", threads=64)
-    # one pool per call, one worker per sweep point or snapshot
-    assert sizes == [2, len(cfg.snapshot_times)]
+    # one pool per call: a process per sweep point; a thread per snapshot,
+    # the calling thread being one of them
+    assert sizes == [("process", 2), ("thread", len(cfg.snapshot_times) - 1)]
+    run_snapshots(cfg, tmp_path / "two", threads=2)
+    assert sizes[-1] == ("thread", 1)
     # one worker never starts a pool
     run_snapshots(cfg, tmp_path / "one", threads=1)
-    assert sizes == [2, len(cfg.snapshot_times)]
+    assert len(sizes) == 3
+
+
+def test_thread_each_runs_every_job_once_and_raises_a_worker_error():
+    done = []
+    runner._thread_each(done.append, list(range(20)), threads=3)
+    assert sorted(done) == list(range(20))
+
+    def fail(job):
+        if job == 7:
+            raise ValueError("job 7")
+
+    with pytest.raises(ValueError, match="job 7"):
+        runner._thread_each(fail, list(range(20)), threads=2)
 
 
 def test_invalid_run_creates_no_output_directory(tmp_path):
@@ -823,6 +854,30 @@ def test_render_matches_per_value_format():
         for sep in (" ", ","):
             expected = "".join(sep.join(row) + "\n" for row in rows).encode()
             assert runner._render(values, sep) == expected
+
+
+def test_render_keeps_the_leading_zeros_of_each_digit_group():
+    # the significand is written as 2 + 4 + 4 digits: groups such as 0001,
+    # 0000 and 0090 keep their zeros
+    cells = ["1.000010000e-05", "3.000000001e+00", "-9.000900090e+07", "1.000000000e+00",
+             "-2.050000007e-99", "0.000000000e+00", "-0.000000000e+00"]
+    values = np.array([[float(cell) for cell in cells]])
+    assert [f"{v:.9e}" for v in values[0]] == cells
+    assert runner._render(values, ",") == (",".join(cells) + "\n").encode()
+    assert runner._render(values.T, " ") == "".join(cell + "\n" for cell in cells).encode()
+
+
+def test_render_in_row_chunks_joins_to_the_whole_grid():
+    # rows are independent, so a grid rendered a few rows at a time (as
+    # write_wigner_field does) is the grid rendered at once
+    rng = np.random.default_rng(11)
+    values = rng.normal(scale=0.1, size=(201, 201))
+    values[::7, ::5] = np.resize(AWKWARD, values[::7, ::5].shape)
+    values[3, :40] = _near_ties(rng, 1)[:40]
+    whole = runner._render(values, " ")
+    for rows in (1, runner._GRID_ROWS, 200):
+        chunked = b"".join(runner._render(values[i:i + rows], " ") for i in range(0, 201, rows))
+        assert chunked == whole
 
 
 def test_cli_simulate_fig4_at_the_reference_bath_temperature(tmp_path):

@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from optomem.wigner import (
     negativity_volume,
     wigner,
     wigner_fields,
+    wigner_map,
 )
 
 GRID_201 = PhaseSpaceGrid(-5.0, 5.0, -5.0, 5.0, 201, 201)
@@ -233,6 +236,39 @@ def test_fields_reject_bad_input():
         wigner_fields([product_dm([vacuum_ket(4)]), product_dm([vacuum_ket(3), vacuum_ket(3)])])
     with pytest.raises(ValueError):
         wigner_fields([product_dm([vacuum_ket(4)]), product_dm([vacuum_ket(5)])])
+
+
+def test_field_holds_its_values_read_only():
+    grid = PhaseSpaceGrid(-1.0, 1.0, -1.0, 1.0, 3, 2)
+    source = np.zeros((3, 2))
+    field = WignerField(grid, source)
+    source[0, 0] = 1.0
+    assert field.values[0, 0] == 0.0 and not field.values.flags.writeable
+    # a read-only view of a writeable array is copied; a read-only array
+    # that owns its data, as wigner_map makes, is held as it is
+    view = source.view()
+    view.setflags(write=False)
+    assert WignerField(grid, view).values is not view
+    owned = np.ones((3, 2))
+    owned.setflags(write=False)
+    assert WignerField(grid, owned).values is owned
+
+
+def test_map_called_from_threads_gives_the_fields_of_its_states():
+    # one table serves every call, and a call only reads it
+    grid = PhaseSpaceGrid(-3.0, 3.0, -3.0, 3.0, 31, 41)
+    rng = np.random.default_rng(8)
+    dims = HilbertDims((6,))
+    states = [DensityMatrix(QOperator(dims, random_density(rng, 6))) for _ in range(8)]
+    field_of = wigner_map(6, grid)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        fields = list(pool.map(field_of, states))
+    for rho, field in zip(states, fields, strict=True):
+        assert np.array_equal(bits(field.values), bits(wigner(rho, grid).values))
+    with pytest.raises(ValueError, match="6 levels"):
+        field_of(product_dm([vacuum_ket(5)]))
+    with pytest.raises(ValueError, match="single-mode"):
+        field_of(product_dm([vacuum_ket(2), vacuum_ket(3)]))
 
 
 def support_grid(n: int) -> PhaseSpaceGrid:
