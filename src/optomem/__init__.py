@@ -37,7 +37,6 @@ from .wigner import (
     WignerField,
     min_value,
     negativity_volume,
-    wigner_fields,
 )
 from .revival import RevivalReport, detect_revival_series, detect_revivals, revival_time, sweep_summary
 

@@ -22,8 +22,6 @@ from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from .liouvillian import SystemParams
 from .revival import check_sampling, revival_time
 from .wigner import DEFAULT_GRID, PhaseSpaceGrid
@@ -103,12 +101,8 @@ class RunConfig:
             raise ValueError(f"snapshot times not finite or outside [0, {horizon:g}]: {bad}")
         t_rev = self.predicted_revival_time()
         if t_rev is not None:
-            # the spacing revival.detect_revival_series will measure
-            check_sampling(float(np.median(np.diff(self.sample_times()))), t_rev)
-
-    def sample_times(self) -> np.ndarray:
-        """The run's sample times: ``n_samples`` evenly spaced from 0 to the horizon."""
-        return np.linspace(0.0, self.resolved_horizon(), self.n_samples)
+            # the sample spacing of the run's TimeGrid
+            check_sampling(horizon / (self.n_samples - 1), t_rev)
 
     def resolved_horizon(self) -> float:
         if self.horizon is not None:

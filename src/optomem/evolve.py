@@ -20,30 +20,24 @@ plus every block that is its own mirror image (k = 0): 465 of 900
 coordinates for the combined-Kerr presets, 55 of 100 for the two-mode run.
 
 The kept blocks are stored one after another, the self-mirror blocks first.
-L is time-independent, so the kept coordinates go from one sample to the next
-by exp(L h), evaluated exactly to double precision on both paths.  On a grid
-with times[k] == k h bitwise, h = times[1] (``np.linspace`` from 0 gives
-that), one step serves every sample: sample k is the exact state at k h,
-within half an ulp of times[k], and the time error does not build up.  Past
-the longest such prefix, each sample steps by the difference of its sample
-times; these telescope, so the offset stays that of the last lattice time.
-A snapshot at s branches off the chain: exp(L (s - t_k)) applied to the
-state of the last sample t_k <= s (none when s == t_k), so the trajectory
-does not depend on the snapshot times.  When no block is larger than
-:data:`MAX_DENSE_BLOCK`, the sample propagator is the block diagonal
-(``scipy.sparse.block_diag``) of a dense exp(L_b gap) per kept block
-(scaling and squaring, Al-Mohy & Higham, SIMAX 31, 970, 2009), built from
-the dense blocks that one scatter of L's entries fills
-(:func:`_dense_blocks`); propagators for steps that recur are cached, a
-one-off step is built, applied once and dropped, and the lattice step's is
-dropped once the first jump below replaces it.  On this path the lattice
-also serves whole blocks of :data:`SAMPLE_BLOCK` samples: each block of
-samples after the first that lies within the lattice prefix is
-exp(L times[SAMPLE_BLOCK]) (bitwise SAMPLE_BLOCK h) applied to the block
-before it, one dense product per kept block, so at most SAMPLE_BLOCK - 1
-steps and n_t / SAMPLE_BLOCK jumps separate a sample from rho(0).
+L is time-independent and the grid uniform (:class:`TimeGrid`), so the kept
+coordinates go from one sample to the next by exp(L h), h = times[1],
+evaluated exactly to double precision on both paths: sample k is the exact
+state at k h, which is times[k] bitwise, and no time error builds up.  A
+snapshot at s branches off the chain: exp(L (s - t_k)) applied to the state
+of the last sample t_k <= s (none when s == t_k), so the trajectory does not
+depend on the snapshot times.  When no block is larger than
+:data:`MAX_DENSE_BLOCK`, the step propagator is the block diagonal
+(``scipy.sparse.block_diag``) of a dense exp(L_b h) per kept block (scaling
+and squaring, Al-Mohy & Higham, SIMAX 31, 970, 2009), built from the dense
+blocks that one scatter of L's entries fills (:func:`_dense_blocks`).  It
+fills the first block of :data:`SAMPLE_BLOCK` samples only: each later
+block is exp(L times[SAMPLE_BLOCK]) (bitwise SAMPLE_BLOCK h) applied to the
+block before it, one dense product per kept block, and the step propagator
+is dropped at the first jump.  So at most SAMPLE_BLOCK - 1 steps and
+n_t / SAMPLE_BLOCK jumps separate a sample from rho(0).
 
-Every snapshot branch, and on the other path every gap, applies the action
+Every snapshot branch, and on the other path every step, applies the action
 exp(L gap) z to the kept vector alone with a truncated Taylor series
 (Al-Mohy & Higham, SISC 33, 488, 2011; ``scipy.sparse.linalg.expm_multiply``)
 of the kept generator, which is built only when a run has such a gap.  Its
@@ -60,10 +54,10 @@ exactly Hermitian.
 
 The loop fills one block of :data:`SAMPLE_BLOCK` rows at a time with the
 kept vectors of its samples, after symmetrisation, and the self-mirror
-slices from before it: by one jump of the whole block where it lies within
-the lattice prefix on the dense path, else sample by sample, each row
-propagated from the one before.  It then branches off and scatters a full
-d x d state for each snapshot at or after a sample of the block and before
+slices from before it: by one jump of the whole block on the dense path
+after the first block, else sample by sample, each row propagated from the
+one before.  It then branches off and scatters a full d x d state for each
+snapshot at or after a sample of the block and before
 the next sample, and evaluates the block at once on the kept coordinates:
 each observable Tr(A rho)
 (<a_k> of every mode, the trace, the coherent overlap) has the weight
@@ -112,25 +106,34 @@ class IntegrationFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing sample times starting at t = 0."""
+    """``n`` uniform sample times from t = 0 across ``span``.
 
-    times: np.ndarray
+    ``times`` is ``np.arange(n) * (span / (n - 1))``: ``np.linspace(0, span,
+    n)`` bitwise, except that the last time may lie an ulp from ``span``.
+    A single sample is t = 0 alone, with span 0.
+    """
+
+    span: float
+    n: int
 
     def __post_init__(self) -> None:
-        times = np.array(self.times, dtype=float)
-        if times.ndim != 1 or times.size < 1:
-            raise ValueError("time grid must be a non-empty 1-d array")
-        if not np.all(np.isfinite(times)):
-            raise ValueError(f"time grid must be finite, got {times[~np.isfinite(times)]}")
-        if times[0] != 0.0:
-            raise ValueError(f"time grid must start at 0, got {times[0]}")
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("time grid must be strictly increasing")
-        times.setflags(write=False)
-        object.__setattr__(self, "times", times)
+        if type(self.n) is not int or self.n < 1:
+            raise ValueError(f"time grid needs an integer number of samples >= 1, got {self.n!r}")
+        span = float(self.span)
+        if self.n > 1 and not (np.isfinite(span) and span > 0.0):
+            raise ValueError(f"time grid span must be positive and finite, got {span}")
+        if self.n == 1 and span != 0.0:
+            raise ValueError(f"a single-sample time grid has span 0, got {span}")
+        object.__setattr__(self, "span", span)
+
+    @property
+    def times(self) -> np.ndarray:
+        if self.n == 1:
+            return np.zeros(1)
+        return np.arange(self.n) * (self.span / (self.n - 1))
 
     def __len__(self) -> int:
-        return self.times.size
+        return self.n
 
 
 @dataclass
@@ -174,8 +177,8 @@ class Trajectory:
 
 # Largest symmetry block propagated by a dense exp(L_b gap); a larger block
 # sends the whole run to expm_multiply.  A propagator holds sum(s_b^2)
-# entries and costs O(s_b^3) to build: twice for a uniform grid (the step
-# and the block jump); snapshot branches build none.  Two-mode optical storage
+# entries and costs O(s_b^3) to build: twice per run (the step and the
+# block jump); snapshot branches build none.  Two-mode optical storage
 # at (n, 10), 2 000 samples, one thread (2-vCPU Xeon VM), `simulate` with
 # dense blocks vs expm_multiply, wall time and peak RSS: largest block 200:
 # 0.11 s / 78 MB vs 2.6 s / 70 MB; 300: 0.33 s / 90 MB vs 2.8 s / 70 MB;
@@ -198,9 +201,9 @@ TRACE_DRIFT_LIMIT = 1e-4
 
 # Samples whose kept states are held and then evaluated together: their
 # observables, Hermiticity deviation and trace gate.  It also sets the jump
-# length of the dense path, where each block of samples within the lattice
-# prefix, after the first, is exp(L times[SAMPLE_BLOCK]) applied to the block
-# before it.  One thread (2-vCPU Xeon VM), median of 7 `simulate` calls,
+# length of the dense path, where each block of samples after the first is
+# exp(L times[SAMPLE_BLOCK]) applied to the block before it.  One thread
+# (2-vCPU Xeon VM), median of 7 `simulate` calls,
 # blocks of 1 / 8 / 16 / 64 / 256 samples: fig4 215 / 58 / 34 / 37 / 44 ms,
 # fig2-combined 487 / 188 / 158 / 132 / 146 ms.  At 64 the block holds
 # 64 x 465 complex entries (0.5 MB) on the combined presets; the peak RSS of
@@ -360,9 +363,9 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
     the optional coherent overlap.  Of the coordinates returned by
     :func:`live_coordinates`, one block of each conjugate pair of
     :func:`symmetry_blocks` and every self-mirror block are advanced by
-    exp(L gap) from sample to sample: with cached dense block propagators
-    when no block exceeds :data:`MAX_DENSE_BLOCK`, which also advance each
-    later block of :data:`SAMPLE_BLOCK` lattice samples at once, and with
+    exp(L h) from sample to sample: with dense block propagators when no
+    block exceeds :data:`MAX_DENSE_BLOCK`, which also advance each later
+    block of :data:`SAMPLE_BLOCK` samples at once, and with
     ``expm_multiply`` otherwise.  Full density matrices are stored
     only at ``opts.snapshot_times`` (which must be finite and lie within the
     grid span), each branched off the last sample at or before it by
@@ -412,33 +415,31 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
 
     times = grid.times
     n_t = times.size
-    span = float(times[-1])
     snapshot_times = np.array(sorted(set(float(t) for t in opts.snapshot_times)))
-    if np.any(~np.isfinite(snapshot_times) | (snapshot_times < 0) | (snapshot_times > span)):
+    # against the span, not times[-1], which may lie an ulp short of it
+    if np.any(~np.isfinite(snapshot_times) | (snapshot_times < 0)
+              | (snapshot_times > grid.span)):
         raise ValueError(
-            f"snapshot times must be finite and lie within the time grid span [0, {span:g}]"
+            "snapshot times must be finite and lie within the time grid span "
+            f"[0, {grid.span:g}]"
         )
 
-    # one step h while times[k] == k h bitwise: sample k is then exact at
-    # k h, within half an ulp of times[k], with no time error building up
+    # one step h serves every sample: times[k] == k h bitwise
     h = times[1] if n_t > 1 else 0.0
-    lattice = np.logical_and.accumulate(times == np.arange(n_t) * h)
-    steps = np.where(lattice[1:], h, np.diff(times))
     # each snapshot branches off the last sample at or before it
     base = np.searchsorted(times, snapshot_times, side="right") - 1
     offsets = snapshot_times - times[base]
     branch_gaps = offsets[offsets > 0]
-    gaps = np.concatenate([steps, branch_gaps])
 
     dense_path = max(block_sizes) <= MAX_DENSE_BLOCK
-    # expm_multiply crosses every gap, or on the dense path only the branches
-    acted = branch_gaps if dense_path else gaps
-    if not dense_path or acted.size:
+    # expm_multiply crosses the branches, and on its own path the step
+    acted = branch_gaps if dense_path else np.append(branch_gaps, h)
+    if acted.size:
         kmat = lmat[kept][:, kept]
         kmat.sort_indices()
         # one gap costs about ||L||_1 gap products and expm_multiply never
         # gives up, so refuse a run it would not finish (NaN included)
-        cost = float(sparse_norm(kmat, 1)) * float(np.max(acted, initial=0.0))
+        cost = float(sparse_norm(kmat, 1)) * float(np.max(acted))
         if not cost <= MAX_ACTION_NORM:
             raise IntegrationFailure(
                 f"||L||_1 * largest gap = {cost:.3e} exceeds {MAX_ACTION_NORM:.0e}; "
@@ -451,38 +452,35 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
     if dense_path:
         path = "expm"
         dense = _dense_blocks(lmat, kept_blocks)
-        distinct, counts = np.unique(steps, return_counts=True)
-        repeated = set(distinct[counts > 1].tolist())
-        cache: dict[float, sp.csr_matrix] = {}
+        ends = np.cumsum([idx.size for idx in kept_blocks]).tolist()
+        spans = list(zip([0, *ends[:-1]], ends))
+        step_prop = jump_blocks = None
 
-        def propagate(zk: np.ndarray, gap: float) -> np.ndarray:
-            prop = cache.get(gap)
-            if prop is None:
+        def step(zk: np.ndarray) -> np.ndarray:
+            nonlocal step_prop
+            if step_prop is None:
                 # every entry of each block, exact zeros included, is stored
                 # row by row, so a row of the product sums its block's
                 # columns in increasing order
-                prop = sp.block_diag(_block_exp(dense, gap), format="csr")
-                if gap in repeated:
-                    cache[gap] = prop
-            return prop @ zk
-
-        ends = np.cumsum([idx.size for idx in kept_blocks]).tolist()
-        spans = list(zip([0, *ends[:-1]], ends))
-        jump_blocks: list[np.ndarray] = []
+                step_prop = sp.block_diag(_block_exp(dense, h), format="csr")
+            return step_prop @ zk
 
         def jump(block: np.ndarray) -> None:
             # each row becomes the sample SAMPLE_BLOCK after it: one dense
             # product with exp(L_b times[SAMPLE_BLOCK]) per kept block
-            if not jump_blocks:
-                jump_blocks.extend(_block_exp(dense, times[SAMPLE_BLOCK]))
-                # the chain steps by h only before its first jump; a later
-                # step by h, past the lattice prefix, builds it again
-                cache.pop(h, None)
+            nonlocal step_prop, jump_blocks
+            if jump_blocks is None:
+                jump_blocks = _block_exp(dense, times[SAMPLE_BLOCK])
+                # only the first sample block steps by h
+                step_prop = None
             for (a, b), prop in zip(spans, jump_blocks):
                 block[:, a:b] = block[:, a:b] @ prop.T
     else:
         path = "expm_multiply"
-        propagate = act
+
+        def step(zk: np.ndarray) -> np.ndarray:
+            return act(zk, h)
+
         # sample by sample only: a jump would cross SAMPLE_BLOCK steps at
         # once, so MAX_ACTION_NORM would refuse runs it admits for one step
         jump = None
@@ -514,7 +512,7 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
     for start in range(0, n_t, SAMPLE_BLOCK):
         stop = min(start + SAMPLE_BLOCK, n_t)
         k = stop - start
-        if start and jump is not None and lattice[stop - 1]:
+        if start and jump is not None:
             # sample i is exp(L times[SAMPLE_BLOCK]) applied to sample
             # i - SAMPLE_BLOCK, the row it replaces
             jump(rows[:k])
@@ -523,7 +521,7 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
         else:
             for j, i in enumerate(range(start, stop)):
                 # rows[-1] is the last sample of the full block before
-                rows[j] = propagate(rows[j - 1], steps[i - 1]) if i else z0[kept_full]
+                rows[j] = step(rows[j - 1]) if i else z0[kept_full]
                 pre[j] = rows[j, :n_self]
                 symmetrise(rows[j])
         for j, i in enumerate(range(start, stop)):
@@ -558,7 +556,7 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
             )
 
     return Trajectory(
-        times=times.copy(),
+        times=times,
         amplitudes=amps,
         trace=tr,
         purity=pur,
@@ -568,7 +566,7 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
         snapshots=[(t, DensityMatrix(QOperator(dims, rho))) for t, rho in snapshots],
         max_hermiticity_error=herm_dev,
         max_trace_drift=float(np.max(np.abs(tr - 1.0))),
-        n_steps=gaps.size,
+        n_steps=n_t - 1 + branch_gaps.size,
         n_live=n,
         path=path,
         block_sizes=block_sizes,

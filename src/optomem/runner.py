@@ -78,7 +78,7 @@ def build_problem(config: RunConfig) -> tuple[Superoperator, DensityMatrix]:
 def simulate(config: RunConfig) -> tuple[Trajectory, RevivalReport]:
     """Evolve one configuration and detect its collapse/revival structure."""
     superop, rho0 = build_problem(config)
-    grid = TimeGrid(config.sample_times())
+    grid = TimeGrid(config.resolved_horizon(), config.n_samples)
     opts = EvolveOptions(
         snapshot_times=tuple(config.snapshot_times),
         overlap_alpha=config.alpha,

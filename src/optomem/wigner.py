@@ -35,7 +35,7 @@ differ from the earlier kernel's by up to 7% of their value.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,23 +108,7 @@ class WignerField:
 
 def wigner(rho: DensityMatrix, grid: PhaseSpaceGrid = DEFAULT_GRID) -> WignerField:
     """Evaluate the Wigner function of a single-mode density matrix."""
-    return next(wigner_fields([rho], grid))
-
-
-def wigner_fields(
-    states: Iterable[DensityMatrix], grid: PhaseSpaceGrid = DEFAULT_GRID
-) -> Iterator[WignerField]:
-    """Evaluate the Wigner functions of several single-mode states on one grid.
-
-    All states must share one truncation (checked at the call).  The shell
-    table and the Hermite functions are built once (:func:`wigner_map`);
-    fields are then yielded in order, each from its own state alone.
-    """
-    states = list(states)
-    sizes = {_levels(rho) for rho in states}
-    if len(sizes) > 1:
-        raise ValueError("wigner_fields expects states of one truncation")
-    return map(wigner_map(sizes.pop(), grid), states) if states else iter(())
+    return wigner_map(_levels(rho), grid)(rho)
 
 
 def wigner_map(

@@ -113,7 +113,7 @@ def generator_check(superop, rho, dt: float) -> float:
     denom = float(np.max(np.abs(deriv)))
     if denom < 1e-14:
         return 0.0
-    grid = TimeGrid(np.array([0.0, dt]))
+    grid = TimeGrid(dt, 2)
     opts = EvolveOptions(snapshot_times=(dt,))
     traj = evolve(rho, superop, grid, opts)
     # DensityMatrix renormalises the trace; undo against the sampled trace so

@@ -56,7 +56,7 @@ def test_criterion_1_analytic_kerr_oracle():
         params = default_params(gamma_c=0.0, gamma_m=0.0)
         superop = combined_kerr_liouvillian(params, 30)
         rho0 = product_dm([coherent_ket(1.5, 30)])
-        grid = TimeGrid(np.linspace(0.0, 2.0 * T_REV, 200))
+        grid = TimeGrid(2.0 * T_REV, 200)
         traj = evolve(rho0, superop, grid, EvolveOptions())
         oracle = np.array(
             [kerr_amplitude(1.5, params.omega_m, 0.02, 30, t) for t in grid.times]
@@ -179,7 +179,7 @@ def test_criterion_7_two_mode_structural_suite(fig4_run):
         superop_closed = liouvillian(params_closed, HilbertDims((10, 10)))
         rho0 = product_dm([vacuum_ket(10), coherent_ket(1.5, 10)])
         closed = evolve(
-            rho0, superop_closed, TimeGrid(np.linspace(0.0, T_REV / 2.0, 300)),
+            rho0, superop_closed, TimeGrid(T_REV / 2.0, 300),
             EvolveOptions(),
         )
         assert np.max(np.abs(closed.purity - 1.0)) < 1e-8
@@ -192,7 +192,7 @@ def test_criterion_7_two_mode_structural_suite(fig4_run):
         assert 1.8 < r1 / r2 < 2.2
 
         # dual-integrator agreement through collapse and first revival
-        grid = TimeGrid(np.linspace(0.0, T_REV / 2.0, 21))
+        grid = TimeGrid(T_REV / 2.0, 21)
         exact = evolve(rho0, superop, grid, EvolveOptions())
         fixed = evolve_rk4(rho0, superop, grid, dt=T_REV / 2e5)
         diff = np.max(

@@ -17,7 +17,7 @@ from helpers import (
 )
 
 import optomem.evolve as EVOLVE
-from optomem.config import default_params, preset
+from optomem.config import PRESET_NAMES, SweepSpec, default_params, preset
 from optomem.evolve import (
     EvolveOptions,
     IntegrationFailure,
@@ -78,20 +78,75 @@ def test_submodule_imports_bind_the_modules():
 
 
 def test_time_grid_validation():
-    with pytest.raises(ValueError):
-        TimeGrid(np.array([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        TimeGrid(np.array([0.0, 2.0, 2.0]))
-    # NaN passes a "strictly increasing" test, so finiteness is checked apart
-    for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="finite"):
-            TimeGrid(np.array([0.0, 1.0, bad]))
-    assert len(TimeGrid(np.array([0.0, 1.0]))) == 2
+    for n in (0, -3, 2.0, True, "5", np.int64(5)):
+        with pytest.raises(ValueError, match="integer number of samples"):
+            TimeGrid(1.0, n)
+    # NaN passes a "span <= 0" test, so the check is "positive and finite"
+    for span in (np.nan, np.inf, -np.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="positive and finite"):
+            TimeGrid(span, 3)
+    for span in (1.0, np.nan):
+        with pytest.raises(ValueError, match="span 0"):
+            TimeGrid(span, 1)
+    assert len(TimeGrid(1.0, 2)) == 2
+    assert TimeGrid(0.0, 1).times.tolist() == [0.0]
+    assert TimeGrid(2, 5).times.tolist() == [0.0, 0.5, 1.0, 1.5, 2.0]
+
+
+def test_preset_grids_are_linspace_bitwise():
+    # every grid a preset or sweep point samples: the artifacts' time column
+    # is np.linspace's, to the last bit
+    configs = []
+    for name in PRESET_NAMES:
+        config = preset(name)
+        sweep = isinstance(config, SweepSpec)
+        configs += [config.point_config(v) for v in config.values] if sweep else [config]
+    assert len(configs) == 19
+    for config in configs:
+        horizon, n = config.resolved_horizon(), config.n_samples
+        grid = TimeGrid(horizon, n)
+        assert np.array_equal(grid.times, np.linspace(0.0, horizon, n))
+
+
+def test_off_lattice_spans_move_only_the_last_sample_by_an_ulp():
+    # about 1 grid in 10 has (n - 1) * (span / (n - 1)) != span: np.linspace
+    # pins its last sample to span, TimeGrid does not.  No other sample
+    # moves, and the last one prints as span does in the artifacts' %.9e
+    # (2 151 of these 20 000 grids break; 2 252 with seed 1)
+    rng = np.random.default_rng(0)
+    spans = np.round(rng.uniform(1.0, 2000.0, 20_000), 1)
+    counts = rng.integers(100, 4001, spans.size)
+    broken = 0
+    for span, n in zip(spans.tolist(), counts.tolist()):
+        times = TimeGrid(span, n).times
+        moved = np.flatnonzero(times != np.linspace(0.0, span, n))
+        if moved.size:
+            broken += 1
+            assert moved.tolist() == [n - 1]
+            assert abs(times[-1] - span) <= np.spacing(span)
+            assert f"{times[-1]:.9e}" == f"{span:.9e}"
+    assert 1_000 < broken < 4_000
+
+
+def test_snapshot_at_the_span_branches_off_a_last_sample_an_ulp_short():
+    # snapshots are checked against the span, not the last sample, so one at
+    # the span stays legal and branches off that sample by one ulp
+    grid = TimeGrid(50.0, 200)
+    assert 50.0 - grid.times[-1] == np.spacing(50.0) == pytest.approx(7.1e-15, rel=1e-2)
+    superop, dm = thermal_combined_kerr()
+    plain = evolve(dm, superop, grid)
+    traj = evolve(dm, superop, grid, EvolveOptions(snapshot_times=(50.0,)))
+    assert [t for t, _ in traj.snapshots] == [50.0]
+    assert (plain.n_steps, traj.n_steps) == (199, 200)
+    assert np.array_equal(traj.amplitudes, plain.amplitudes)
+    a = np.diag(np.sqrt(np.arange(1.0, 12.0)), 1)
+    rho = traj.snapshots[0][1].data * traj.trace[-1]
+    assert abs(np.trace(a @ rho) - traj.amplitudes[0, -1]) < 1e-14
 
 
 def test_zero_generator_is_identity_evolution():
     dm = product_dm([coherent_ket(1.0, 6)])
-    grid = TimeGrid(np.linspace(0.0, 5.0, 11))
+    grid = TimeGrid(5.0, 11)
     traj = evolve(dm, zero_superop(6), grid, EvolveOptions(snapshot_times=(5.0,)))
     assert np.allclose(traj.amplitudes[0], traj.amplitudes[0, 0], atol=1e-14)
     assert np.max(np.abs(traj.snapshots[0][1].data - dm.data)) < 1e-15
@@ -104,8 +159,9 @@ def test_damped_oscillator_matches_closed_form():
                           gamma_c=0.0, gamma_m=gamma, bath_temp=0.0)
     superop = combined_kerr_liouvillian(params, 25)
     dm = product_dm([coherent_ket(alpha, 25)])
-    times = np.linspace(0.0, 3.0 / gamma, 25)
-    traj = evolve(dm, superop, TimeGrid(times))
+    grid = TimeGrid(3.0 / gamma, 25)
+    times = grid.times
+    traj = evolve(dm, superop, grid)
     exact = alpha * np.exp((-1j * omega - gamma / 2.0) * times)
     rel = np.abs(traj.amplitudes[0] - exact) / np.abs(exact)
     assert rel.max() < 1e-6
@@ -118,9 +174,9 @@ def test_closed_kerr_matches_fock_sum_oracle():
     superop = combined_kerr_liouvillian(params, n)
     dm = product_dm([coherent_ket(alpha, n)])
     t_rev = 2.0 * np.pi / chi
-    times = np.array([0.0, t_rev / 4.0, t_rev / 2.0, t_rev])
-    traj = evolve(dm, superop, TimeGrid(times))
-    for i, t in enumerate(times):
+    grid = TimeGrid(t_rev, 5)
+    traj = evolve(dm, superop, grid)
+    for i, t in enumerate(grid.times):
         oracle = kerr_amplitude(alpha, 0.0, chi, n, t)
         got = traj.amplitudes[0, i]
         assert abs(got - oracle) / abs(oracle) < 1e-6
@@ -134,7 +190,7 @@ def test_trajectory_quality_signals():
                           gamma_c=1e-3, gamma_m=1e-3, bath_temp=0.0)
     superop = liouvillian(params, HilbertDims((5, 5)))
     dm = product_dm([vacuum_ket(5), coherent_ket(1.0, 5)])
-    grid = TimeGrid(np.linspace(0.0, 50.0, 200))
+    grid = TimeGrid(50.0, 200)
     traj = evolve(dm, superop, grid, EvolveOptions(snapshot_times=(25.0, 50.0)))
     assert np.max(np.abs(traj.trace - 1.0)) < 1e-6
     assert np.all(traj.purity > 0.0) and np.all(traj.purity <= 1.0 + 1e-8)
@@ -149,7 +205,7 @@ def test_unitary_limit_conserves_purity():
                           gamma_c=0.0, gamma_m=0.0, bath_temp=0.0)
     superop = liouvillian(params, HilbertDims((5, 5)))
     dm = product_dm([vacuum_ket(5), coherent_ket(1.0, 5)])
-    traj = evolve(dm, superop, TimeGrid(np.linspace(0.0, 40.0, 100)), EvolveOptions())
+    traj = evolve(dm, superop, TimeGrid(40.0, 100), EvolveOptions())
     assert np.max(np.abs(traj.purity - 1.0)) < 1e-8
 
 
@@ -158,7 +214,7 @@ def test_adaptive_agrees_with_fixed_step():
                           gamma_c=1e-4, gamma_m=1e-4, bath_temp=0.0)
     superop = liouvillian(params, HilbertDims((4, 4)))
     dm = product_dm([vacuum_ket(4), coherent_ket(1.0, 4)])
-    grid = TimeGrid(np.linspace(0.0, 20.0, 11))
+    grid = TimeGrid(20.0, 11)
     exact = evolve(dm, superop, grid, EvolveOptions())
     fixed = evolve_rk4(dm, superop, grid, dt=1e-3)
     diff = np.abs(np.abs(exact.amplitudes[1]) - np.abs(fixed.amplitudes[1]))
@@ -168,12 +224,12 @@ def test_adaptive_agrees_with_fixed_step():
 def test_dimension_mismatch():
     dm = product_dm([vacuum_ket(4)])
     with pytest.raises(ValueError):
-        evolve(dm, zero_superop(5), TimeGrid(np.array([0.0, 1.0])))
+        evolve(dm, zero_superop(5), TimeGrid(1.0, 2))
 
 
 def test_snapshot_outside_span_rejected():
     dm = product_dm([vacuum_ket(4)])
-    grid = TimeGrid(np.array([0.0, 1.0]))
+    grid = TimeGrid(1.0, 2)
     with pytest.raises(ValueError):
         evolve(dm, zero_superop(4), grid, EvolveOptions(snapshot_times=(2.0,)))
     with pytest.raises(ValueError, match="finite"):
@@ -187,7 +243,7 @@ def test_trace_drift_gate_fires():
     bad = Superoperator(HilbertDims((n,)), sp.identity(n * n, dtype=complex, format="csr"))
     dm = product_dm([vacuum_ket(n)])
     with pytest.raises(IntegrationFailure, match="trace drifted"):
-        evolve(dm, bad, TimeGrid(np.linspace(0.0, 2.0, 21)))
+        evolve(dm, bad, TimeGrid(2.0, 21))
 
 
 EXTREME_DECAY = SystemParams(omega_c=0.0, omega_m=1.0, k_c=0.0, k_m=0.0, g0=0.0,
@@ -203,7 +259,7 @@ def test_action_path_refuses_extreme_rates(monkeypatch):
     dm = product_dm([coherent_ket(0.8, 4)])
     start = time.monotonic()
     with pytest.raises(IntegrationFailure, match="largest gap"):
-        evolve(dm, superop, TimeGrid(np.array([0.0, 1.0])), EvolveOptions())
+        evolve(dm, superop, TimeGrid(1.0, 2), EvolveOptions())
     assert time.monotonic() - start < 5.0
 
 
@@ -216,7 +272,7 @@ def test_action_path_refuses_nan_generator(monkeypatch):
         ([np.nan + 0j], ([0], [0])), shape=(n * n, n * n)))
     dm = product_dm([vacuum_ket(n)])
     with pytest.raises(IntegrationFailure, match="largest gap = nan"):
-        evolve(dm, bad, TimeGrid(np.linspace(0.0, 1.0, 3)))
+        evolve(dm, bad, TimeGrid(1.0, 3))
 
 
 def test_exact_path_crosses_extreme_rates_to_closed_form_decay():
@@ -224,12 +280,12 @@ def test_exact_path_crosses_extreme_rates_to_closed_form_decay():
     # <a>(t) = <a>(0) exp((-i omega - gamma/2) t), exact in the truncation
     superop = combined_kerr_liouvillian(EXTREME_DECAY, 4)
     dm = product_dm([coherent_ket(0.8, 4)])
-    times = np.array([0.0, 1e-15, 2e-15, 4e-15, 1.0])
-    traj = evolve(dm, superop, TimeGrid(times), EvolveOptions(snapshot_times=(1.0,)))
-    assert traj.path == "expm"
-    exact = traj.amplitudes[0, 0] * np.exp((-1j - 0.5e15) * times)
-    assert np.max(np.abs(traj.amplitudes[0] - exact)) < 1e-12
-    assert np.max(np.abs(traj.trace - 1.0)) < 1e-12
+    for grid, snapshot_times in ((TimeGrid(4e-15, 5), ()), (TimeGrid(1.0, 2), (1.0,))):
+        traj = evolve(dm, superop, grid, EvolveOptions(snapshot_times=snapshot_times))
+        assert traj.path == "expm"
+        exact = traj.amplitudes[0, 0] * np.exp((-1j - 0.5e15) * grid.times)
+        assert np.max(np.abs(traj.amplitudes[0] - exact)) < 1e-12
+        assert np.max(np.abs(traj.trace - 1.0)) < 1e-12
     vacuum = np.zeros((4, 4))
     vacuum[0, 0] = 1.0
     assert np.max(np.abs(traj.snapshots[0][1].data - vacuum)) < 1e-12
@@ -241,7 +297,7 @@ def test_dense_path_refuses_a_branch_beyond_the_action_bound():
     # ||L||_1 times the branch; the run is refused before its first step
     superop = combined_kerr_liouvillian(EXTREME_DECAY, 4)
     dm = product_dm([coherent_ket(0.8, 4)])
-    grid = TimeGrid(np.array([0.0, 1.0]))
+    grid = TimeGrid(1.0, 2)
     assert evolve(dm, superop, grid, EvolveOptions(snapshot_times=(1.0,))).path == "expm"
     start = time.monotonic()
     with pytest.raises(IntegrationFailure, match="largest gap"):
@@ -275,7 +331,7 @@ def test_deterministic_repetition():
                           gamma_c=1e-4, gamma_m=1e-4, bath_temp=0.0)
     superop = liouvillian(params, HilbertDims((4, 4)))
     dm = product_dm([vacuum_ket(4), coherent_ket(1.0, 4)])
-    grid = TimeGrid(np.linspace(0.0, 10.0, 21))
+    grid = TimeGrid(10.0, 21)
     t1 = evolve(dm, superop, grid, EvolveOptions())
     t2 = evolve(dm, superop, grid, EvolveOptions())
     assert np.array_equal(t1.amplitudes[1], t2.amplitudes[1])
@@ -303,7 +359,7 @@ def test_live_set_thermal_optical_bath_is_the_optical_diagonal():
 
 def test_restricted_evolve_agrees_with_full_rk4_on_thermal_bath():
     superop, dm = mechanical_storage(THERMAL, (3, 4))
-    grid = TimeGrid(np.linspace(0.0, 10.0, 11))
+    grid = TimeGrid(10.0, 11)
     restricted = evolve(dm, superop, grid)
     full = evolve_rk4(dm, superop, grid, dt=1e-3)
     assert restricted.n_live == 3 * 16
@@ -324,7 +380,7 @@ def test_live_set_of_zero_generator_is_the_initial_support():
     dm = product_dm([ket])
     # rho_00, rho_20, rho_02, rho_22 at column-stacked indices 0, 2, 8, 10
     assert live_coordinates(zero_superop(4).matrix, vec(dm.data), 4).tolist() == [0, 2, 8, 10]
-    traj = evolve(dm, zero_superop(4), TimeGrid(np.array([0.0, 1.0])))
+    traj = evolve(dm, zero_superop(4), TimeGrid(1.0, 2))
     assert traj.n_live == 4
 
 
@@ -340,7 +396,7 @@ def test_live_set_closed_under_transposition():
 def test_restricted_snapshot_is_full_with_exact_zeros_outside_live_set():
     superop, dm = mechanical_storage(default_params(), (4, 5))
     live = live_coordinates(superop.matrix, vec(dm.data), 20)
-    traj = evolve(dm, superop, TimeGrid(np.linspace(0.0, 20.0, 5)),
+    traj = evolve(dm, superop, TimeGrid(20.0, 5),
                   EvolveOptions(snapshot_times=(10.0, 20.0)))
     assert traj.n_live == live.size == 25
     for _, state in traj.snapshots:
@@ -353,7 +409,7 @@ def test_restricted_snapshot_is_full_with_exact_zeros_outside_live_set():
 def test_symmetry_blocks_of_the_presets():
     # coherence-index blocks: k = m - m' for the combined mode (59 blocks of
     # 30 - |k|), the mechanical index in the 100 live coordinates of fig4
-    grid = TimeGrid(np.array([0.0, 1.0]))
+    grid = TimeGrid(1.0, 2)
     for name, n_blocks, largest in (("fig2-combined", 59, 30), ("fig4", 19, 10)):
         superop, dm = build_problem(preset(name))
         traj = evolve(dm, superop, grid)
@@ -377,7 +433,7 @@ def thermal_combined_kerr():
 
 def test_dense_path_agrees_with_expm_multiply_on_thermal_combined_kerr(monkeypatch):
     superop, dm = thermal_combined_kerr()
-    grid = TimeGrid(np.linspace(0.0, 60.0, 121))
+    grid = TimeGrid(60.0, 121)
     opts = EvolveOptions(snapshot_times=(30.0, 45.25), overlap_alpha=1.2)
     dense = evolve(dm, superop, grid, opts)
     monkeypatch.setattr(EVOLVE, "MAX_DENSE_BLOCK", 0)
@@ -398,7 +454,7 @@ def test_dense_path_agrees_with_expm_multiply_on_thermal_combined_kerr(monkeypat
 
 def test_exact_path_agrees_with_fixed_step_rk4(monkeypatch):
     superop, dm = thermal_combined_kerr()
-    grid = TimeGrid(np.linspace(0.0, 20.0, 11))
+    grid = TimeGrid(20.0, 11)
     exact = evolve(dm, superop, grid)
 
     def shared(*args, **kwargs):
@@ -416,7 +472,7 @@ def test_exact_path_agrees_with_fixed_step_rk4(monkeypatch):
 
 def test_block_larger_than_the_dense_limit_selects_expm_multiply(monkeypatch):
     superop, dm = thermal_combined_kerr()
-    grid = TimeGrid(np.linspace(0.0, 5.0, 6))
+    grid = TimeGrid(5.0, 6)
     monkeypatch.setattr(EVOLVE, "MAX_DENSE_BLOCK", 12)
     at_limit = evolve(dm, superop, grid)
     monkeypatch.setattr(EVOLVE, "MAX_DENSE_BLOCK", 11)
@@ -441,7 +497,7 @@ def test_dense_blocks_are_the_slices_of_the_generator(monkeypatch):
         return dense
 
     monkeypatch.setattr(EVOLVE, "_dense_blocks", sliced)
-    grid = TimeGrid(np.array([0.0, 1.0]))
+    grid = TimeGrid(1.0, 2)
     for config in (preset("fig2-combined"), preset("fig4"), preset("fig7").point_config(3.0)):
         superop, dm = build_problem(config)
         assert evolve(dm, superop, grid).path == "expm"
@@ -459,16 +515,16 @@ def built(monkeypatch):
     return gaps
 
 
-def test_repeated_gaps_reuse_cached_propagators(monkeypatch, built):
+def test_one_step_propagator_serves_every_step(monkeypatch, built):
     acted = []
     monkeypatch.setattr(EVOLVE, "expm_multiply",
                         lambda a, z: acted.append(a.shape) or expm_multiply(a, z))
     superop, dm = thermal_combined_kerr()
-    grid = TimeGrid(np.arange(9) * 0.5)
+    grid = TimeGrid(4.0, 9)
     traj = evolve(dm, superop, grid, EvolveOptions(snapshot_times=(1.2,)))
-    # eight steps of 0.5 along the samples, built once and cached; the branch
-    # from the sample at 1.0 to the snapshot builds no propagator but acts
-    # once on the kept vector
+    # eight steps of 0.5 along the samples by one propagator, built once; the
+    # branch from the sample at 1.0 to the snapshot builds no propagator but
+    # acts once on the kept vector
     assert traj.path == "expm" and traj.n_steps == 9
     assert built == [0.5]
     assert acted == [(traj.n_propagated, traj.n_propagated)]
@@ -480,8 +536,8 @@ def test_trajectory_does_not_depend_on_snapshots(monkeypatch, max_dense_block, p
     # times or between them, moves no bit of any sampled observable
     monkeypatch.setattr(EVOLVE, "MAX_DENSE_BLOCK", max_dense_block)
     superop, dm = thermal_combined_kerr()
-    times = np.linspace(0.0, 30.0, 150)
-    grid = TimeGrid(times)
+    grid = TimeGrid(30.0, 150)
+    times = grid.times
     plain = evolve(dm, superop, grid, EvolveOptions(overlap_alpha=1.2))
     for snapshot_times in ((times[3], times[70], 30.0), (0.1, 7.7, 29.99), (0.0, 7.7, times[99])):
         traj = evolve(dm, superop, grid,
@@ -511,9 +567,8 @@ def test_off_grid_snapshots_match_damped_kerr_closed_form(fig2_result):
 
 
 def test_one_propagator_per_uniform_grid(built):
-    # every preset grid is k * times[1] bitwise: one build for the steps of
-    # the first sample block and one for the jump of each later block; the
-    # off-grid snapshots build none
+    # one build for the steps of the first sample block and one for the jump
+    # of each later block; the off-grid snapshots build none
     for config, n_built, n_steps in ((preset("fig2-combined"), 2, 2013),
                                      (preset("fig4"), 2, 1999),
                                      (preset("fig7").point_config(3.0), 2, 1999)):
@@ -524,38 +579,25 @@ def test_one_propagator_per_uniform_grid(built):
         assert built.count(traj.times[EVOLVE.SAMPLE_BLOCK]) == 1
 
 
-def test_grid_whose_uniform_prefix_ends_agrees_with_rk4(built):
-    # after the lattice prefix each sample steps by the difference of its
-    # sample times
-    superop, dm = thermal_combined_kerr()
-    grid = TimeGrid(np.r_[np.arange(5) * 0.5, 2.3, 2.9])
-    exact = evolve(dm, superop, grid)
-    fixed = evolve_rk4(dm, superop, grid, dt=1e-3)
-    assert sorted(built) == sorted([0.5, 2.3 - 2.0, 2.9 - 2.3])
-    assert exact.n_steps == 6
-    for a, b in ((exact.amplitudes, fixed.amplitudes), (exact.purity, fixed.purity),
-                 (exact.trace, fixed.trace)):
-        assert np.max(np.abs(a - b)) < 1e-9
-
-
 def test_sample_block_jumps_match_the_per_sample_chain(monkeypatch, built):
     # 200 samples: the second, third and (partial) fourth sample block are
     # each exp(L times[SAMPLE_BLOCK]) applied to the block before; with one
     # block longer than the grid, every sample steps by exp(L h) instead
     superop, dm = thermal_combined_kerr()
-    times = np.linspace(0.0, 60.0, 200)
+    grid = TimeGrid(60.0, 200)
+    times = grid.times
     assert 3 * EVOLVE.SAMPLE_BLOCK < times.size
     opts = EvolveOptions(snapshot_times=(30.0, 45.25, times[150]), overlap_alpha=1.2)
     on_grid = EvolveOptions(snapshot_times=(times[150],), overlap_alpha=1.2)
     jump = times[EVOLVE.SAMPLE_BLOCK]
-    jumped = evolve(dm, superop, TimeGrid(times), opts)
+    jumped = evolve(dm, superop, grid, opts)
     assert built.count(jump) == 1
-    plain = [evolve(dm, superop, TimeGrid(times), on_grid)]
+    plain = [evolve(dm, superop, grid, on_grid)]
     built.clear()
     monkeypatch.setattr(EVOLVE, "SAMPLE_BLOCK", times.size + 1)
-    stepped = evolve(dm, superop, TimeGrid(times), opts)
+    stepped = evolve(dm, superop, grid, opts)
     assert jump not in built
-    plain.append(evolve(dm, superop, TimeGrid(times), on_grid))
+    plain.append(evolve(dm, superop, grid, on_grid))
     assert jumped.path == stepped.path == "expm"
     assert jumped.n_steps == stepped.n_steps == 199 + 2
     # the dense propagators keep every sample Hermitian bitwise; the two
@@ -571,22 +613,6 @@ def test_sample_block_jumps_match_the_per_sample_chain(monkeypatch, built):
         assert t1 == t2 and np.max(np.abs(s1.data - s2.data)) < 2e-14
 
 
-def test_grid_whose_lattice_breaks_in_the_third_block_jumps_only_before(built):
-    # samples 0..149 are k h bitwise, the rest are not: the second block
-    # jumps, the third steps sample by sample across the break and the
-    # fourth after it
-    superop, dm = thermal_combined_kerr()
-    times = np.r_[np.arange(150) * 0.05, 7.45 + 0.07 * np.arange(1, 51)]
-    assert 2 * EVOLVE.SAMPLE_BLOCK < 150 < 3 * EVOLVE.SAMPLE_BLOCK < times.size
-    grid = TimeGrid(times)
-    exact = evolve(dm, superop, grid)
-    assert built.count(times[EVOLVE.SAMPLE_BLOCK]) == 1
-    fixed = evolve_rk4(dm, superop, grid, dt=1e-3)
-    for a, b in ((exact.amplitudes, fixed.amplitudes), (exact.purity, fixed.purity),
-                 (exact.trace, fixed.trace)):
-        assert np.max(np.abs(a - b)) < 1e-9
-
-
 def test_trace_gate_rejects_nan():
     # a NaN generator entry makes the whole state NaN; NaN > limit is False,
     # so the gate must test "within the limit", not "beyond it"
@@ -595,7 +621,7 @@ def test_trace_gate_rejects_nan():
         ([np.nan + 0j], ([0], [0])), shape=(n * n, n * n)))
     dm = product_dm([vacuum_ket(n)])
     with pytest.raises(IntegrationFailure, match="trace drifted by nan"):
-        evolve(dm, bad, TimeGrid(np.linspace(0.0, 1.0, 3)))
+        evolve(dm, bad, TimeGrid(1.0, 3))
 
 
 def assert_samples_match_snapshots(superop, dm, lowering, overlap_alpha, overlap_mode):
@@ -603,8 +629,9 @@ def assert_samples_match_snapshots(superop, dm, lowering, overlap_alpha, overlap
     # 150 samples fill two sample blocks and end inside a third; every
     # sample is also a snapshot, whose matrix gives each observable directly
     assert 2 * EVOLVE.SAMPLE_BLOCK < 150 < 3 * EVOLVE.SAMPLE_BLOCK
-    times = np.linspace(0.0, 30.0, 150)
-    traj = evolve(dm, superop, TimeGrid(times),
+    grid = TimeGrid(30.0, 150)
+    times = grid.times
+    traj = evolve(dm, superop, grid,
                   EvolveOptions(snapshot_times=tuple(times), overlap_alpha=overlap_alpha,
                                 overlap_mode=overlap_mode))
     assert [t for t, _ in traj.snapshots] == times.tolist()
@@ -653,7 +680,7 @@ def test_trace_gate_names_its_first_offending_time_in_a_later_block():
     n = 3
     slow = Superoperator(HilbertDims((n,)), 1e-6 * sp.identity(n * n, dtype=complex, format="csr"))
     with pytest.raises(IntegrationFailure, match=r"trace drifted by 1\.000e-04 at t=100 "):
-        evolve(product_dm([vacuum_ket(n)]), slow, TimeGrid(np.arange(200.0)))
+        evolve(product_dm([vacuum_ket(n)]), slow, TimeGrid(199.0, 200))
 
 
 def test_hermiticity_error_is_the_largest_per_sample_deviation(monkeypatch):
@@ -663,7 +690,7 @@ def test_hermiticity_error_is_the_largest_per_sample_deviation(monkeypatch):
     # deviation on its own
     monkeypatch.setattr(EVOLVE, "MAX_DENSE_BLOCK", 0)
     superop, dm = thermal_combined_kerr()
-    grid = TimeGrid(np.linspace(0.0, 30.0, 150))
+    grid = TimeGrid(30.0, 150)
     opts = EvolveOptions(snapshot_times=(7.7,))
     blocked = evolve(dm, superop, grid, opts).max_hermiticity_error
     assert blocked > 0.0
@@ -681,13 +708,13 @@ def test_hermiticity_error_is_the_largest_per_sample_deviation(monkeypatch):
 def test_generator_that_breaks_hermiticity_is_rejected(matrix):
     dm = product_dm([vacuum_ket(3)])
     with pytest.raises(ValueError, match="Hermiticity"):
-        evolve(dm, Superoperator(HilbertDims((3,)), matrix), TimeGrid(np.array([0.0, 1.0])))
+        evolve(dm, Superoperator(HilbertDims((3,)), matrix), TimeGrid(1.0, 2))
 
 
 def test_one_block_of_each_conjugate_pair_is_propagated():
     # k = 0 whole plus k = 1..29 (combined mode), the two-mode run's
     # 10 + 9 + ... + 1; RK4 integrates the full space
-    grid = TimeGrid(np.array([0.0, 1.0]))
+    grid = TimeGrid(1.0, 2)
     for name, n_propagated in (("fig2-combined", 30 + 29 * 30 // 2), ("fig4", 55)):
         superop, dm = build_problem(preset(name))
         traj = evolve(dm, superop, grid)
@@ -756,7 +783,7 @@ def test_sweep_point_matches_damped_kerr_closed_form(name, value):
 def test_halved_path_agrees_with_full_rk4_on_optical_storage(monkeypatch):
     config = replace(preset("fig4"), storage_mode=0, dims=(4, 5), alpha=0.8 + 0.3j)
     superop, dm = build_problem(config)
-    grid = TimeGrid(np.linspace(0.0, 20.0, 11))
+    grid = TimeGrid(20.0, 11)
     full = evolve_rk4(dm, superop, grid, dt=1e-3)
     # both paths, the largest block (100) below and above the dense limit
     for max_dense_block, path in ((300, "expm"), (0, "expm_multiply")):
@@ -790,9 +817,9 @@ def test_snapshots_are_exactly_hermitian_from_a_nearly_hermitian_start(monkeypat
     assert 5e-13 < deviation < 2e-12
     for max_dense_block, path in ((300, "expm"), (0, "expm_multiply")):
         monkeypatch.setattr(EVOLVE, "MAX_DENSE_BLOCK", max_dense_block)
-        for times, snapshot_times in (([0.0], (0.0,)),
-                                      (np.linspace(0.0, 20.0, 11), (0.0, 7.5, 20.0))):
-            traj = evolve(rho0, superop, TimeGrid(times), EvolveOptions(snapshot_times))
+        for grid, snapshot_times in ((TimeGrid(0.0, 1), (0.0,)),
+                                     (TimeGrid(20.0, 11), (0.0, 7.5, 20.0))):
+            traj = evolve(rho0, superop, grid, EvolveOptions(snapshot_times))
             assert traj.path == path and len(traj.snapshots) == len(snapshot_times)
             for _, state in traj.snapshots:
                 assert np.array_equal(state.data, state.data.conj().T)
@@ -806,5 +833,5 @@ def test_initial_deviation_outside_the_self_mirror_blocks_is_reported():
     data = dm.data.copy()
     data[0, 1] += 5e-11
     rho0 = DensityMatrix(QOperator(dm.dims, data))
-    traj = evolve(rho0, superop, TimeGrid(np.array([0.0, 1.0])))
+    traj = evolve(rho0, superop, TimeGrid(1.0, 2))
     assert traj.max_hermiticity_error == np.max(np.abs(rho0.data - rho0.data.conj().T)) > 4e-11

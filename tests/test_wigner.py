@@ -22,7 +22,6 @@ from optomem.wigner import (
     min_value,
     negativity_volume,
     wigner,
-    wigner_fields,
     wigner_map,
 )
 
@@ -114,7 +113,7 @@ def test_negativity_nonincreasing_with_damping():
                               gamma_c=gamma, gamma_m=gamma, bath_temp=0.0)
         superop = combined_kerr_liouvillian(params, 20)
         dm = product_dm([coherent_ket(1.5, 20)])
-        traj = evolve(dm, superop, TimeGrid(np.linspace(0.0, 79.0, 120)),
+        traj = evolve(dm, superop, TimeGrid(79.0, 120),
                       EvolveOptions(snapshot_times=(79.0,)))
         field = wigner(traj.snapshots[0][1], GRID_201)
         results.append(negativity_volume(field))
@@ -191,7 +190,7 @@ def damped_snapshot(n: int) -> DensityMatrix:
     params = SystemParams(omega_c=0.0, omega_m=0.0, k_c=0.01, k_m=0.01, g0=0.0,
                           gamma_c=1e-3, gamma_m=1e-3, bath_temp=0.0)
     traj = evolve(product_dm([coherent_ket(1.5, n)]), combined_kerr_liouvillian(params, n),
-                  TimeGrid(np.linspace(0.0, 79.0, 120)), EvolveOptions(snapshot_times=(79.0,)))
+                  TimeGrid(79.0, 120), EvolveOptions(snapshot_times=(79.0,)))
     return traj.snapshots[0][1]
 
 
@@ -208,8 +207,7 @@ def test_fields_match_per_point_kernel_bitwise():
         product_dm([coherent_ket(1.2 - 0.7j, n)]),
         damped_snapshot(n),
     ]
-    fields = list(wigner_fields(states, GRID_201))
-    assert len(fields) == len(states)
+    fields = list(map(wigner_map(n, GRID_201), states))
     for rho, field in zip(states, fields):
         assert np.max(np.abs(field.values - wigner_per_point(rho, GRID_201))) <= 1e-14
         assert np.array_equal(bits(wigner(rho, GRID_201).values), bits(field.values))
@@ -221,21 +219,24 @@ def test_groups_give_the_fields_of_their_parts():
     dims = HilbertDims((6,))
     states = [DensityMatrix(QOperator(dims, random_density(rng, 6)))
               for _ in range(19)]
-    together = list(wigner_fields(states, grid))
-    parts = list(wigner_fields(states[:4], grid)) + list(wigner_fields(states[4:], grid))
+    # one map for all states, one for each part, and one per state: a field
+    # depends only on its own state
+    together = list(map(wigner_map(6, grid), states))
+    parts = list(map(wigner_map(6, grid), states[:4])) + list(map(wigner_map(6, grid), states[4:]))
     alone = [wigner(rho, grid) for rho in states]
-    assert len(together) == len(states)
-    for a, b, c in zip(together, parts, alone):
+    for a, b, c in zip(together, parts, alone, strict=True):
         assert np.array_equal(bits(a.values), bits(b.values))
         assert np.array_equal(bits(a.values), bits(c.values))
 
 
 def test_fields_reject_bad_input():
-    assert list(wigner_fields([], GRID_201)) == []
-    with pytest.raises(ValueError):
-        wigner_fields([product_dm([vacuum_ket(4)]), product_dm([vacuum_ket(3), vacuum_ket(3)])])
-    with pytest.raises(ValueError):
-        wigner_fields([product_dm([vacuum_ket(4)]), product_dm([vacuum_ket(5)])])
+    two_mode = product_dm([vacuum_ket(4), vacuum_ket(3)])
+    with pytest.raises(ValueError, match="single-mode"):
+        wigner(two_mode, GRID_201)
+    with pytest.raises(ValueError, match="single-mode"):
+        wigner_map(4, GRID_201)(two_mode)
+    with pytest.raises(ValueError, match="4 levels got a 5-level state"):
+        wigner_map(4, GRID_201)(product_dm([vacuum_ket(5)]))
 
 
 def test_field_holds_its_values_read_only():
@@ -305,9 +306,9 @@ def test_fields_match_closed_forms_up_to_n_90(n, coherent_bound):
     grid = support_grid(n)
     x = grid.x_axis()[:, None]
     p = grid.p_axis()[None, :]
-    vacuum, fock, coherent = (field.values for field in wigner_fields(
-        [product_dm([vacuum_ket(n)]), product_dm([fock_ket(n - 1, n)]),
-         product_dm([coherent_ket(alpha, n)])], grid))
+    vacuum, fock, coherent = (field.values for field in map(wigner_map(n, grid), [
+        product_dm([vacuum_ket(n)]), product_dm([fock_ket(n - 1, n)]),
+        product_dm([coherent_ket(alpha, n)])]))
     shifted = (x - np.sqrt(2.0) * alpha.real) ** 2 + (p - np.sqrt(2.0) * alpha.imag) ** 2
     assert np.max(np.abs(vacuum - np.exp(-(x * x + p * p)) / np.pi)) <= 5e-16
     assert np.max(np.abs(fock - fock_closed_form(n - 1, grid))) <= 3e-14
