@@ -27,45 +27,47 @@ state at k h, which is times[k] bitwise, and no time error builds up.  A
 snapshot at s branches off the chain: exp(L (s - t_k)) applied to the state
 of the last sample t_k <= s (none when s == t_k), so the trajectory does not
 depend on the snapshot times.  When no block is larger than
-:data:`MAX_DENSE_BLOCK`, the step propagator is the block diagonal
-(``scipy.sparse.block_diag``) of a dense exp(L_b h) per kept block (scaling
-and squaring, Al-Mohy & Higham, SIMAX 31, 970, 2009), built from the dense
-blocks that one scatter of L's entries fills (:func:`_dense_blocks`).  It
-fills the first block of :data:`SAMPLE_BLOCK` samples only: each later
-block is exp(L times[SAMPLE_BLOCK]) (bitwise SAMPLE_BLOCK h) applied to the
-block before it, one dense product per kept block, and the step propagator
-is dropped at the first jump.  So at most SAMPLE_BLOCK - 1 steps and
-n_t / SAMPLE_BLOCK jumps separate a sample from rho(0).
+:data:`MAX_DENSE_BLOCK`, the propagators are dense exp(L_b gap) per kept
+block (scaling and squaring, Al-Mohy & Higham, SIMAX 31, 970, 2009), built
+from the dense blocks that one scatter of L's entries fills
+(:func:`_dense_blocks`), and all of them before the first sample: the step
+propagator, the block diagonal (``scipy.sparse.block_diag``) of exp(L_b h),
+when the grid has more than one sample, then the jump blocks
+exp(L_b times[SAMPLE_BLOCK]) (bitwise SAMPLE_BLOCK h), when it has more
+than :data:`SAMPLE_BLOCK`.  The step fills the first block of SAMPLE_BLOCK
+samples only and is released after it: each later block is the jump
+applied to the block before it, one dense product per kept block.  So at
+most SAMPLE_BLOCK - 1 steps and n_t / SAMPLE_BLOCK jumps separate a sample
+from rho(0).
 
 Every snapshot branch, and on the other path every step, applies the action
 exp(L gap) z to the kept vector alone with a truncated Taylor series
 (Al-Mohy & Higham, SISC 33, 488, 2011; ``scipy.sparse.linalg.expm_multiply``)
-of the kept generator, which is built only when a run has such a gap.  Its
-cost grows with ||L||_1 gap and it cannot fail, so the run is refused up
+of the kept generator, which is built only when a run has such a gap; on
+that path the step operand L h is formed once, before the first sample.
+Its cost grows with ||L||_1 gap and it cannot fail, so the run is refused up
 front, with :class:`IntegrationFailure`, when that product exceeds
 :data:`MAX_ACTION_NORM` for the largest gap it is asked to cross.
 
 On both paths every state, the initial one and each snapshot included, is
-re-symmetrised (rho <- (rho + rho^dag)/2) on the self-mirror blocks, where
-its Hermiticity deviation is also measured (for rho(0), on every live
-coordinate); each left-out coordinate is the conjugate of its mirror, so
-every state the observables, the trace gate and the snapshots see is
-exactly Hermitian.
+re-symmetrised (rho <- (rho + rho^dag)/2) on the self-mirror blocks, and
+the Hermiticity error is the largest deviation this removes (for rho(0),
+measured on every live coordinate); each left-out coordinate is the
+conjugate of its mirror, so every state the observables, the trace gate and
+the snapshots see is exactly Hermitian.
 
 The loop fills one block of :data:`SAMPLE_BLOCK` rows at a time with the
-kept vectors of its samples, after symmetrisation, and the self-mirror
-slices from before it: by one jump of the whole block on the dense path
-after the first block, else sample by sample, each row propagated from the
-one before.  It then branches off and scatters a full d x d state for each
-snapshot at or after a sample of the block and before
-the next sample, and evaluates the block at once on the kept coordinates:
-each observable Tr(A rho)
-(<a_k> of every mode, the trace, the coherent overlap) has the weight
-w = A.flatten(C) on vec(rho), folded into w[kept] on the kept vector plus
-w[partners] on the conjugate of its paired part, the purity counts each
-paired coordinate twice, the Hermiticity deviation is the largest over the
-block, and the trace gate raises for the first sample of the block whose
-drift is not within :data:`TRACE_DRIFT_LIMIT`.  The trace is never renormalised; its largest
+kept vectors of its samples, each re-symmetrised: by one jump of the whole
+block on the dense path after the first block, else sample by sample, each
+row propagated from the one before.  It then branches off and scatters a
+full d x d state for each snapshot whose last sample at or before it lies
+in the block, and evaluates the block at once on the kept coordinates: each
+observable Tr(A rho) (<a_k> of every mode, the trace, the coherent overlap)
+has the weight w = A.flatten(C) on vec(rho), folded into w[kept] on the
+kept vector plus w[partners] on the conjugate of its paired part, the
+purity counts each paired coordinate twice, and the trace gate raises for
+the first sample of the block whose drift is not within
+:data:`TRACE_DRIFT_LIMIT`.  The trace is never renormalised; its largest
 drift is recorded as an integration quality signal.  Repeated runs are
 bitwise reproducible.
 
@@ -177,8 +179,9 @@ class Trajectory:
 
 # Largest symmetry block propagated by a dense exp(L_b gap); a larger block
 # sends the whole run to expm_multiply.  A propagator holds sum(s_b^2)
-# entries and costs O(s_b^3) to build: twice per run (the step and the
-# block jump); snapshot branches build none.  Two-mode optical storage
+# entries and costs O(s_b^3) to build: at most twice per run, both before
+# the first sample (the step and the block jump); snapshot branches build
+# none.  Two-mode optical storage
 # at (n, 10), 2 000 samples, one thread (2-vCPU Xeon VM), `simulate` with
 # dense blocks vs expm_multiply, wall time and peak RSS: largest block 200:
 # 0.11 s / 78 MB vs 2.6 s / 70 MB; 300: 0.33 s / 90 MB vs 2.8 s / 70 MB;
@@ -200,9 +203,11 @@ MAX_ACTION_NORM = 1e3
 TRACE_DRIFT_LIMIT = 1e-4
 
 # Samples whose kept states are held and then evaluated together: their
-# observables, Hermiticity deviation and trace gate.  It also sets the jump
-# length of the dense path, where each block of samples after the first is
-# exp(L times[SAMPLE_BLOCK]) applied to the block before it.  One thread
+# observables and trace gate.  It also sets the jump length of the dense
+# path, where each block of samples after the first is
+# exp(L times[SAMPLE_BLOCK]) applied to the block before it, from jump
+# blocks built before the first sample when the grid is longer than one
+# block.  One thread
 # (2-vCPU Xeon VM), median of 7 `simulate` calls,
 # blocks of 1 / 8 / 16 / 64 / 256 samples: fig4 215 / 58 / 34 / 37 / 44 ms,
 # fig2-combined 487 / 188 / 158 / 132 / 146 ms.  At 64 the block holds
@@ -446,53 +451,34 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
                 "shrink the rates, the sample spacing or the truncation"
             )
 
-    def act(zk: np.ndarray, gap: float) -> np.ndarray:
-        return expm_multiply(kmat * gap, zk)
-
+    # the propagation plan, fixed before the first sample: the step operand
+    # and, on the dense path, the jump blocks with the columns of the kept
+    # vector each acts on; None where the dense path takes no step or jump
+    step = jumps = None
     if dense_path:
         path = "expm"
         dense = _dense_blocks(lmat, kept_blocks)
-        ends = np.cumsum([idx.size for idx in kept_blocks]).tolist()
-        spans = list(zip([0, *ends[:-1]], ends))
-        step_prop = jump_blocks = None
-
-        def step(zk: np.ndarray) -> np.ndarray:
-            nonlocal step_prop
-            if step_prop is None:
-                # every entry of each block, exact zeros included, is stored
-                # row by row, so a row of the product sums its block's
-                # columns in increasing order
-                step_prop = sp.block_diag(_block_exp(dense, h), format="csr")
-            return step_prop @ zk
-
-        def jump(block: np.ndarray) -> None:
-            # each row becomes the sample SAMPLE_BLOCK after it: one dense
-            # product with exp(L_b times[SAMPLE_BLOCK]) per kept block
-            nonlocal step_prop, jump_blocks
-            if jump_blocks is None:
-                jump_blocks = _block_exp(dense, times[SAMPLE_BLOCK])
-                # only the first sample block steps by h
-                step_prop = None
-            for (a, b), prop in zip(spans, jump_blocks):
-                block[:, a:b] = block[:, a:b] @ prop.T
+        if n_t > 1:
+            # every entry of each block, exact zeros included, is stored row
+            # by row, so a row of the product sums its block's columns in
+            # increasing order
+            step = sp.block_diag(_block_exp(dense, h), format="csr")
+        if n_t > SAMPLE_BLOCK:
+            ends = np.cumsum([idx.size for idx in kept_blocks]).tolist()
+            jumps = list(zip(zip([0, *ends[:-1]], ends),
+                             _block_exp(dense, times[SAMPLE_BLOCK])))
     else:
-        path = "expm_multiply"
-
-        def step(zk: np.ndarray) -> np.ndarray:
-            return act(zk, h)
-
         # sample by sample only: a jump would cross SAMPLE_BLOCK steps at
         # once, so MAX_ACTION_NORM would refuse runs it admits for one step
-        jump = None
+        path = "expm_multiply"
+        step = kmat * h
 
     amps = np.empty((dims.n_modes, n_t), dtype=np.complex128)
     tr = np.empty(n_t)
     pur = np.empty(n_t)
     ovl = np.empty(n_t) if opts.overlap_alpha is not None else None
-    # each sample's kept state after, and its self-mirror slice before,
-    # symmetrisation; evaluated once per block of samples
+    # the kept states of one block of samples, evaluated together
     rows = np.empty((SAMPLE_BLOCK, kept.size), dtype=np.complex128)
-    pre = np.empty((SAMPLE_BLOCK, n_self), dtype=np.complex128)
     kept_full = live[kept]
     partners_full = live[partners]
     obs = _KeptObservables(dims, opts.overlap_alpha, opts.overlap_mode,
@@ -500,49 +486,51 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
     snapshots: list[tuple[float, np.ndarray]] = []
     # rho(0) over every live coordinate: only one of a pair's blocks is kept
     herm_dev = float(np.max(np.abs(z0[live] - z0[live[mirror]].conj())))
-    branches: dict[int, list[tuple[float, float]]] = {}
-    for s, k, offset in zip(snapshot_times.tolist(), base.tolist(), offsets.tolist()):
-        branches.setdefault(k, []).append((s, offset))
 
-    def symmetrise(z: np.ndarray) -> None:
+    def symmetrise(z: np.ndarray) -> float:
         # only self-mirror blocks hold both rho_ij and rho_ji among the kept
         # coordinates; each other kept block's mirror is its conjugate
-        z[..., :n_self] = 0.5 * (z[..., :n_self] + z[..., self_dag].conj())
+        mirrored = z[..., self_dag].conj()
+        dev = float(np.max(np.abs(z[..., :n_self] - mirrored)))
+        z[..., :n_self] = 0.5 * (z[..., :n_self] + mirrored)
+        return dev
 
     for start in range(0, n_t, SAMPLE_BLOCK):
         stop = min(start + SAMPLE_BLOCK, n_t)
         k = stop - start
-        if start and jump is not None:
+        if start and jumps is not None:
             # sample i is exp(L times[SAMPLE_BLOCK]) applied to sample
-            # i - SAMPLE_BLOCK, the row it replaces
-            jump(rows[:k])
-            pre[:k] = rows[:k, :n_self]
-            symmetrise(rows[:k])
+            # i - SAMPLE_BLOCK, the row it replaces; only the first sample
+            # block steps by h
+            step = None
+            for (a, b), prop in jumps:
+                rows[:k, a:b] = rows[:k, a:b] @ prop.T
+            herm_dev = max(herm_dev, symmetrise(rows[:k]))
         else:
             for j, i in enumerate(range(start, stop)):
                 # rows[-1] is the last sample of the full block before
-                rows[j] = step(rows[j - 1]) if i else z0[kept_full]
-                pre[j] = rows[j, :n_self]
-                symmetrise(rows[j])
-        for j, i in enumerate(range(start, stop)):
-            for s, offset in branches.get(i, ()):
-                zs = rows[j]
-                if offset > 0.0:
-                    zs = act(zs, offset)
-                    dev = float(np.max(np.abs(zs[:n_self] - zs[self_dag].conj())))
-                    herm_dev = max(herm_dev, dev)
-                    symmetrise(zs)
-                full = np.zeros(m, dtype=np.complex128)
-                full[kept_full] = zs
-                full[partners_full] = zs[n_self:].conj()
-                # Hermitian exactly as it stands; C order like every operator
-                # the package builds, so reductions over its entries sum in
-                # one order
-                snapshots.append((s, np.ascontiguousarray(unvec(full, d))))
-
-        dev = float(np.max(np.abs(pre[:k] - pre[:k, self_dag].conj())))
-        if dev > herm_dev:
-            herm_dev = dev
+                if not i:
+                    rows[j] = z0[kept_full]
+                elif dense_path:
+                    rows[j] = step @ rows[j - 1]
+                else:
+                    rows[j] = expm_multiply(step, rows[j - 1])
+                herm_dev = max(herm_dev, symmetrise(rows[j]))
+        # the snapshots that branch off a sample of this block
+        lo, hi = np.searchsorted(base, (start, stop))
+        for s, i, offset in zip(snapshot_times[lo:hi].tolist(), base[lo:hi].tolist(),
+                                offsets[lo:hi].tolist()):
+            zs = rows[i - start]
+            if offset > 0.0:
+                zs = expm_multiply(kmat * offset, zs)
+                herm_dev = max(herm_dev, symmetrise(zs))
+            full = np.zeros(m, dtype=np.complex128)
+            full[kept_full] = zs
+            full[partners_full] = zs[n_self:].conj()
+            # Hermitian exactly as it stands; C order like every operator
+            # the package builds, so reductions over its entries sum in one
+            # order
+            snapshots.append((s, np.ascontiguousarray(unvec(full, d))))
         amps[:, start:stop], tr[start:stop], pur[start:stop], overlap = obs.evaluate(rows[:k])
         if ovl is not None:
             ovl[start:stop] = overlap

@@ -209,7 +209,7 @@ def test_unitary_limit_conserves_purity():
     assert np.max(np.abs(traj.purity - 1.0)) < 1e-8
 
 
-def test_adaptive_agrees_with_fixed_step():
+def test_two_mode_exact_path_agrees_with_fixed_step_rk4():
     params = SystemParams(omega_c=0.4, omega_m=0.2, k_c=0.02, k_m=0.02, g0=0.03,
                           gamma_c=1e-4, gamma_m=1e-4, bath_temp=0.0)
     superop = liouvillian(params, HilbertDims((4, 4)))
@@ -528,6 +528,46 @@ def test_one_step_propagator_serves_every_step(monkeypatch, built):
     assert traj.path == "expm" and traj.n_steps == 9
     assert built == [0.5]
     assert acted == [(traj.n_propagated, traj.n_propagated)]
+
+
+@pytest.mark.parametrize("n, n_built", [(1, 0), (2, 1), (EVOLVE.SAMPLE_BLOCK, 1),
+                                          (EVOLVE.SAMPLE_BLOCK + 1, 2),
+                                          (2 * EVOLVE.SAMPLE_BLOCK + 1, 2)])
+def test_dense_plan_builds_the_step_and_the_jump_a_grid_uses(monkeypatch, built, n, n_built):
+    # the step when the grid has one, then the jump when it is longer than
+    # one sample block; each sample stays with the per-sample chain that
+    # one block longer than the grid gives
+    superop, dm = thermal_combined_kerr()
+    # h = 0.25, so times[k] == 0.25 k bitwise
+    grid = TimeGrid(0.25 * (n - 1), n)
+    step, jump = 0.25, 0.25 * EVOLVE.SAMPLE_BLOCK
+    opts = EvolveOptions(overlap_alpha=1.2)
+    planned = evolve(dm, superop, grid, opts)
+    assert planned.path == "expm" and planned.n_steps == n - 1
+    assert built == [step, jump][:n_built]
+    built.clear()
+    monkeypatch.setattr(EVOLVE, "SAMPLE_BLOCK", n + 1)
+    chained = evolve(dm, superop, grid, opts)
+    assert built == [step][:n_built]
+    # largest difference measured: 2.5e-15
+    for name in ("amplitudes", "trace", "purity", "coherent_overlap"):
+        assert np.max(np.abs(getattr(planned, name) - getattr(chained, name))) < 2e-14
+
+
+def test_expm_multiply_plan_forms_one_step_operand(monkeypatch, built):
+    # every step acts with the same L h, formed before the first sample,
+    # past two sample blocks and with no dense propagator built
+    monkeypatch.setattr(EVOLVE, "MAX_DENSE_BLOCK", 0)
+    operands = []
+    monkeypatch.setattr(EVOLVE, "expm_multiply",
+                        lambda a, z: operands.append(a) or expm_multiply(a, z))
+    superop, dm = thermal_combined_kerr()
+    n = 2 * EVOLVE.SAMPLE_BLOCK + 1
+    traj = evolve(dm, superop, TimeGrid(0.25 * (n - 1), n))
+    assert traj.path == "expm_multiply" and traj.n_steps == len(operands) == n - 1
+    assert all(a is operands[0] for a in operands)
+    assert operands[0].shape == (traj.n_propagated, traj.n_propagated)
+    assert built == []
 
 
 @pytest.mark.parametrize("max_dense_block, path", [(300, "expm"), (0, "expm_multiply")])

@@ -13,8 +13,8 @@ missing or empty):
   stored mode's partial trace, at a second truncation (N = 10)
 * ``simulate --preset fig4`` and ``simulate --preset harmonic-check``
 * ``simulate --preset fig4 --override storage_mode=0`` (optical storage,
-  whose largest symmetry block takes the ``expm_multiply`` path; 9 to 11 s
-  of the script's 12 to 14 s on a 2-vCPU Xeon VM)
+  whose largest symmetry block takes the ``expm_multiply`` path; about 7 s
+  of the script's ~9 s on a 2-vCPU Xeon VM)
 * ``sweep --preset fig5`` .. ``fig8``, once with ``--threads 1`` and once
   with ``--threads 2``
 
