@@ -40,14 +40,20 @@ applied to the block before it, one dense product per kept block.  So at
 most SAMPLE_BLOCK - 1 steps and n_t / SAMPLE_BLOCK jumps separate a sample
 from rho(0).
 
-Every snapshot branch, and on the other path every step, applies the action
-exp(L gap) z to the kept vector alone with a truncated Taylor series
+The snapshot branches, and on the other path every step, apply the action
+exp(L gap) z to kept vectors alone with a truncated Taylor series
 (Al-Mohy & Higham, SISC 33, 488, 2011; ``scipy.sparse.linalg.expm_multiply``)
 of the kept generator, which is built only when a run has such a gap; on
 that path the step operand L h is formed once, before the first sample.
-Its cost grows with ||L||_1 gap and it cannot fail, so the run is refused up
-front, with :class:`IntegrationFailure`, when that product exceeds
-:data:`MAX_ACTION_NORM` for the largest gap it is asked to cross.
+All branches of a run are one call, after the last sample: exp of a block
+diagonal is the block diagonal of the exps, so the base states stacked one
+after another go to their snapshot times under
+block_diag(L gap_1, L gap_2, ...), which holds one copy of the kept
+generator's entries per off-grid snapshot.  The cost of a call grows with
+the operand's 1-norm, ||L||_1 times its (largest) gap, and it cannot fail,
+so the run is refused up front, with :class:`IntegrationFailure`, when that
+product exceeds :data:`MAX_ACTION_NORM` for the largest gap it is asked to
+cross.
 
 On both paths every state, the initial one and each snapshot included, is
 re-symmetrised (rho <- (rho + rho^dag)/2) on the self-mirror blocks, and
@@ -59,17 +65,19 @@ the snapshots see is exactly Hermitian.
 The loop fills one block of :data:`SAMPLE_BLOCK` rows at a time with the
 kept vectors of its samples, each re-symmetrised: by one jump of the whole
 block on the dense path after the first block, else sample by sample, each
-row propagated from the one before.  It then branches off and scatters a
-full d x d state for each snapshot whose last sample at or before it lies
-in the block, and evaluates the block at once on the kept coordinates: each
+row propagated from the one before.  It then copies the row of each
+snapshot whose last sample at or before it lies in the block, and
+evaluates the block at once on the kept coordinates: each
 observable Tr(A rho) (<a_k> of every mode, the trace, the coherent overlap)
 has the weight w = A.flatten(C) on vec(rho), folded into w[kept] on the
 kept vector plus w[partners] on the conjugate of its paired part, the
 purity counts each paired coordinate twice, and the trace gate raises for
 the first sample of the block whose drift is not within
 :data:`TRACE_DRIFT_LIMIT`.  The trace is never renormalised; its largest
-drift is recorded as an integration quality signal.  Repeated runs are
-bitwise reproducible.
+drift is recorded as an integration quality signal.  After the last block
+the copied rows are branched, re-symmetrised and scattered to full d x d
+states, so a failing trace gate raises before any snapshot is built.
+Repeated runs are bitwise reproducible.
 
 The tests cross-check both paths against a fixed-step RK4 on the full space
 (``evolve_rk4`` in ``tests/helpers.py``), which shares no stepping or
@@ -191,7 +199,8 @@ class Trajectory:
 MAX_DENSE_BLOCK = 300
 
 # Largest ||L||_1 * gap that expm_multiply is asked to cross, on either path
-# (on the dense one, the snapshot branches only).  One gap costs
+# (on the dense one, the snapshot branches only, whose stacked operand has
+# ||L||_1 times the largest branch gap as its 1-norm).  One gap costs
 # O(||L||_1 gap) products: one thread (2-vCPU Xeon VM), 1.5 -> 4.9 ms,
 # 1e2 -> 0.10 s and 1e3 -> 0.63 s on the 9 820 live coordinates of two-mode
 # optical storage at (10, 10); 18 ms at 1e3 and 0.15 s at 1e4 on a 16-dim
@@ -374,12 +383,12 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
     ``expm_multiply`` otherwise.  Full density matrices are stored
     only at ``opts.snapshot_times`` (which must be finite and lie within the
     grid span), each branched off the last sample at or before it by
-    ``expm_multiply`` on the kept vector, so the samples do not depend on
-    them.  Raises ValueError when the generator does not preserve
-    Hermiticity, and :class:`IntegrationFailure` when the trace drift is not
-    within :data:`TRACE_DRIFT_LIMIT` or when ||L||_1 times the largest gap
-    that ``expm_multiply`` crosses (each snapshot branch, and on that path
-    each step) exceeds :data:`MAX_ACTION_NORM`.
+    ``expm_multiply`` on the kept vector (one call for all of them), so the
+    samples do not depend on them.  Raises ValueError when the generator
+    does not preserve Hermiticity, and :class:`IntegrationFailure` when the
+    trace drift is not within :data:`TRACE_DRIFT_LIMIT` or when ||L||_1
+    times the largest gap that ``expm_multiply`` crosses (each snapshot
+    branch, and on that path each step) exceeds :data:`MAX_ACTION_NORM`.
     """
     opts = opts or EvolveOptions()
     dims = rho0.dims
@@ -434,7 +443,8 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
     # each snapshot branches off the last sample at or before it
     base = np.searchsorted(times, snapshot_times, side="right") - 1
     offsets = snapshot_times - times[base]
-    branch_gaps = offsets[offsets > 0]
+    branched = offsets > 0
+    branch_gaps = offsets[branched]
 
     dense_path = max(block_sizes) <= MAX_DENSE_BLOCK
     # expm_multiply crosses the branches, and on its own path the step
@@ -483,7 +493,9 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
     partners_full = live[partners]
     obs = _KeptObservables(dims, opts.overlap_alpha, opts.overlap_mode,
                            kept_full, partners_full, n_self)
-    snapshots: list[tuple[float, np.ndarray]] = []
+    # the kept state of each snapshot's base sample, copied as the loop
+    # passes it, and branched to the snapshot time after the loop
+    snap_rows = np.empty((snapshot_times.size, kept.size), dtype=np.complex128)
     # rho(0) over every live coordinate: only one of a pair's blocks is kept
     herm_dev = float(np.max(np.abs(z0[live] - z0[live[mirror]].conj())))
 
@@ -516,21 +528,9 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
                 else:
                     rows[j] = expm_multiply(step, rows[j - 1])
                 herm_dev = max(herm_dev, symmetrise(rows[j]))
-        # the snapshots that branch off a sample of this block
+        # the base samples of the snapshots that branch off this block
         lo, hi = np.searchsorted(base, (start, stop))
-        for s, i, offset in zip(snapshot_times[lo:hi].tolist(), base[lo:hi].tolist(),
-                                offsets[lo:hi].tolist()):
-            zs = rows[i - start]
-            if offset > 0.0:
-                zs = expm_multiply(kmat * offset, zs)
-                herm_dev = max(herm_dev, symmetrise(zs))
-            full = np.zeros(m, dtype=np.complex128)
-            full[kept_full] = zs
-            full[partners_full] = zs[n_self:].conj()
-            # Hermitian exactly as it stands; C order like every operator
-            # the package builds, so reductions over its entries sum in one
-            # order
-            snapshots.append((s, np.ascontiguousarray(unvec(full, d))))
+        snap_rows[lo:hi] = rows[base[lo:hi] - start]
         amps[:, start:stop], tr[start:stop], pur[start:stop], overlap = obs.evaluate(rows[:k])
         if ovl is not None:
             ovl[start:stop] = overlap
@@ -543,15 +543,31 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
                 f"(limit {TRACE_DRIFT_LIMIT:.1e})"
             )
 
+    # built only now, so that a failing trace gate is what a broken run
+    # raises; exp(block_diag(L gap_j)) is block_diag(exp(L gap_j)), so one
+    # call on the stacked base rows crosses every branch
+    if branch_gaps.size:
+        stack = sp.block_diag([kmat * gap for gap in branch_gaps.tolist()], format="csr")
+        ends = expm_multiply(stack, snap_rows[branched].ravel()).reshape(branch_gaps.size, -1)
+        herm_dev = max(herm_dev, symmetrise(ends))
+        snap_rows[branched] = ends
+    snapshots = []
+    for s, zs in zip(snapshot_times.tolist(), snap_rows):
+        full = np.zeros(m, dtype=np.complex128)
+        full[kept_full] = zs
+        full[partners_full] = zs[n_self:].conj()
+        # Hermitian exactly as it stands; C order like every operator the
+        # package builds, so reductions over its entries sum in one order
+        rho = np.ascontiguousarray(unvec(full, d))
+        snapshots.append((s, DensityMatrix(QOperator(dims, rho))))
+
     return Trajectory(
         times=times,
         amplitudes=amps,
         trace=tr,
         purity=pur,
         coherent_overlap=ovl,
-        # wrapped only now, so that a failing trace gate is what a broken
-        # run raises, not a later snapshot's check
-        snapshots=[(t, DensityMatrix(QOperator(dims, rho))) for t, rho in snapshots],
+        snapshots=snapshots,
         max_hermiticity_error=herm_dev,
         max_trace_drift=float(np.max(np.abs(tr - 1.0))),
         n_steps=n_t - 1 + branch_gaps.size,

@@ -26,8 +26,11 @@ passes (``_render``; a grid :data:`_GRID_ROWS` rows at a time): numpy
 computes each cell's 10-digit significand, which is provably the correctly
 rounded one unless the cell lies within 1e-5 of a rounding tie, and hands
 those cells and the rare non-finite or extreme ones to Python's
-``'%.9e' %``.  Each cell is a fixed record whose unused bytes are NUL, and
-``bytes.translate`` drops them; the text is byte for byte Python's.
+``'%.9e' %``.  Each cell is a fixed 20-byte record of five little-endian
+4-byte words, each one lookup in a table of words (the sign with the
+leading digits and the point, two four-digit groups, the exponent, the
+separator); its unused bytes are NUL, and ``bytes.translate`` drops them.
+The text is byte for byte Python's.
 
 The ``a``/``b`` columns hold ``Trajectory.amplitudes[0]``/``[1]``; a
 one-mode (combined) run has zeros in the ``b`` columns.
@@ -101,20 +104,32 @@ def _round9(x: float) -> float:
 
 
 # _POW10[e + 100] is 10**(9 - e), parsed from its decimal text and so
-# correctly rounded; _ASCII4[n] holds the four digits of n, zero padded, and
-# _EXP_TEXT[e + 99] the text "e+dd" or "e-dd" of an exponent e.  _ASCII4
-# (40 kB) is built without integer division, whose first use pages in about
-# 150 kB of numpy code.
+# correctly rounded; _ASCII4[n] holds the four digits of n, zero padded.
+# _ASCII4 (40 kB) is built without integer division, whose first use pages
+# in about 150 kB of numpy code.
 _POW10 = np.array([float(f"1e{9 - e}") for e in range(-100, 101)])
 _DIGITS = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
 _ASCII4 = np.stack([
     np.repeat(_DIGITS, 1000), np.tile(np.repeat(_DIGITS, 100), 10),
     np.tile(np.repeat(_DIGITS, 10), 100), np.tile(_DIGITS, 1000),
 ], axis=1)
-_EXP_TEXT = np.array([list(f"e{e:+03d}".encode()) for e in range(-99, 100)], dtype=np.uint8)
-# a cell's record: its text in the first 17 bytes, NUL padded, then its
-# separator; the longest text Python writes is "-1.797693135e+308"
-_RECORD = 18
+# A cell's record is five little-endian 4-byte words, each looked up whole:
+# _GROUP4[n] is the four digits of n (a view of _ASCII4's rows),
+# _LEAD[s * 100 + n] the sign (NUL, or "-" when s is 1), the digit n // 10,
+# the point and the digit n % 10, and _EXP_WORD[e + 99] the text "e+dd" or
+# "e-dd" of an exponent e; the fifth word is three NULs and the separator.
+_GROUP4 = _ASCII4.view("<u4").ravel()
+_lead = np.zeros((2, 100, 4), dtype=np.uint8)
+_lead[1, :, 0] = ord("-")
+_lead[:, :, 1:4:2] = _ASCII4[:100, 2:]
+_lead[:, :, 2] = ord(".")
+_LEAD = _lead.view("<u4").ravel()
+_EXP_WORD = np.array([list(f"e{e:+03d}".encode()) for e in range(-99, 100)],
+                     dtype=np.uint8).view("<u4").ravel()
+del _lead
+# the record's bytes; the longest text Python writes, "-1.797693135e+308",
+# fills all but the last three, which are NUL, NUL and the separator
+_RECORD = 20
 
 
 def _render(values, sep: str) -> bytes:
@@ -133,38 +148,37 @@ def _render(values, sep: str) -> bytes:
 def _records(values: np.ndarray, sep: str) -> np.ndarray:
     """One record per cell of ``values``, row by row: its text, NUL padded.
 
-    A cell that ``_significands`` takes is its sign (NUL when positive),
-    the significand as two, four and four digits from ``_ASCII4`` with the
-    point after the first, the exponent text and NUL; any other cell is
-    Python's ``'%.9e' %`` text.  The last byte is the separator, or
-    ``"\\n"`` at the end of a row.
+    A cell that ``_significands`` takes is five 4-byte words, each one
+    lookup: the sign (NUL when positive), the first digit, the point and
+    the second digit from ``_LEAD``; the next four digits and the last four
+    from ``_GROUP4``; the exponent text from ``_EXP_WORD``; and three NULs
+    with the separator, or ``"\\n"`` at the end of a row.  Any other cell
+    has Python's ``'%.9e' %`` text in its first ``_RECORD - 3`` bytes.
+    Returned as a ``(cells, _RECORD)`` array of bytes.
     """
     n_rows, n_cols = values.shape
     v = values.ravel()
     sig, e, fast = _significands(v)
-    # the bytes every row shares: the point, a NUL, the separators
-    row = np.zeros((n_cols, _RECORD), dtype=np.uint8)
-    row[:, 2] = ord(".")
-    row[:, 17] = ord(sep)
-    row[-1, 17] = ord("\n")
-    records = np.empty((n_rows, n_cols, _RECORD), dtype=np.uint8)
-    records[:] = row
-    records = records.reshape(v.size, _RECORD)
-    records[:, 0] = np.signbit(v).view(np.uint8) * np.uint8(ord("-"))
+    words = np.empty((n_rows, n_cols, _RECORD // 4), dtype="<u4")
+    ends = np.frombuffer(b"\0\0\0" + sep.encode(), dtype="<u4").repeat(n_cols)
+    ends[-1:] = np.frombuffer(b"\0\0\0\n", dtype="<u4")
+    words[:, :, 4] = ends
+    words = words.reshape(v.size, _RECORD // 4)
     # sig = k 1e4 + r is an integer below 1e10, r <= 9999: sig / 1e4 rounds
     # to within 2**-33 of k + r / 1e4, at least 1e-4 below k + 1, so its
     # floor is k, and k * 1e4 and sig - k * 1e4 = r are exact
-    for col in (8, 4):
+    for col in (2, 1):
         high = np.floor(sig / 1e4)
-        records[:, col:col + 4] = np.take(_ASCII4, (sig - high * 1e4).astype(np.intp), axis=0)
+        words[:, col] = _GROUP4.take((sig - high * 1e4).astype(np.intp))
         sig = high
-    records[:, 1:4:2] = np.take(_ASCII4[:, 2:], sig.astype(np.intp), axis=0)
-    records[:, 12:16] = np.take(_EXP_TEXT, e + 99, axis=0, mode="clip")
+    words[:, 0] = _LEAD.take(sig.astype(np.intp) + 100 * np.signbit(v))
+    words[:, 3] = _EXP_WORD.take(e + 99, mode="clip")
 
+    records = words.view(np.uint8)
     slow = np.flatnonzero(~fast)
     if slow.size:
-        text = np.array(list(map("%.9e".__mod__, v[slow].tolist())), dtype=f"S{_RECORD - 1}")
-        records[slow, :-1] = text.view(np.uint8).reshape(-1, _RECORD - 1)
+        text = np.array(list(map("%.9e".__mod__, v[slow].tolist())), dtype=f"S{_RECORD - 3}")
+        records[slow, :-3] = text.view(np.uint8).reshape(-1, _RECORD - 3)
     return records
 
 
@@ -276,8 +290,8 @@ def write_report_json(path: Path, report: RevivalReport, traj: Trajectory) -> No
 # 60 bytes a cell, and each thread writing grids holds its own; smaller
 # calls cost more interpreter time, for which the threads contend.  On
 # `wigner-snapshots --preset fig2-combined` with two threads (2-vCPU Xeon
-# VM, one BLAS thread), peak RSS was 71.4 MB at 24 rows and 71.8 MB at 32;
-# 16 rows took 0.03 to 0.06 s more wall time than 32.
+# VM, one BLAS thread, medians of 7 fresh processes), 16 / 24 / 32 rows
+# took 0.128 / 0.123 / 0.121 s at a peak RSS of 69.6 / 70.0 / 70.2 MB.
 _GRID_ROWS = 24
 
 

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
@@ -589,6 +590,44 @@ def test_trajectory_does_not_depend_on_snapshots(monkeypatch, max_dense_block, p
         assert traj.max_trace_drift == plain.max_trace_drift
         off_grid = np.count_nonzero(~np.isin(snapshot_times, times))
         assert traj.n_steps == plain.n_steps + off_grid == 149 + off_grid
+
+
+@pytest.mark.parametrize("max_dense_block, path", [(300, "expm"), (0, "expm_multiply")])
+def test_off_grid_branches_are_one_stacked_action(monkeypatch, max_dense_block, path):
+    # every off-grid snapshot is advanced from its base sample by one
+    # expm_multiply call on the stacked rows after the loop; each still
+    # matches exp(L gap) of its own base state
+    monkeypatch.setattr(EVOLVE, "MAX_DENSE_BLOCK", max_dense_block)
+    calls = []
+    monkeypatch.setattr(EVOLVE, "expm_multiply",
+                        lambda a, z: calls.append(a.shape) or expm_multiply(a, z))
+    superop, dm = thermal_combined_kerr()
+    grid = TimeGrid(30.0, 150)
+    times = grid.times
+    # three off-grid times in three sample blocks, one on-grid time
+    off_grid = (0.1, 15.5, 29.99)
+    traj = evolve(dm, superop, grid, EvolveOptions(snapshot_times=(*off_grid, times[99])))
+    steps = 0 if path == "expm" else times.size - 1
+    n = traj.n_propagated
+    assert traj.path == path and len(calls) == steps + 1
+    assert calls[-1] == (len(off_grid) * n, len(off_grid) * n)
+    assert traj.n_steps == times.size - 1 + len(off_grid)
+    # the base samples as on-grid snapshots, which no call branches; the
+    # on-grid snapshot is the same copy of its sample in both runs
+    calls.clear()
+    base = times[np.searchsorted(times, off_grid, side="right") - 1]
+    bases = evolve(dm, superop, grid, EvolveOptions(snapshot_times=(*base, times[99])))
+    assert len(calls) == steps and bases.n_steps == times.size - 1
+    branched, started = dict(traj.snapshots), dict(bases.snapshots)
+    assert np.array_equal(branched[times[99]].data, started[times[99]].data)
+    generator = superop.matrix.toarray()
+    d = dm.dims.total_dim
+    worst = 0.0
+    for t, t0 in zip(off_grid, base.tolist()):
+        expected = unvec(scipy.linalg.expm(generator * (t - t0)) @ vec(started[t0].data), d)
+        worst = max(worst, float(np.max(np.abs(branched[t].data - expected))))
+    # largest difference measured: 4.2e-16 (expm), 5.5e-16 (expm_multiply)
+    assert worst < 2e-15
 
 
 def test_off_grid_snapshots_match_damped_kerr_closed_form(fig2_result):

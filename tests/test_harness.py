@@ -880,6 +880,24 @@ def test_render_in_row_chunks_joins_to_the_whole_grid():
         assert chunked == whole
 
 
+def test_render_covers_every_table_word():
+    # one cell for each word a table can contribute: every four-digit group
+    # in each of the two group positions, every leading pair with each sign
+    # (10..99, and 00 for a zero; 01..09 never lead) and every exponent
+    groups = np.arange(10_000)
+    cells = ([f"1.0{n:04d}0000e+00" for n in groups] + [f"1.00000{n:04d}e+00" for n in groups]
+             + [f"{s}{p // 10}.{p % 10}00000000e+00" for s in ("", "-") for p in range(10, 100)]
+             + ["0.000000000e+00", "-0.000000000e+00"]
+             + [f"{s}7.654321098e{e:+03d}" for s in ("", "-") for e in range(-99, 100)])
+    values = np.array([float(cell) for cell in cells])
+    assert list(map("%.9e".__mod__, values.tolist())) == cells
+    # every cell takes the table path, not Python's fallback
+    assert runner._significands(values)[2].all()
+    for sep in (" ", ","):
+        assert runner._render(values.reshape(1, -1), sep) == (sep.join(cells) + "\n").encode()
+        assert runner._render(values.reshape(-1, 1), sep) == "".join(c + "\n" for c in cells).encode()
+
+
 def test_cli_simulate_fig4_at_the_reference_bath_temperature(tmp_path):
     # exp(omega_c / T) overflows a float at 30 mK; the optical occupation
     # must underflow to 0 instead of aborting the run
