@@ -31,14 +31,17 @@ depend on the snapshot times.  When no block is larger than
 block (scaling and squaring, Al-Mohy & Higham, SIMAX 31, 970, 2009), built
 from the dense blocks that one scatter of L's entries fills
 (:func:`_dense_blocks`), and all of them before the first sample: the step
-propagator, the block diagonal (``scipy.sparse.block_diag``) of exp(L_b h),
-when the grid has more than one sample, then the jump blocks
-exp(L_b times[SAMPLE_BLOCK]) (bitwise SAMPLE_BLOCK h), when it has more
-than :data:`SAMPLE_BLOCK`.  The step fills the first block of SAMPLE_BLOCK
-samples only and is released after it: each later block is the jump
-applied to the block before it, one dense product per kept block.  So at
-most SAMPLE_BLOCK - 1 steps and n_t / SAMPLE_BLOCK jumps separate a sample
-from rho(0).
+blocks exp(L_b h), when the grid has more than one sample, then the jump
+blocks exp(L_b times[SAMPLE_BLOCK]) (bitwise SAMPLE_BLOCK h), when it has
+more than :data:`SAMPLE_BLOCK`.  The first block of SAMPLE_BLOCK samples is
+filled by doubling: sample i, 2^l <= i < 2^(l+1), is P^(2^l) applied to
+sample i - 2^l, where P is the step and each power the square of the one
+before.  Each later block is the jump applied to the block before it, one
+dense product per kept block.  So at most log2(SAMPLE_BLOCK) products with
+powers of the step and n_t / SAMPLE_BLOCK jumps separate a sample from
+rho(0).  The jump is not P squared six times: that was 15% faster on the
+``fig2-combined`` Wigner run, yet it moved <a> from the damped-Kerr closed
+form by up to 1.0e-13 instead of 1.6e-14.
 
 The snapshot branches, and on the other path every step, apply the action
 exp(L gap) z to kept vectors alone with a truncated Taylor series
@@ -63,13 +66,13 @@ conjugate of its mirror, so every state the observables, the trace gate and
 the snapshots see is exactly Hermitian.
 
 The loop fills one block of :data:`SAMPLE_BLOCK` rows at a time with the
-kept vectors of its samples, each re-symmetrised: by one jump of the whole
-block on the dense path after the first block, else sample by sample, each
-row propagated from the one before.  It then copies the row of each
-snapshot whose last sample at or before it lies in the block, and
-evaluates the block at once on the kept coordinates: each
-observable Tr(A rho) (<a_k> of every mode, the trace, the coherent overlap)
-has the weight w = A.flatten(C) on vec(rho), folded into w[kept] on the
+kept vectors of its samples, each re-symmetrised: on the dense path by
+doubling in the first block and by one jump of the whole block after it,
+on the other sample by sample, each row propagated from the one before.
+It then copies the row of each snapshot whose last sample at or before it
+lies in the block, and evaluates the block at once on the kept
+coordinates: each observable Tr(A rho) (<a_k> of every mode, the trace,
+the coherent overlap) has the weight w = A.flatten(C) on vec(rho), folded into w[kept] on the
 kept vector plus w[partners] on the conjugate of its paired part, the
 purity counts each paired coordinate twice, and the trace gate raises for
 the first sample of the block whose drift is not within
@@ -188,14 +191,16 @@ class Trajectory:
 # Largest symmetry block propagated by a dense exp(L_b gap); a larger block
 # sends the whole run to expm_multiply.  A propagator holds sum(s_b^2)
 # entries and costs O(s_b^3) to build: at most twice per run, both before
-# the first sample (the step and the block jump); snapshot branches build
-# none.  Two-mode optical storage
-# at (n, 10), 2 000 samples, one thread (2-vCPU Xeon VM), `simulate` with
-# dense blocks vs expm_multiply, wall time and peak RSS: largest block 200:
-# 0.11 s / 78 MB vs 2.6 s / 70 MB; 300: 0.33 s / 90 MB vs 2.8 s / 70 MB;
-# 400: 0.67 s / 108 MB vs 3.3 s / 72 MB; 500: 1.4 s / 132 MB vs 4.0 s /
-# 74 MB; 600: 2.4 s / 165 MB vs 5.3 s / 76 MB.  expm_multiply varies most
-# between runs: 1.6 to 2.6 s at 200.
+# the first sample (the step and the block jump), plus the five squarings
+# of the step that fill the first sample block; snapshot branches build
+# none.  Two-mode optical storage at (n, 10), whose largest block is 100 n,
+# 2 000 samples, one thread (2-vCPU Xeon VM), `simulate` with dense blocks
+# vs expm_multiply, median of 3 runs, wall time and peak RSS: largest block
+# 200: 0.056 s / 74 MB vs 1.0 s / 66 MB; 300: 0.24 s / 85 MB vs 1.3 s /
+# 66 MB; 400: 0.40 s / 101 MB vs 1.7 s / 68 MB; 500: 0.84 s / 123 MB vs
+# 1.9 s / 69 MB; 600: 1.5 s / 149 MB vs 2.4 s / 71 MB.  The dense path is
+# faster up to 600 but its memory grows as s_b^2; expm_multiply varies
+# most between runs: 1.0 to 1.2 s at 200, 1.3 to 2.2 s at 300.
 MAX_DENSE_BLOCK = 300
 
 # Largest ||L||_1 * gap that expm_multiply is asked to cross, on either path
@@ -271,7 +276,7 @@ class _KeptObservables:
     """
 
     def __init__(self, dims: HilbertDims, overlap_alpha, overlap_mode: int,
-                 kept: np.ndarray, partners: np.ndarray, n_self: int):
+                 kept: np.ndarray, partners: np.ndarray, n_self: int, max_rows: int):
         ops = [embed(annihilation(n_k), k, dims).data for k, n_k in enumerate(dims.dims)]
         ops.append(np.eye(dims.total_dim))
         if overlap_alpha is not None:
@@ -281,14 +286,18 @@ class _KeptObservables:
         # one column per observable: <a_k> of each mode, the trace, the overlap
         weights = np.column_stack([op.flatten(order="C") for op in ops])
         self.w_kept = weights[kept]
-        self.w_partners = weights[partners]
+        # conj(z) . w = conj(z . conj(w)), with no conjugated copy of z
+        self.w_partners_conj = weights[partners].conj()
         self.n_modes = dims.n_modes
         self.n_self = n_self
+        # the squared real and imaginary parts of up to max_rows rows
+        self.squares = np.empty((max_rows, 2 * kept.size))
 
     def evaluate(self, rows: np.ndarray):
         """<a_k> (one row per mode), trace, purity and overlap of each row."""
-        values = rows @ self.w_kept + rows[:, self.n_self:].conj() @ self.w_partners
-        sq = rows.view(np.float64) ** 2
+        values = rows @ self.w_kept
+        values += (rows[:, self.n_self:] @ self.w_partners_conj).conj()
+        sq = np.square(rows.view(np.float64), out=self.squares[:len(rows)])
         purity = sq[:, :2 * self.n_self].sum(axis=1) + 2.0 * sq[:, 2 * self.n_self:].sum(axis=1)
         n = self.n_modes
         overlap = values[:, n + 1].real if values.shape[1] > n + 1 else None
@@ -378,13 +387,13 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
     :func:`live_coordinates`, one block of each conjugate pair of
     :func:`symmetry_blocks` and every self-mirror block are advanced by
     exp(L h) from sample to sample: with dense block propagators when no
-    block exceeds :data:`MAX_DENSE_BLOCK`, which also advance each later
-    block of :data:`SAMPLE_BLOCK` samples at once, and with
-    ``expm_multiply`` otherwise.  Full density matrices are stored
-    only at ``opts.snapshot_times`` (which must be finite and lie within the
-    grid span), each branched off the last sample at or before it by
-    ``expm_multiply`` on the kept vector (one call for all of them), so the
-    samples do not depend on them.  Raises ValueError when the generator
+    block exceeds :data:`MAX_DENSE_BLOCK`, which fill the first block of
+    :data:`SAMPLE_BLOCK` samples by doubling and advance each later block
+    at once, and with ``expm_multiply`` otherwise.  Full density matrices
+    are stored only at ``opts.snapshot_times`` (which must be finite and lie
+    within the grid span), each branched off the last sample at or before it
+    by ``expm_multiply`` on the kept vector (one call for all of them), so
+    the samples do not depend on them.  Raises ValueError when the generator
     does not preserve Hermiticity, and :class:`IntegrationFailure` when the
     trace drift is not within :data:`TRACE_DRIFT_LIMIT` or when ||L||_1
     times the largest gap that ``expm_multiply`` crosses (each snapshot
@@ -461,22 +470,20 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
                 "shrink the rates, the sample spacing or the truncation"
             )
 
-    # the propagation plan, fixed before the first sample: the step operand
-    # and, on the dense path, the jump blocks with the columns of the kept
-    # vector each acts on; None where the dense path takes no step or jump
+    # the propagation plan, fixed before the first sample: on the dense path
+    # the step and the jump blocks, each with the columns of the kept vector
+    # it acts on, and on the other the step operand; None where the dense
+    # path takes no step or jump
     step = jumps = None
     if dense_path:
         path = "expm"
         dense = _dense_blocks(lmat, kept_blocks)
+        ends = np.cumsum([idx.size for idx in kept_blocks]).tolist()
+        spans = list(zip([0, *ends[:-1]], ends))
         if n_t > 1:
-            # every entry of each block, exact zeros included, is stored row
-            # by row, so a row of the product sums its block's columns in
-            # increasing order
-            step = sp.block_diag(_block_exp(dense, h), format="csr")
+            step = list(zip(spans, _block_exp(dense, h)))
         if n_t > SAMPLE_BLOCK:
-            ends = np.cumsum([idx.size for idx in kept_blocks]).tolist()
-            jumps = list(zip(zip([0, *ends[:-1]], ends),
-                             _block_exp(dense, times[SAMPLE_BLOCK])))
+            jumps = list(zip(spans, _block_exp(dense, times[SAMPLE_BLOCK])))
     else:
         # sample by sample only: a jump would cross SAMPLE_BLOCK steps at
         # once, so MAX_ACTION_NORM would refuse runs it admits for one step
@@ -492,7 +499,7 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
     kept_full = live[kept]
     partners_full = live[partners]
     obs = _KeptObservables(dims, opts.overlap_alpha, opts.overlap_mode,
-                           kept_full, partners_full, n_self)
+                           kept_full, partners_full, n_self, SAMPLE_BLOCK)
     # the kept state of each snapshot's base sample, copied as the loop
     # passes it, and branched to the snapshot time after the loop
     snap_rows = np.empty((snapshot_times.size, kept.size), dtype=np.complex128)
@@ -507,27 +514,34 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
         z[..., :n_self] = 0.5 * (z[..., :n_self] + mirrored)
         return dev
 
+    rows[0] = z0[kept_full]
+    herm_dev = max(herm_dev, symmetrise(rows[0]))
     for start in range(0, n_t, SAMPLE_BLOCK):
         stop = min(start + SAMPLE_BLOCK, n_t)
         k = stop - start
-        if start and jumps is not None:
+        if not dense_path:
+            # rows[-1] is the last sample of the full block before
+            for j in range(0 if start else 1, k):
+                rows[j] = expm_multiply(step, rows[j - 1])
+                herm_dev = max(herm_dev, symmetrise(rows[j]))
+        elif start:
             # sample i is exp(L times[SAMPLE_BLOCK]) applied to sample
-            # i - SAMPLE_BLOCK, the row it replaces; only the first sample
-            # block steps by h
-            step = None
+            # i - SAMPLE_BLOCK, the row it replaces
             for (a, b), prop in jumps:
                 rows[:k, a:b] = rows[:k, a:b] @ prop.T
             herm_dev = max(herm_dev, symmetrise(rows[:k]))
         else:
-            for j, i in enumerate(range(start, stop)):
-                # rows[-1] is the last sample of the full block before
-                if not i:
-                    rows[j] = z0[kept_full]
-                elif dense_path:
-                    rows[j] = step @ rows[j - 1]
-                else:
-                    rows[j] = expm_multiply(step, rows[j - 1])
-                herm_dev = max(herm_dev, symmetrise(rows[j]))
+            # sample i, 2^l <= i < 2^(l+1), is exp(L h)^(2^l) applied to
+            # sample i - 2^l; each power is the square of the one before
+            powers, width = step, 1
+            while width < k:
+                top = min(2 * width, k)
+                for (a, b), power in powers:
+                    rows[width:top, a:b] = rows[:top - width, a:b] @ power.T
+                herm_dev = max(herm_dev, symmetrise(rows[width:top]))
+                width = top
+                if width < k:
+                    powers = [(span, power @ power) for span, power in powers]
         # the base samples of the snapshots that branch off this block
         lo, hi = np.searchsorted(base, (start, stop))
         snap_rows[lo:hi] = rows[base[lo:hi] - start]

@@ -3,9 +3,11 @@
 Everything here is deliberately written from scratch (direct factorial
 formulas, explicit sums, normalised Hermite recurrences, ladder matrices
 built in place) so tests never validate the package against its own
-primitives.  Three exceptions: ``wigner_per_point``, a frozen copy of an
+primitives.  Four exceptions: ``wigner_per_point``, a frozen copy of an
 earlier Wigner kernel (the associated-Laguerre recurrence, run at every grid
 point) that the Hermite-Gauss kernel must match to rounding;
+``shell_rotation``, the earlier eigendecomposition construction of the
+Wigner kernel's shell matrices, against which their recursion is checked;
 ``generator_check``, which runs the package's ``evolve`` against a finite
 difference of the generator it propagates; and ``evolve_rk4``, a fixed-step
 RK4 on the full space that takes the package's generator and ladder
@@ -218,6 +220,32 @@ def hermite_functions(nmax: int, x: np.ndarray) -> np.ndarray:
     for n in range(1, nmax - 1):
         psis[n + 1] = np.sqrt(2.0 / (n + 1)) * x * psis[n] - np.sqrt(n / (n + 1.0)) * psis[n - 1]
     return psis
+
+
+def shell_rotation(shell: int) -> np.ndarray:
+    """U^M for M = ``shell``: diag((-1)^(M-m)) expm((pi/4) J_M), where J_M is
+    the real antisymmetric tridiagonal matrix with
+    J_M[a+1, a] = -J_M[a, a+1] = sqrt((a+1)(M-a)).
+
+    With D = diag(i^a), D^-1 J_M D = -i S for the real symmetric tridiagonal
+    S of the same off-diagonal, whose eigenvalues are the integers
+    l = -M, -M+2, ..., M.  So with S = V diag(l) V^T from LAPACK,
+    expm((pi/4) J_M)[r, c] = Re(i^(r-c) sum_k V[r, k] V[c, k] e^(-i pi l_k/4))
+                           = (-1)^(((r-c) mod 4) // 2) G[r, c],
+    G = V diag(cos(pi l/4) + sin(pi l/4)) V^T, whose weights
+    sqrt(2) sin(pi (l+1)/4) are taken exactly from a table.  Against a
+    40-digit expm, at M = 5, 10, 20, 30 and 40, this is off by at most
+    5.1e-15, scipy.linalg.expm of (pi/4) J_M by up to 7.1e-14.
+    """
+    a = np.arange(shell)
+    off = np.sqrt((a + 1.0) * (shell - a))
+    _, vecs = scipy.linalg.eigh_tridiagonal(np.zeros(shell + 1), off)
+    levels = np.arange(-shell, shell + 1, 2)
+    weights = np.array([0.0, 1.0, np.sqrt(2.0), 1.0, 0.0, -1.0, -np.sqrt(2.0), -1.0])
+    g = (vecs * weights[(levels + 1) % 8]) @ vecs.T
+    r = np.arange(shell + 1)
+    signs = (-1.0) ** ((r[:, None] - r[None, :]) % 4 // 2 + (shell - r)[:, None])
+    return signs * g
 
 
 def position_density(rho: np.ndarray, x: np.ndarray) -> np.ndarray:

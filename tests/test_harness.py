@@ -256,6 +256,15 @@ def test_cli_non_finite_snapshot_writes_nothing(tmp_path):
     assert not out.exists()
 
 
+def test_cli_non_finite_grid_extent_writes_nothing(tmp_path):
+    # an infinite extent used to write grids whose every cell was NaN
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="grid extent x_max must be finite"):
+        main(["wigner-snapshots", "--preset", "fig2-combined", "--out", str(out),
+              "--override", "wigner.x_max=inf"])
+    assert not out.exists()
+
+
 def test_cli_simulate_refuses_a_snapshot_outside_the_horizon(tmp_path):
     # simulate writes no grids, but its config is still checked whole
     out = tmp_path / "out"

@@ -3,11 +3,12 @@ import sys
 import time
 
 import numpy as np
+import scipy.sparse as sp
 import pytest
 
 from helpers import random_density, random_hermitian
 
-from optomem.config import OMEGA_C_DEFAULT, default_params
+from optomem.config import OMEGA_C_DEFAULT, default_params, preset
 from optomem.fock import HilbertDims, QOperator, annihilation, embed
 from optomem.liouvillian import (
     SystemParams,
@@ -16,11 +17,13 @@ from optomem.liouvillian import (
     dissipator,
     hamiltonian,
     kelvin_to_au,
+    kron,
     liouvillian,
     thermal_occupation,
     unvec,
     vec,
 )
+from optomem.runner import build_problem
 from optomem.states import DensityMatrix, product_dm, vacuum_ket
 
 # mean mechanical bath occupation at 30 mK for the reference omega_m,
@@ -239,3 +242,43 @@ def test_commutator_convention():
     ident = np.eye(4)
     expected = -1j * (np.kron(ident, h) - np.kron(h.T, ident))
     assert np.max(np.abs(superop.toarray() - expected)) < 1e-14
+
+
+def _assert_same_csr(got, ref):
+    assert type(got) is type(ref) and got.shape == ref.shape
+    assert got.data.tobytes() == ref.data.tobytes()
+    assert got.indices.dtype == ref.indices.dtype and got.indptr.dtype == ref.indptr.dtype
+    assert np.array_equal(got.indices, ref.indices) and np.array_equal(got.indptr, ref.indptr)
+
+
+def test_kron_is_scipy_kron_bit_for_bit():
+    rng = np.random.default_rng(11)
+
+    def random_csr(rows, cols, density):
+        values = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+        values[rng.random((rows, cols)) >= density] = 0.0
+        if density < 1.0:
+            values[rows // 2] = 0.0
+        return sp.csr_matrix(values)
+
+    # sparse factors with an empty row, 1 x 1 factors on either side, and
+    # full ones, which scipy multiplies as a block sparse matrix
+    shapes = [((5, 4), 0.5, (3, 6), 0.3), ((1, 1), 1.0, (7, 5), 0.3),
+              ((6, 3), 0.5, (1, 1), 1.0), ((20, 20), 0.1, (9, 9), 0.2),
+              ((4, 7), 0.3, (2, 3), 1.0)]
+    for shape_a, density_a, shape_b, density_b in shapes:
+        a, b = random_csr(*shape_a, density_a), random_csr(*shape_b, density_b)
+        assert a.nnz and b.nnz
+        _assert_same_csr(kron(a, b), sp.kron(a, b).tocsr())
+
+
+def test_generators_are_assembled_bit_for_bit_as_with_scipy_kron(monkeypatch):
+    # the package exports the function liouvillian under the module's name
+    module = sys.modules["optomem.liouvillian"]
+    sweep = preset("fig7")
+    configs = [preset("fig2-combined"), preset("fig4"), preset("harmonic-check"),
+               *(sweep.point_config(value) for value in sweep.values)]
+    built = [build_problem(config)[0].matrix for config in configs]
+    monkeypatch.setattr(module, "kron", lambda a, b: sp.kron(a, b).tocsr())
+    for config, matrix in zip(configs, built, strict=True):
+        _assert_same_csr(matrix, build_problem(config)[0].matrix)

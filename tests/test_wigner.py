@@ -8,6 +8,7 @@ from helpers import (
     hermite_functions,
     position_density,
     random_density,
+    shell_rotation,
     wigner_per_point,
 )
 
@@ -39,6 +40,16 @@ def test_grid_validation():
         PhaseSpaceGrid(1.0, -1.0, -1.0, 1.0, 10, 10)
     with pytest.raises(ValueError):
         PhaseSpaceGrid(-1.0, 1.0, -1.0, 1.0, 1, 10)
+
+
+@pytest.mark.parametrize("extents, name", [
+    ((-1.0, np.inf, -1.0, 1.0), "x_max"), ((-np.inf, 1.0, -1.0, 1.0), "x_min"),
+    ((-1.0, 1.0, np.nan, 1.0), "p_min"), ((-1.0, 1.0, -1.0, np.nan), "p_max"),
+])
+def test_grid_refuses_non_finite_extents(extents, name):
+    # an infinite extent passes the ordering check and gave an all-NaN grid
+    with pytest.raises(ValueError, match=f"grid extent {name} must be finite"):
+        PhaseSpaceGrid(*extents, 10, 10)
 
 
 def test_vacuum_gaussian_closed_form():
@@ -329,4 +340,12 @@ def test_shell_rotations_match_gauss_hermite_quadrature():
         minus = hermite_functions(shell + 1, (s - t) / np.sqrt(2.0))
         quad = (w * plus * minus[::-1]) @ (hermite_functions(shell + 1, s)
                                            * hermite_functions(shell + 1, t)[::-1]).T
-        assert np.max(np.abs(WIGNER._shell_rotation(shell) - quad)) <= 5e-15
+        assert np.max(np.abs(WIGNER._shell_rotations(shell)[shell] - quad)) <= 5e-15
+
+
+def test_shell_recursion_matches_the_eigendecomposition_up_to_n_90():
+    # every shell of an n = 90 table; largest difference measured: 8.3e-15
+    rotations = WIGNER._shell_rotations(178)
+    assert len(rotations) == 179
+    for shell, u in enumerate(rotations):
+        assert np.max(np.abs(u - shell_rotation(shell))) <= 1e-14
