@@ -10,9 +10,8 @@ Subcommands:
 
 A run is selected either by ``--preset NAME`` or ``--config FILE``; dotted
 keys can be adjusted with repeated ``--override key=value`` flags.
-``--threads`` sets how many tasks run at once, by default one per CPU this
-process may use: sweep points on worker processes, snapshot grids on
-threads of this process.
+``sweep --threads`` sets how many sweep points run at once, one worker
+process each, by default one per CPU this process may use.
 """
 
 from __future__ import annotations
@@ -63,12 +62,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_threads_flag(parser: argparse.ArgumentParser, meaning: str) -> None:
-    parser.add_argument("--threads", type=_positive_int, default=_usable_cpus(),
-                        help=f"{meaning} (default: the %(default)s CPUs this process "
-                             "may use)")
-
-
 def _load(args: argparse.Namespace):
     if bool(args.preset) == bool(args.config):
         raise SystemExit("exactly one of --preset or --config is required")
@@ -117,7 +110,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_snapshots(args: argparse.Namespace) -> int:
     config = _require_single(_load(args))
-    paths = run_snapshots(config, Path(args.out), threads=args.threads)
+    paths = run_snapshots(config, Path(args.out))
     for path in paths:
         print(f"wrote {path}")
     return 0
@@ -169,12 +162,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("wigner-snapshots", help="export Wigner grids at snapshot times")
     _add_run_flags(p)
-    _add_threads_flag(p, "how many grids are evaluated and written at once, one thread each")
     p.set_defaults(func=cmd_snapshots)
 
     p = sub.add_parser("sweep", help="run a parameter sweep")
     _add_run_flags(p)
-    _add_threads_flag(p, "how many sweep points run at once, one worker process each")
+    p.add_argument("--threads", type=_positive_int, default=_usable_cpus(),
+                   help="how many sweep points run at once, one worker process each "
+                        "(default: the %(default)s CPUs this process may use)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("revival-report", help="recompute the report of a finished run")

@@ -228,12 +228,14 @@ def format_value(value) -> str:
 
 
 def _as_float_tuple(value) -> tuple[float, ...]:
+    """Sweep values or snapshot times; -0.0 is read as 0.0 (``-0.0 + 0.0``
+    is ``0.0``), since it names the same point directory and grid file."""
     if value is None:
         return ()
     if isinstance(value, (int, float)):
-        return (float(value),)
+        value = (value,)
     if isinstance(value, tuple):
-        return tuple(float(v) for v in value)
+        return tuple(float(v) + 0.0 for v in value)
     raise ValueError(f"must be a number or a comma-separated list, got {value!r}")
 
 

@@ -8,25 +8,21 @@ Outputs per run directory:
 * ``revival_report.json`` -- collapse/revival report plus integration quality
 * ``wigner_t<...>.dat``   -- self-describing grid text files (snapshot runs)
 
-``run_sweep`` and ``run_snapshots`` take ``threads``, how many of their
-independent tasks run at once, never more than there are tasks.  Sweep
-points run on a process pool (``_pool_map``, inline for one worker), since
-``evolve`` holds the GIL for most of a point.  A snapshot run is evolved in
-the calling thread, which also builds the Wigner table once
-(``wigner.wigner_map``); that thread and up to ``threads - 1`` pool threads
-then evaluate, render and write one grid per task from the shared table
-(``_thread_each``).  Those are large numpy calls that release the GIL, so
-the threads run in parallel, and no state or table is copied to another
-process.
+``run_sweep`` takes ``threads``, how many sweep points run at once, never
+more than there are points; they run on a process pool (``_pool_map``,
+inline for one worker), since ``evolve`` holds the GIL for most of a point.
+``run_snapshots`` runs in the calling thread: it evolves the run, builds
+the Wigner table once (``wigner.wigner_map``), then evaluates, renders and
+writes the grids one snapshot at a time.
 
 All numeric output is rendered with ``%.9e`` (JSON floats are rounded to the
-same precision) so repeated runs of one config are byte-identical, at any
-``threads``.  The trajectory and grid bodies are rendered by vectorised
-passes (``_render``; a grid :data:`_GRID_ROWS` rows at a time): numpy
-computes each cell's 10-digit significand, which is provably the correctly
-rounded one unless the cell lies within 1e-5 of a rounding tie, and hands
-those cells and the rare non-finite or extreme ones to Python's
-``'%.9e' %``.  Each cell is a fixed 20-byte record of five little-endian
+same precision) so repeated runs of one config are byte-identical, and a
+sweep writes the same files at any ``threads``.  The trajectory and grid
+bodies are rendered by vectorised passes (``_render``; a grid
+:data:`_GRID_ROWS` rows at a time): numpy computes each cell's 10-digit
+significand, which is provably the correctly rounded one unless the cell
+lies within 1e-5 of a rounding tie, and hands those cells and the rare
+non-finite or extreme ones to Python's ``'%.9e' %``.  Each cell is a fixed 20-byte record of five little-endian
 4-byte words, each one lookup in a table of words (the sign with the
 leading digits and the point, two four-digit groups, the exponent, the
 separator); its unused bytes are NUL, and ``bytes.translate`` drops them.
@@ -40,7 +36,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -287,12 +283,13 @@ def write_report_json(path: Path, report: RevivalReport, traj: Trajectory) -> No
 
 
 # Grid rows rendered per _render call.  A call's temporaries take about
-# 60 bytes a cell, and each thread writing grids holds its own; smaller
-# calls cost more interpreter time, for which the threads contend.  On
-# `wigner-snapshots --preset fig2-combined` with two threads (2-vCPU Xeon
-# VM, one BLAS thread, medians of 7 fresh processes), 16 / 24 / 32 rows
-# took 0.128 / 0.123 / 0.121 s at a peak RSS of 69.6 / 70.0 / 70.2 MB.
-_GRID_ROWS = 24
+# 60 bytes a cell; smaller calls cost more interpreter time.  On
+# `wigner-snapshots --preset fig2-combined` (201 x 201 grids; 2-vCPU Xeon
+# VM, one BLAS thread, medians of 56 fresh processes each, in turn),
+# 16 / 24 / 32 / 48 rows took 0.079 / 0.077 / 0.075 / 0.076 s at a peak
+# RSS of 69.1 MB for all four; 32 beat 24 in 42 of 56 pairs.  At 801 x 801
+# grids 32 rows took 0.55 s against 0.56 s for 24, at 0.5 MB more.
+_GRID_ROWS = 32
 
 
 def write_wigner_field(path: Path, field: WignerField) -> None:
@@ -348,15 +345,13 @@ def run_single(config: RunConfig, out_dir: Path) -> tuple[Trajectory, RevivalRep
     return traj, report
 
 
-def run_snapshots(config: RunConfig, out_dir: Path, threads: int = 1) -> list[Path]:
+def run_snapshots(config: RunConfig, out_dir: Path) -> list[Path]:
     """Evolve one config and export a Wigner grid file per snapshot time.
 
-    The Wigner table is built once, in this thread; each grid is then
-    evaluated from it, rendered and written as one task, up to ``threads``
-    at once (see ``_thread_each``).  A grid depends only on its own state,
-    so the files are identical for any thread count.  Two snapshot times
-    that would share a file name are refused, and the run is evolved, before
-    anything is written.
+    The Wigner table is built once; each snapshot's state is then reduced
+    to the Wigner mode, evaluated from the table, rendered and written, in
+    snapshot order.  Two snapshot times that would share a file name are
+    refused, and the run is evolved, before anything is written.
     """
     if not config.snapshot_times:
         raise ValueError("config has no snapshot times")
@@ -372,44 +367,13 @@ def run_snapshots(config: RunConfig, out_dir: Path, threads: int = 1) -> list[Pa
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_config_echo(out_dir / "config.txt", config)
-    states = [
-        state if state.dims.n_modes == 1 else partial_trace(state, mode)
-        for _, state in traj.snapshots
-    ]
+    field_of = wigner_map(config.dims[mode], config.wigner_grid)
     paths = [out_dir / names[t] for t, _ in traj.snapshots]
-    field_of = wigner_map(states[0].dims.total_dim, config.wigner_grid)
-
-    def write(job: tuple[Path, DensityMatrix]) -> None:
-        path, state = job
+    for path, (_, state) in zip(paths, traj.snapshots):
+        if state.dims.n_modes > 1:
+            state = partial_trace(state, mode)
         write_wigner_field(path, field_of(state))
-
-    _thread_each(write, list(zip(paths, states)), threads)
     return paths
-
-
-def _thread_each(fn, jobs: list, threads: int) -> None:
-    """``fn(job)`` for every job, at most ``threads`` at once.
-
-    This thread and ``min(threads, len(jobs)) - 1`` pool threads take jobs
-    from one iterator until it runs out, so none waits while a job is left.
-    This thread works rather than waits because its memory allocator
-    already holds free memory, which a pool thread would allocate afresh.
-    """
-    remaining = iter(jobs)
-
-    def drain() -> None:
-        for job in remaining:
-            fn(job)
-
-    helpers = min(threads, len(jobs)) - 1
-    if helpers < 1:
-        drain()
-        return
-    with ThreadPoolExecutor(max_workers=helpers) as pool:
-        futures = [pool.submit(drain) for _ in range(helpers)]
-        drain()
-        for future in futures:
-            future.result()
 
 
 def _pool_map(fn, jobs: list, threads: int) -> list:

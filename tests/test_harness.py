@@ -4,7 +4,6 @@ import json
 import math
 import os
 import re
-from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -487,29 +486,21 @@ def small_snapshot_config() -> RunConfig:
 
 def test_run_snapshots_pool_matches_serial(tmp_path):
     cfg = small_snapshot_config()
-    n = len(cfg.snapshot_times)
-    # inline; two threads; one thread per snapshot (threads capped)
-    runs = {threads: run_snapshots(cfg, tmp_path / f"t{threads}", threads=threads)
-            for threads in (1, 2, n + 3)}
-    names = [p.name for p in runs[1]]
-    assert names == [f"wigner_t{t:.3f}_mode0.dat" for t in cfg.snapshot_times]
-    serial = _digests(tmp_path / "t1")
-    assert len(serial) == n + 1
-    for threads, paths in runs.items():
-        assert paths == [tmp_path / f"t{threads}" / name for name in names]
-        assert _digests(tmp_path / f"t{threads}") == serial
+    paths = run_snapshots(cfg, tmp_path / "snap")
+    # one grid per snapshot time, in the order of the times
+    names = [f"wigner_t{t:.3f}_mode0.dat" for t in cfg.snapshot_times]
+    assert paths == [tmp_path / "snap" / name for name in names]
+    assert sorted(_digests(tmp_path / "snap")) == sorted(["config.txt", *names])
 
 
 def test_pool_is_capped_at_the_job_count(tmp_path, monkeypatch):
     sizes = []
 
     class InlinePool:
-        """Stand-in for a pool executor: records its kind and size, runs inline."""
-
-        kind = None
+        """Stand-in for a process pool: records its size, runs inline."""
 
         def __init__(self, max_workers):
-            sizes.append((self.kind, max_workers))
+            sizes.append(max_workers)
 
         def __enter__(self):
             return self
@@ -520,46 +511,17 @@ def test_pool_is_capped_at_the_job_count(tmp_path, monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-        def submit(self, fn):
-            future = Future()
-            future.set_result(fn())
-            return future
-
-    class Processes(InlinePool):
-        kind = "process"
-
-    class Threads(InlinePool):
-        kind = "thread"
-
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", Processes)
-    monkeypatch.setattr(runner, "ThreadPoolExecutor", Threads)
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", InlinePool)
     base = small_run_config(dims=(6,), storage_mode=0)
     base.horizon = 330.0
     base.n_samples = 120
-    run_sweep(SweepSpec("gamma", (1e-5, 1e-3), base), tmp_path / "sweep", threads=64)
-    cfg = small_snapshot_config()
-    run_snapshots(cfg, tmp_path / "snap", threads=64)
-    # one pool per call: a process per sweep point; a thread per snapshot,
-    # the calling thread being one of them
-    assert sizes == [("process", 2), ("thread", len(cfg.snapshot_times) - 1)]
-    run_snapshots(cfg, tmp_path / "two", threads=2)
-    assert sizes[-1] == ("thread", 1)
+    spec = SweepSpec("gamma", (1e-5, 1e-3), base)
+    # a process per sweep point
+    run_sweep(spec, tmp_path / "sweep", threads=64)
+    assert sizes == [2]
     # one worker never starts a pool
-    run_snapshots(cfg, tmp_path / "one", threads=1)
-    assert len(sizes) == 3
-
-
-def test_thread_each_runs_every_job_once_and_raises_a_worker_error():
-    done = []
-    runner._thread_each(done.append, list(range(20)), threads=3)
-    assert sorted(done) == list(range(20))
-
-    def fail(job):
-        if job == 7:
-            raise ValueError("job 7")
-
-    with pytest.raises(ValueError, match="job 7"):
-        runner._thread_each(fail, list(range(20)), threads=2)
+    run_sweep(spec, tmp_path / "one", threads=1)
+    assert sizes == [2]
 
 
 def test_invalid_run_creates_no_output_directory(tmp_path):
@@ -608,9 +570,7 @@ def test_benchmark_tracer_finds_what_it_wraps(monkeypatch):
 
 
 @pytest.mark.parametrize("threads", ["0", "-3", "two"])
-@pytest.mark.parametrize("command, name", [
-    ("sweep", "fig7"), ("wigner-snapshots", "fig2-combined"),
-])
+@pytest.mark.parametrize("command, name", [("sweep", "fig7")])
 def test_cli_rejects_bad_thread_counts(tmp_path, capsys, command, name, threads):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
@@ -620,16 +580,20 @@ def test_cli_rejects_bad_thread_counts(tmp_path, capsys, command, name, threads)
     assert not out.exists()
 
 
-def test_cli_threads_flag_only_on_pooled_commands(tmp_path):
+def test_cli_threads_flag_only_on_pooled_commands(tmp_path, capsys):
     # the default is the number of CPUs this process may use
     usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     parser = build_parser()
-    for command in ("sweep", "wigner-snapshots"):
-        args = parser.parse_args([command, "--preset", "fig7", "--out", str(tmp_path)])
-        assert args.threads == usable
-    with pytest.raises(SystemExit):
-        parser.parse_args(["simulate", "--preset", "fig4", "--out", str(tmp_path),
-                           "--threads", "2"])
+    args = parser.parse_args(["sweep", "--preset", "fig7", "--out", str(tmp_path)])
+    assert args.threads == usable
+    # simulate and wigner-snapshots run in one thread and take no --threads
+    for command, name in [("simulate", "fig4"), ("wigner-snapshots", "fig2-combined")]:
+        out = tmp_path / command
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--preset", name, "--out", str(out), "--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_colliding_snapshot_names_write_nothing(tmp_path):
@@ -638,6 +602,25 @@ def test_cli_colliding_snapshot_names_write_nothing(tmp_path):
     with pytest.raises(ValueError, match="wigner_t10.000_mode0.dat"):
         main(["wigner-snapshots", "--preset", "fig2-combined", "--out", str(out),
               "--override", "snapshots=0,10.0001,10.0004"])
+    assert not out.exists()
+
+
+def test_cli_negative_zero_snapshot_time_is_zero(tmp_path):
+    # -0.0 used to write wigner_t-0.000_mode0.dat
+    out = tmp_path / "out"
+    main(["wigner-snapshots", "--preset", "fig2-combined", "--out", str(out),
+          "--override", "dims=8,", "--override", "snapshots=-0.0,10"])
+    assert sorted(p.name for p in out.iterdir()) == [
+        "config.txt", "wigner_t0.000_mode0.dat", "wigner_t10.000_mode0.dat"]
+    assert "snapshots = 0.0, 10.0\n" in (out / "config.txt").read_text()
+
+
+def test_cli_sweep_refuses_zero_and_negative_zero(tmp_path):
+    # both name the point bath_temp_0; -0.0 used to run it again as bath_temp_-0
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="bath_temp_0"):
+        main(["sweep", "--preset", "fig7", "--out", str(out), "--threads", "1",
+              "--override", "sweep.values=0.0,-0.0"])
     assert not out.exists()
 
 

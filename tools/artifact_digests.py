@@ -6,15 +6,13 @@ Runs ``optomem.cli.main`` from the ``src`` directory next to this script,
 with one BLAS/OpenMP thread, into subdirectories of OUT_DIR (which must be
 missing or empty):
 
-* ``wigner-snapshots --preset fig2-combined``, once with ``--threads 1``
-  and once with ``--threads 2``
-* ``wigner-snapshots --preset fig4 --override snapshots=0,50,157,314``,
-  once with ``--threads 1`` and once with ``--threads 2``: grids of the
-  stored mode's partial trace, at a second truncation (N = 10)
+* ``wigner-snapshots --preset fig2-combined``
+* ``wigner-snapshots --preset fig4 --override snapshots=0,50,157,314``:
+  grids of the stored mode's partial trace, at a second truncation (N = 10)
 * ``simulate --preset fig4`` and ``simulate --preset harmonic-check``
 * ``simulate --preset fig4 --override storage_mode=0`` (optical storage,
-  whose largest symmetry block takes the ``expm_multiply`` path; about 7 s
-  of the script's ~9 s on a 2-vCPU Xeon VM)
+  whose largest symmetry block takes the ``expm_multiply`` path; about 5 s
+  of the script's ~7 s on a 2-vCPU Xeon VM)
 * ``sweep --preset fig5`` .. ``fig8``, once with ``--threads 1`` and once
   with ``--threads 2``
 
@@ -45,15 +43,12 @@ RUNS = [
     ("fig4", ["simulate", "--preset", "fig4"]),
     ("harmonic-check", ["simulate", "--preset", "harmonic-check"]),
     ("fig4-optical", ["simulate", "--preset", "fig4", "--override", "storage_mode=0"]),
+    ("fig2-combined", ["wigner-snapshots", "--preset", "fig2-combined"]),
+    ("fig4-snapshots",
+     ["wigner-snapshots", "--preset", "fig4", "--override", "snapshots=0,50,157,314"]),
 ] + [
-    (f"{name}-threads{threads}", [command, "--preset", name, "--threads", str(threads)])
-    for command, name in [("wigner-snapshots", "fig2-combined")]
-    + [("sweep", name) for name in ("fig5", "fig6", "fig7", "fig8")]
-    for threads in (1, 2)
-] + [
-    (f"fig4-snapshots-threads{threads}",
-     ["wigner-snapshots", "--preset", "fig4", "--override", "snapshots=0,50,157,314",
-      "--threads", str(threads)])
+    (f"{name}-threads{threads}", ["sweep", "--preset", name, "--threads", str(threads)])
+    for name in ("fig5", "fig6", "fig7", "fig8")
     for threads in (1, 2)
 ]
 
