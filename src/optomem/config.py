@@ -173,8 +173,9 @@ class SweepSpec:
                 raise ValueError(f"sweep point {self.axis} = {value!r}: {exc}") from None
 
     def point_dir(self, value: float) -> str:
-        """Name of the directory that holds one sweep point's artifacts."""
-        return f"{self.axis}_{value:.6g}"
+        """Name of the directory that holds one sweep point's artifacts;
+        -0.0 names the point of 0.0 (``-0.0 + 0.0`` is ``0.0``)."""
+        return f"{self.axis}_{value + 0.0:.6g}"
 
     def point_config(self, value: float) -> RunConfig:
         return SWEEP_AXES[self.axis](self.base, value)

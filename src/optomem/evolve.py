@@ -9,15 +9,16 @@ combined-Kerr coherent state keeps all of them.
 
 Both generators are phase-covariant, so the live generator splits further
 into symmetry blocks with no entries between them: the weakly connected
-components of its nonzero pattern (59 blocks of at most 30 coordinates for
-the combined-Kerr presets, 19 of at most 10 for the two-mode run).  Both
-also keep rho Hermitian: with M the permutation rho_ij <-> rho_ji of the
-coordinates, L[M, M] == conj(L) holds exactly, and ``evolve`` raises
-ValueError on a generator for which it does not.  M therefore maps block k
-(coherence index k) onto block -k, and the state of block -k is the complex
-conjugate of block k's.  Only one block of each such pair is propagated,
-plus every block that is its own mirror image (k = 0): 465 of 900
-coordinates for the combined-Kerr presets, 55 of 100 for the two-mode run.
+components of its nonzero pattern (:func:`symmetry_blocks`; 59 blocks of at
+most 30 coordinates for the combined-Kerr presets, 19 of at most 10 for the
+two-mode run).  Both also keep rho Hermitian: with M the permutation
+rho_ij <-> rho_ji of the coordinates, L[M, M] == conj(L) holds exactly, and
+``evolve`` raises ValueError on a generator for which it does not.  M
+therefore maps block k (coherence index k) onto block -k, and the state of
+block -k is the complex conjugate of block k's.  Only one block of each
+such pair is propagated, plus every block that is its own mirror image
+(k = 0): 465 of 900 coordinates for the combined-Kerr presets, 55 of 100
+for the two-mode run.
 
 The kept blocks are stored one after another, the self-mirror blocks first.
 L is time-independent and the grid uniform (:class:`TimeGrid`), so the kept
@@ -28,35 +29,38 @@ snapshot at s branches off the chain: exp(L (s - t_k)) applied to the state
 of the last sample t_k <= s (none when s == t_k), so the trajectory does not
 depend on the snapshot times.  When no block is larger than
 :data:`MAX_DENSE_BLOCK`, the propagators are dense exp(L_b gap) per kept
-block (scaling and squaring, Al-Mohy & Higham, SIMAX 31, 970, 2009), built
-from the dense blocks that one scatter of L's entries fills
-(:func:`_dense_blocks`), and all of them before the first sample: the step
-blocks exp(L_b h), when the grid has more than one sample, then the jump
-blocks exp(L_b times[SAMPLE_BLOCK]) (bitwise SAMPLE_BLOCK h), when it has
-more than :data:`SAMPLE_BLOCK`.  The first block of SAMPLE_BLOCK samples is
-filled by doubling: sample i, 2^l <= i < 2^(l+1), is P^(2^l) applied to
-sample i - 2^l, where P is the step and each power the square of the one
-before.  Each later block is the jump applied to the block before it, one
-dense product per kept block.  So at most log2(SAMPLE_BLOCK) products with
-powers of the step and n_t / SAMPLE_BLOCK jumps separate a sample from
-rho(0).  The jump is not P squared six times: that was 15% faster on the
-``fig2-combined`` Wigner run, yet it moved <a> from the damped-Kerr closed
-form by up to 1.0e-13 instead of 1.6e-14.
+block (scaling and squaring with the degree-13 Pade approximant, Higham,
+SIMAX 26, 1179, 2005: :func:`_expm`), built from the dense blocks that one
+scatter of L's entries fills (:func:`_dense_blocks`), and all of them before
+the first sample: the step blocks exp(L_b h), when the grid has more than
+one sample, then the jump blocks exp(L_b times[SAMPLE_BLOCK]) (bitwise
+SAMPLE_BLOCK h), when it has more than :data:`SAMPLE_BLOCK`.  The first
+block of SAMPLE_BLOCK samples is filled by doubling: sample i,
+2^l <= i < 2^(l+1), is P^(2^l) applied to sample i - 2^l, where P is the
+step and each power the square of the one before.  Each later block is the
+jump applied to the block before it, one dense product per kept block.  So
+at most log2(SAMPLE_BLOCK) products with powers of the step and
+n_t / SAMPLE_BLOCK jumps separate a sample from rho(0).  The jump is not P
+squared six times: that was 15% faster on the ``fig2-combined`` Wigner run,
+yet it moved <a> from the damped-Kerr closed form by up to 1.0e-13 instead
+of 1.6e-14.
 
-The snapshot branches, and on the other path every step, apply the action
-exp(L gap) z to kept vectors alone with a truncated Taylor series
-(Al-Mohy & Higham, SISC 33, 488, 2011; ``scipy.sparse.linalg.expm_multiply``)
-of the kept generator, which is built only when a run has such a gap; on
-that path the step operand L h is formed once, before the first sample.
-All branches of a run are one call, after the last sample: exp of a block
-diagonal is the block diagonal of the exps, so the base states stacked one
-after another go to their snapshot times under
+The snapshot branches apply the action exp(L gap) z to kept vectors alone,
+all of a run's branches at once, after the last sample.  On the dense path
+that is a truncated Taylor series of the kept generator's entries
+(:func:`_branch`), in substeps as Al-Mohy & Higham (SISC 33, 488, 2011)
+choose them for one degree.  On the other path, where every step is such an
+action too, scipy's ``expm_multiply`` (the same method) crosses each step
+from an operand L h formed before the first sample, and the branches in one
+call: exp of a block diagonal is the block diagonal of the exps, so the
+base states stacked one after another go to their snapshot times under
 block_diag(L gap_1, L gap_2, ...), which holds one copy of the kept
-generator's entries per off-grid snapshot.  The cost of a call grows with
-the operand's 1-norm, ||L||_1 times its (largest) gap, and it cannot fail,
-so the run is refused up front, with :class:`IntegrationFailure`, when that
-product exceeds :data:`MAX_ACTION_NORM` for the largest gap it is asked to
-cross.
+generator's entries per off-grid snapshot.  scipy is imported there, on
+first use, and nowhere else in the package.  The cost of an action grows
+with the operand's 1-norm, ||L||_1 times its (largest) gap, and it cannot
+fail, so the run is refused up front, with :class:`IntegrationFailure`,
+when that product exceeds :data:`MAX_ACTION_NORM` for the largest gap it is
+asked to cross.
 
 On both paths every state, the initial one and each snapshot included, is
 re-symmetrised (rho <- (rho + rho^dag)/2) on the self-mirror blocks, and
@@ -84,19 +88,16 @@ Repeated runs are bitwise reproducible.
 
 The tests cross-check both paths against a fixed-step RK4 on the full space
 (``evolve_rk4`` in ``tests/helpers.py``), which shares no stepping or
-observable code with this module.
+observable code with this module, and check the dense exponential, the
+components and the branches against scipy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import expm_multiply
-from scipy.sparse.linalg import norm as sparse_norm
 
 from .fock import HilbertDims, QOperator, annihilation, embed
 from .liouvillian import Superoperator, unvec, vec
@@ -200,16 +201,22 @@ class Trajectory:
 # 66 MB; 400: 0.40 s / 101 MB vs 1.7 s / 68 MB; 500: 0.84 s / 123 MB vs
 # 1.9 s / 69 MB; 600: 1.5 s / 149 MB vs 2.4 s / 71 MB.  The dense path is
 # faster up to 600 but its memory grows as s_b^2; expm_multiply varies
-# most between runs: 1.0 to 1.2 s at 200, 1.3 to 2.2 s at 300.
+# most between runs: 1.0 to 1.2 s at 200, 1.3 to 2.2 s at 300.  Those runs
+# used scipy's expm; with the numpy Pade and no scipy loaded on the dense
+# path (one run each): 200: 0.08 s / 43 MB vs 1.2 s / 65 MB; 300: 0.25 s /
+# 55 MB vs 1.5 s / 65 MB.
 MAX_DENSE_BLOCK = 300
 
-# Largest ||L||_1 * gap that expm_multiply is asked to cross, on either path
-# (on the dense one, the snapshot branches only, whose stacked operand has
-# ||L||_1 times the largest branch gap as its 1-norm).  One gap costs
-# O(||L||_1 gap) products: one thread (2-vCPU Xeon VM), 1.5 -> 4.9 ms,
-# 1e2 -> 0.10 s and 1e3 -> 0.63 s on the 9 820 live coordinates of two-mode
-# optical storage at (10, 10); 18 ms at 1e3 and 0.15 s at 1e4 on a 16-dim
-# damped mode.  The presets sit at 0.25 (fig4) to 5.3 (fig2-combined).
+# Largest ||L||_1 * gap that an action is asked to cross: on the dense
+# path the snapshot branches, whose Taylor series (``_branch``) takes about
+# ||L||_1 times the largest branch gap / 6 substeps; on the other every
+# step and the stacked branches of one expm_multiply call, whose operand
+# has that product as its 1-norm.  One gap costs O(||L||_1 gap) products.
+# One thread (2-vCPU Xeon VM): expm_multiply 1.5 -> 4.9 ms, 1e2 -> 0.10 s
+# and 1e3 -> 0.63 s on the 9 820 live coordinates of two-mode optical
+# storage at (10, 10), and 18 ms at 1e3 and 0.15 s at 1e4 on a 16-dim
+# damped mode; the Taylor series 8.6 ms at 1e2 and 39 ms at 1e3 on that
+# mode.  The presets sit at 0.25 (fig4) to 5.3 (fig2-combined).
 MAX_ACTION_NORM = 1e3
 
 # Largest |Tr rho(t) - 1| a run may reach.  Both paths are exact, so a
@@ -231,34 +238,150 @@ TRACE_DRIFT_LIMIT = 1e-4
 SAMPLE_BLOCK = 64
 
 
+# The coefficients of the numerator of the degree-13 Pade approximant to
+# exp, and the largest ||A||_1 at which its backward error stays below
+# 2^-53 unscaled (Higham, SIMAX 26, 1179, 2005).
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+# The degree of the Taylor polynomial of one branch substep, and the
+# largest ||A||_1 it is applied to: its truncation error is then below
+# 2^-53 in the backward sense (Al-Mohy & Higham, SISC 33, 488, 2011,
+# Table 3.1).  A series stops early, as theirs does, once two terms in a
+# row fall below 2^-53 of the sum.
+_TAYLOR_DEGREE = 40
+_TAYLOR_THETA = 6.0
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) by scaling and squaring with the degree-13 Pade approximant.
+
+    ``a`` is scaled by 2^-s so that its 1-norm is at most ``_THETA13``,
+    r = q(a)^-1 p(a) with p(a) = V + U and q(a) = V - U (U holds the odd
+    powers) is formed as I + 2 q(a)^-1 U, which rounds a small block's r,
+    near I, correctly (q^-1 p rounded a population block's diagonal one
+    ulp off, and the trace drifted up to 1.2e-14 on the presets instead of
+    3.1e-15), and r is squared s times.  An upper triangular ``a`` (a block
+    of a mode damped at zero temperature, fed only from higher levels)
+    gets the diagonal and the first superdiagonal of each square exactly,
+    from exp of the diagonal of a 2^-j (Al-Mohy & Higham, SIMAX 31, 970,
+    2009, Code Fragment 2.1): squaring alone moves the diagonal by about
+    2^-53 |a_ii|, which at a 1e15 decay rate is most of a trace.
+    """
+    norm = float(np.max(np.abs(a).sum(axis=0), initial=0.0))
+    # a NaN or infinite norm takes no squarings and gives a NaN state, which the trace gate stops
+    squarings = math.ceil(math.log2(norm / _THETA13)) if _THETA13 < norm < math.inf else 0
+    x = a * 2.0 ** -squarings
+    b = _PADE13
+    ident = np.eye(a.shape[0])
+    x2 = x @ x
+    x4 = x2 @ x2
+    x6 = x4 @ x2
+    u = x @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2)
+             + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * ident)
+    v = (x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2)
+         + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * ident)
+    r = ident + 2.0 * np.linalg.solve(v - u, u)
+    if not squarings:
+        return r
+    triangular = not np.tril(a, -1).any()
+    diagonal, upper = np.diag(a), np.diag(a, 1)
+    for j in range(squarings, -1, -1):
+        if j < squarings:
+            r = r @ r
+        if triangular:
+            # exp([[d_i, t], [0, d_k]]) has the corner t (e^d_k - e^d_i) / (d_k - d_i)
+            d = diagonal * 2.0 ** -j
+            e = np.exp(d)
+            np.fill_diagonal(r, e)
+            step = np.diff(d)
+            corner = e[:-1].copy()
+            apart = step != 0
+            corner[apart] = np.diff(e)[apart] / step[apart]
+            r[np.arange(d.size - 1), np.arange(1, d.size)] = corner * upper * 2.0 ** -j
+    return r
+
+
 def _block_exp(dense: list[np.ndarray], gap: float) -> list[np.ndarray]:
     """exp(L_b gap) of each block L_b of ``dense``: one dense expm per block."""
-    return [scipy.linalg.expm(block * gap) for block in dense]
+    return [_expm(block * gap) for block in dense]
 
 
-def _dense_blocks(lmat: sp.csr_matrix, kept_blocks: list[np.ndarray]) -> list[np.ndarray]:
-    """``lmat[idx][:, idx].toarray()`` for each ``idx`` of ``kept_blocks``.
-
-    One scatter of ``lmat``'s entries: each entry in a kept block goes to
-    its block's row-major slice of one buffer at its local indices.  No
-    entry links two blocks, and a canonical matrix stores each entry once,
-    so every entry is assigned, not summed.
+def _slots(row: np.ndarray, col: np.ndarray, data: np.ndarray, n: int):
+    """Canonical entries of an n x n matrix as the columns and values of
+    ``width`` slots of n: slot k holds the k-th entry of every row, and a
+    zero entry where the row has fewer, so a product is one gather per slot.
     """
-    assert lmat.has_canonical_format
-    kept = np.concatenate(kept_blocks)
-    sizes = np.array([idx.size for idx in kept_blocks])
-    # each live coordinate's kept block (-1: not kept) and index within it
-    owner = np.full(lmat.shape[0], -1)
-    owner[kept] = np.repeat(np.arange(sizes.size), sizes)
-    local = np.empty(lmat.shape[0], dtype=np.intp)
-    local[kept] = np.arange(kept.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    coo = lmat.tocoo()
-    inside = owner[coo.row] >= 0
-    row, col, block = coo.row[inside], coo.col[inside], owner[coo.row[inside]]
+    place = np.arange(row.size) - np.searchsorted(row, row)
+    width = int(np.max(place, initial=0)) + 1
+    cols = np.zeros((width, n), dtype=np.intp)
+    values = np.zeros((width, n, 1), dtype=data.dtype)
+    cols[place, row] = col
+    values[place, row, 0] = data
+    return cols, values
+
+
+def _branch(row: np.ndarray, col: np.ndarray, data: np.ndarray, norm: float,
+            rows: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+    """exp(L gap_j) z_j for each row z_j of ``rows``, where L is the kept
+    generator with canonical entries ``row``, ``col``, ``data`` and 1-norm
+    ``norm``.
+
+    Each gap is crossed in s substeps of gap_j / s, s the least with
+    norm * max(gaps) / s <= :data:`_TAYLOR_THETA`, and each substep sums
+    (L gap_j / s)^i z_j / i! up to i = :data:`_TAYLOR_DEGREE`, for every row
+    at once.  The sizes the series stops on are maxima over the real and
+    imaginary parts.
+    """
+    cols, values = _slots(row, col, data, rows.shape[1])
+    substeps = max(1, math.ceil(norm * float(np.max(gaps)) / _TAYLOR_THETA))
+    scale = gaps / substeps
+    z = rows.T.copy()  # one column per branch
+    for _ in range(substeps):
+        total, term = z.copy(), z
+        last = np.max(np.abs(term.view(np.float64)))
+        for i in range(1, _TAYLOR_DEGREE + 1):
+            product = values[0] * term[cols[0]]
+            for k in range(1, len(cols)):
+                product += values[k] * term[cols[k]]
+            product *= scale / i
+            term = product
+            total += term
+            size = np.max(np.abs(term.view(np.float64)))
+            if last + size <= 2.0 ** -53 * np.max(np.abs(total.view(np.float64))):
+                break
+            last = size
+        z = total
+    return z.T
+
+
+def _dense_blocks(row: np.ndarray, col: np.ndarray, data: np.ndarray,
+                  sizes: list[int]) -> list[np.ndarray]:
+    """The dense diagonal blocks, of ``sizes``, of the kept generator whose
+    entries are ``row``, ``col`` and ``data``.
+
+    One scatter of the entries: each goes to its block's row-major slice of
+    one buffer at its local indices.  No entry links two blocks, and each
+    position is stored once, so every entry is assigned, not summed.
+    """
+    sizes = np.array(sizes)
+    ends = np.cumsum(sizes)
+    block = np.repeat(np.arange(sizes.size), sizes)
+    local = np.arange(ends[-1]) - (ends - sizes)[block]
     starts = np.concatenate([[0], np.cumsum(sizes * sizes)])
-    flat = np.zeros(starts[-1], dtype=lmat.dtype)
-    flat[starts[block] + local[row] * sizes[block] + local[col]] = coo.data[inside]
+    flat = np.zeros(starts[-1], dtype=data.dtype)
+    owner = block[row]
+    flat[starts[owner] + local[row] * sizes[owner] + local[col]] = data
     return [flat[a:b].reshape(s, s) for a, b, s in zip(starts[:-1], starts[1:], sizes)]
+
+
+def expm_multiply(a, z):
+    """``scipy.sparse.linalg.expm_multiply(a, z)``, importing scipy on first use."""
+    from scipy.sparse.linalg import expm_multiply as action
+
+    return action(a, z)
 
 
 class _KeptObservables:
@@ -309,7 +432,7 @@ def _transpose_index(d: int) -> np.ndarray:
     return np.arange(d * d).reshape((d, d)).flatten(order="F")
 
 
-def live_coordinates(matrix: sp.spmatrix, z0: np.ndarray, d: int) -> np.ndarray:
+def live_coordinates(superop: Superoperator, z0: np.ndarray) -> np.ndarray:
     """Sorted indices of the coordinates of vec(rho) that can become nonzero.
 
     Starts from the support of ``z0`` = vec(rho(0)) and adds every coordinate
@@ -317,44 +440,60 @@ def live_coordinates(matrix: sp.spmatrix, z0: np.ndarray, d: int) -> np.ndarray:
     coordinate i when L[i, j] != 0), closed under rho_ij <-> rho_ji.  Every
     other coordinate stays exactly 0 under d(rho)/dt = L rho.
     """
-    pattern = matrix != 0
-    mirror = _transpose_index(d)
+    mirror = _transpose_index(superop.dims.total_dim)
     live = z0 != 0
     live |= live[mirror]
     frontier = live.copy()
     while frontier.any():
-        reached = pattern @ frontier
+        reached = np.zeros_like(live)
+        reached[superop.row[frontier[superop.col]]] = True
         reached |= reached[mirror]
         frontier = reached & ~live
         live |= frontier
     return np.flatnonzero(live)
 
 
-def symmetry_blocks(lmat: sp.spmatrix) -> list[np.ndarray]:
-    """Coordinates of each weakly connected component of ``lmat``'s pattern.
+def symmetry_blocks(row: np.ndarray, col: np.ndarray, n: int) -> list[np.ndarray]:
+    """Coordinates of each weakly connected component of the pattern of a
+    generator on ``n`` coordinates with entries at (``row``, ``col``).
 
-    No entry of ``lmat`` links two blocks, so exp(L t) is block diagonal over
-    them.  Each block lists its coordinates in increasing order; blocks are
+    No entry links two blocks, so exp(L t) is block diagonal over them.
+    Each coordinate takes the smallest label among its neighbours' and its
+    own, then the label of its label, until no label changes; every
+    coordinate is then labelled by the smallest coordinate of its block.
+    Each block lists its coordinates in increasing order; blocks are
     ordered by their smallest coordinate.
     """
-    n_blocks, labels = connected_components(lmat != 0, directed=True, connection="weak")
-    order = np.argsort(labels, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(labels, minlength=n_blocks))[:-1])
+    label = np.arange(n)
+    while True:
+        low = np.minimum(label[row], label[col])
+        new = label.copy()
+        np.minimum.at(new, row, low)
+        np.minimum.at(new, col, low)
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    order = np.argsort(label, kind="stable")
+    sizes = np.bincount(label, minlength=n)
+    return np.split(order, np.cumsum(sizes[sizes > 0])[:-1])
 
 
-def _conjugate_symmetric(lmat: sp.csr_matrix, mirror: np.ndarray) -> bool:
+def _conjugate_symmetric(row: np.ndarray, col: np.ndarray, data: np.ndarray,
+                         mirror: np.ndarray) -> bool:
     """Whether L[M, M] == conj(L) entry for entry, NaN equal to NaN.
 
-    ``mirror`` is the permutation M of the coordinates of ``lmat``.  ``lmat``
-    must have sorted indices and no stored zeros (a sparse product has none).
-    NaN entries compare equal to themselves, so a NaN generator still runs
-    and fails the trace gate.
+    ``row``, ``col`` and ``data`` are the canonical entries of L and
+    ``mirror`` is the permutation M of its coordinates, an involution, so
+    the entry of L at (i, j) is the entry of L[M, M] at (M i, M j).  NaN
+    entries compare equal to themselves, so a NaN generator still runs and
+    fails the trace gate.
     """
-    mirrored = lmat[mirror][:, mirror]
-    mirrored.sort_indices()
-    return (np.array_equal(mirrored.indptr, lmat.indptr)
-            and np.array_equal(mirrored.indices, lmat.indices)
-            and np.array_equal(mirrored.data, lmat.data.conj(), equal_nan=True))
+    n = mirror.size
+    moved = mirror[row] * n + mirror[col]
+    order = np.argsort(moved)
+    return (np.array_equal(moved[order], row * n + col)
+            and np.array_equal(data[order], data.conj(), equal_nan=True))
 
 
 def _fold(blocks: list[np.ndarray], mirror: np.ndarray) -> tuple[list[np.ndarray], int]:
@@ -389,15 +528,17 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
     exp(L h) from sample to sample: with dense block propagators when no
     block exceeds :data:`MAX_DENSE_BLOCK`, which fill the first block of
     :data:`SAMPLE_BLOCK` samples by doubling and advance each later block
-    at once, and with ``expm_multiply`` otherwise.  Full density matrices
-    are stored only at ``opts.snapshot_times`` (which must be finite and lie
-    within the grid span), each branched off the last sample at or before it
-    by ``expm_multiply`` on the kept vector (one call for all of them), so
-    the samples do not depend on them.  Raises ValueError when the generator
-    does not preserve Hermiticity, and :class:`IntegrationFailure` when the
-    trace drift is not within :data:`TRACE_DRIFT_LIMIT` or when ||L||_1
-    times the largest gap that ``expm_multiply`` crosses (each snapshot
-    branch, and on that path each step) exceeds :data:`MAX_ACTION_NORM`.
+    at once, and with scipy's ``expm_multiply`` otherwise.  Full density
+    matrices are stored only at ``opts.snapshot_times`` (which must be
+    finite and lie within the grid span), each branched off the last sample
+    at or before it by the action of exp(L gap) on the kept vector, all of
+    them together after the loop (a Taylor series on the dense path, one
+    ``expm_multiply`` call on the other), so the samples do not depend on
+    them.  Raises ValueError when the generator does not preserve
+    Hermiticity, and :class:`IntegrationFailure` when the trace drift is not
+    within :data:`TRACE_DRIFT_LIMIT` or when ||L||_1 times the largest gap
+    that an action crosses (each snapshot branch, and on the
+    ``expm_multiply`` path each step) exceeds :data:`MAX_ACTION_NORM`.
     """
     opts = opts or EvolveOptions()
     dims = rho0.dims
@@ -408,33 +549,45 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
     d = dims.total_dim
     m = d * d
     z0 = vec(rho0.data)
-    live = live_coordinates(superop.matrix, z0, d)
+    live = live_coordinates(superop, z0)
     n = live.size
-    # Restrict by one product with a 0/1 column selector rather than by
-    # slicing, so a matrix type that counts its products (the traced
-    # benchmark) still sees the generator used.  CSR products leave row
-    # entries unsorted; sorting restores the assembled generator's column
-    # order, so each row sums exactly as in the full space.
-    select = sp.csr_matrix((np.ones(n), (live, np.arange(n))), shape=(m, n))
-    lmat = (superop.matrix @ select)[live]
-    lmat.sort_indices()
+    # L rho(0) lies on the live coordinates.  Checked by one product with
+    # the generator as the caller gave it, so a matrix type that counts its
+    # products (the traced benchmark) sees the generator used; a finite
+    # nonzero elsewhere means the matrix and its entry arrays disagree.
+    outside = np.abs(superop @ z0)
+    outside[live] = 0.0
+    if np.any(outside > 0):
+        raise ValueError("L rho(0) leaves the live coordinates: the superoperator's "
+                         "matrix does not match its entries")
+    # the entries among live coordinates, renumbered in the same order
+    at = np.full(m, -1)
+    at[live] = np.arange(n)
+    among = (at[superop.row] >= 0) & (at[superop.col] >= 0)
+    lrow, lcol, ldata = at[superop.row[among]], at[superop.col[among]], superop.data[among]
     mirror = np.searchsorted(live, _transpose_index(d)[live])
-    if not _conjugate_symmetric(lmat, mirror):
+    if not _conjugate_symmetric(lrow, lcol, ldata, mirror):
         raise ValueError(
             "generator does not preserve Hermiticity: L[M, M] != conj(L) on the "
             "live coordinates, where M maps rho_ij to rho_ji"
         )
-    blocks = symmetry_blocks(lmat)
+    blocks = symmetry_blocks(lrow, lcol, n)
     block_sizes = tuple(idx.size for idx in blocks)
     kept_blocks, n_self = _fold(blocks, mirror)
     # the kept vector zk holds the coordinates kept[k], block by block; its
     # leading n_self entries are the self-mirror blocks, whose mirrors sit at
     # self_dag, and each later entry has its conjugate written to partners
     kept = np.concatenate(kept_blocks)
-    pos = np.empty(n, dtype=np.intp)
+    pos = np.full(n, -1)
     pos[kept] = np.arange(kept.size)
     self_dag = pos[mirror[kept[:n_self]]]
     partners = mirror[kept[n_self:]]
+    # the kept generator's entries in the coordinates of zk, canonical; no
+    # entry links two blocks, so one with a kept row has a kept column
+    inside = pos[lrow] >= 0
+    krow, kcol = pos[lrow[inside]], pos[lcol[inside]]
+    order = np.argsort(krow * kept.size + kcol)
+    krow, kcol, kdata = krow[order], kcol[order], ldata[inside][order]
 
     times = grid.times
     n_t = times.size
@@ -456,19 +609,16 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
     branch_gaps = offsets[branched]
 
     dense_path = max(block_sizes) <= MAX_DENSE_BLOCK
-    # expm_multiply crosses the branches, and on its own path the step
+    # an action crosses the branches, and on the expm_multiply path the step
     acted = branch_gaps if dense_path else np.append(branch_gaps, h)
-    if acted.size:
-        kmat = lmat[kept][:, kept]
-        kmat.sort_indices()
-        # one gap costs about ||L||_1 gap products and expm_multiply never
-        # gives up, so refuse a run it would not finish (NaN included)
-        cost = float(sparse_norm(kmat, 1)) * float(np.max(acted))
-        if not cost <= MAX_ACTION_NORM:
-            raise IntegrationFailure(
-                f"||L||_1 * largest gap = {cost:.3e} exceeds {MAX_ACTION_NORM:.0e}; "
-                "shrink the rates, the sample spacing or the truncation"
-            )
+    norm = float(np.max(np.bincount(kcol, np.abs(kdata), minlength=kept.size)))
+    # one gap costs about ||L||_1 gap products and an action never gives
+    # up, so refuse a run it would not finish (NaN included)
+    if acted.size and not norm * float(np.max(acted)) <= MAX_ACTION_NORM:
+        raise IntegrationFailure(
+            f"||L||_1 * largest gap = {norm * float(np.max(acted)):.3e} exceeds "
+            f"{MAX_ACTION_NORM:.0e}; shrink the rates, the sample spacing or the truncation"
+        )
 
     # the propagation plan, fixed before the first sample: on the dense path
     # the step and the jump blocks, each with the columns of the kept vector
@@ -477,17 +627,22 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
     step = jumps = None
     if dense_path:
         path = "expm"
-        dense = _dense_blocks(lmat, kept_blocks)
-        ends = np.cumsum([idx.size for idx in kept_blocks]).tolist()
+        sizes = [idx.size for idx in kept_blocks]
+        dense = _dense_blocks(krow, kcol, kdata, sizes)
+        ends = np.cumsum(sizes).tolist()
         spans = list(zip([0, *ends[:-1]], ends))
         if n_t > 1:
             step = list(zip(spans, _block_exp(dense, h)))
         if n_t > SAMPLE_BLOCK:
             jumps = list(zip(spans, _block_exp(dense, times[SAMPLE_BLOCK])))
     else:
+        import scipy.sparse as sp
+
         # sample by sample only: a jump would cross SAMPLE_BLOCK steps at
         # once, so MAX_ACTION_NORM would refuse runs it admits for one step
         path = "expm_multiply"
+        kmat = sp.csr_matrix((kdata, kcol, np.searchsorted(krow, np.arange(kept.size + 1))),
+                             shape=(kept.size, kept.size))
         step = kmat * h
 
     amps = np.empty((dims.n_modes, n_t), dtype=np.complex128)
@@ -557,12 +712,15 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
                 f"(limit {TRACE_DRIFT_LIMIT:.1e})"
             )
 
-    # built only now, so that a failing trace gate is what a broken run
+    # branched only now, so that a failing trace gate is what a broken run
     # raises; exp(block_diag(L gap_j)) is block_diag(exp(L gap_j)), so one
-    # call on the stacked base rows crosses every branch
+    # expm_multiply call on the stacked base rows crosses every branch
     if branch_gaps.size:
-        stack = sp.block_diag([kmat * gap for gap in branch_gaps.tolist()], format="csr")
-        ends = expm_multiply(stack, snap_rows[branched].ravel()).reshape(branch_gaps.size, -1)
+        if dense_path:
+            ends = _branch(krow, kcol, kdata, norm, snap_rows[branched], branch_gaps)
+        else:
+            stack = sp.block_diag([kmat * gap for gap in branch_gaps.tolist()], format="csr")
+            ends = expm_multiply(stack, snap_rows[branched].ravel()).reshape(branch_gaps.size, -1)
         herm_dev = max(herm_dev, symmetrise(ends))
         snap_rows[branched] = ends
     snapshots = []

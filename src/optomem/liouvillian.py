@@ -1,13 +1,23 @@
 """Hamiltonian and Lindblad-generator assembly as sparse superoperators.
 
 Density matrices are vectorised by column stacking, so ``vec(A rho B)``
-equals ``(B^T kron A) vec(rho)`` and the commutator part of the generator is
-``-i (I kron H - H^T kron I)``.  Dissipators use the canonical GKSL form
+equals ``(B^T kron A) vec(rho)``.  A generator
 
-    gamma (n+1) [c rho c+ - (c+ c rho + rho c+ c)/2]
-  + gamma  n   [c+ rho c - (c c+ rho + rho c c+)/2]
+    d(rho)/dt = -i [H, rho] + sum_k r_k (c_k rho c_k^dag - {c_k^dag c_k, rho}/2)
 
-which is the trace-preserving form required for Markovian dynamics.
+in the canonical, trace-preserving GKSL form is then
+
+    L = I kron K + conj(K) kron I + sum_k r_k conj(c_k) kron c_k,
+    K = -i H - (1/2) sum_k r_k c_k^dag c_k,
+
+and a thermal dissipator of a mode with lowering operator c, rate gamma
+and bath occupation n has the two jumps (gamma (n+1), c) and
+(gamma n, c^dag).  :func:`lindblad` sums the d x d operators into K first,
+so the generator is three or more Kronecker products, whose entries are
+concatenated, sorted once (stably, so entries at one position are summed
+in term order) and summed with one ``np.add.reduceat``.  numpy alone
+builds it; scipy is loaded only when a caller reads
+:attr:`Superoperator.matrix`.
 
 Two generator assemblies are provided: the literal two-mode optomechanical
 generator (optical Kerr mode radiation-pressure-coupled to an anharmonic
@@ -24,10 +34,10 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .fock import (
     HilbertDims,
@@ -84,20 +94,57 @@ class SystemParams:
         return thermal_occupation(self.omega_m, self.temp_au)
 
 
-@dataclass(frozen=True)
 class Superoperator:
-    """Sparse linear map acting on column-stacked density matrices."""
+    """Sparse linear map acting on column-stacked density matrices.
 
-    dims: HilbertDims
-    matrix: sp.csr_matrix
+    Its nonzero entries are held as three arrays in canonical order: ``row``
+    and ``col`` sorted row by row and by column within a row, each position
+    once, and ``data``.  ``matrix`` is a scipy sparse matrix: the one given,
+    or else a CSR copy of the entries built on first access.  The package
+    reads only the arrays, except for products (``superop @ z``), which go
+    through ``matrix`` when there is one.
+    """
 
-    def __post_init__(self) -> None:
+    def __init__(self, dims: HilbertDims, matrix) -> None:
+        """``matrix`` is a scipy sparse matrix or the canonical arrays
+        ``(row, col, data)`` of the nonzero entries."""
+        self.dims = dims
+        n2 = dims.total_dim ** 2
+        if isinstance(matrix, tuple):
+            self.row, self.col, self.data = matrix
+            self._matrix = None
+        else:
+            if matrix.shape != (n2, n2):
+                raise ValueError(
+                    f"superoperator shape {matrix.shape} does not match "
+                    f"total dimension {dims.total_dim}"
+                )
+            coo = matrix.tocoo(copy=True)
+            coo.sum_duplicates()  # and sorts it row by row
+            nonzero = coo.data != 0
+            self.row, self.col = (x[nonzero].astype(np.intp) for x in coo.coords)
+            self.data = coo.data[nonzero].astype(np.complex128)
+            self._matrix = matrix
+
+    @property
+    def matrix(self):
+        if self._matrix is None:
+            import scipy.sparse as sp
+
+            n2 = self.dims.total_dim ** 2
+            indptr = np.searchsorted(self.row, np.arange(n2 + 1))
+            self._matrix = sp.csr_matrix((self.data, self.col, indptr), shape=(n2, n2),
+                                         copy=True)
+        return self._matrix
+
+    def __matmul__(self, z: np.ndarray) -> np.ndarray:
+        """L z for a vector z."""
+        if self._matrix is not None:
+            return self._matrix @ z
+        terms = self.data * z[self.col]
         n2 = self.dims.total_dim ** 2
-        if self.matrix.shape != (n2, n2):
-            raise ValueError(
-                f"superoperator shape {self.matrix.shape} does not match "
-                f"total dimension {self.dims.total_dim}"
-            )
+        return (np.bincount(self.row, terms.real, n2)
+                + 1j * np.bincount(self.row, terms.imag, n2))
 
 
 def vec(mat: np.ndarray) -> np.ndarray:
@@ -157,41 +204,57 @@ def hamiltonian(params: SystemParams, dims) -> QOperator:
     return h
 
 
-def kron(a: sp.spmatrix, b: sp.spmatrix) -> sp.csr_matrix:
-    """The Kronecker product of two sparse matrices, built directly in CSR.
+def kron(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero entries ``(row, col, data)`` of ``a kron b`` for dense matrices.
 
-    Its arrays are those of ``scipy.sparse.kron(a, b).tocsr()`` bit for bit
-    when ``b`` is less than half full or has no zero (for a denser ``b``
-    scipy also stores the products with its zeros); neither factor may hold
-    duplicate entries.  Entry (s, t), the product of a's stored entry s in row i and
-    b's stored entry t in row k, lands in row i p + k (p rows in b), after
-    the entries of a's row i stored before s, each taken with all entries
-    of b's row k.  Both factors' rows are sorted first, so each output row
-    is sorted too.
+    The product of a[i, j] and b[k, l] sits at (i p + k, j q + l) for a
+    p x q ``b``; the products are listed by a's nonzeros in row-major order,
+    each with all of b's, also in row-major order.
     """
-    a, b = (sp.csr_matrix(x) for x in (a, b))
-    a, b = (x if x.has_sorted_indices else x.sorted_indices() for x in (a, b))
+    ia, ja = np.nonzero(a)
+    ib, jb = np.nonzero(b)
     p, q = b.shape
-    na, nb = np.diff(a.indptr), np.diff(b.indptr)
-    indptr = np.concatenate([[0], np.cumsum(np.outer(na, nb))])
-    # the row of each stored entry and its place within that row
-    a_row = np.repeat(np.arange(na.size), na)
-    b_row = np.repeat(np.arange(nb.size), nb)
-    a_at = np.arange(a.nnz) - a.indptr[a_row]
-    b_at = np.arange(b.nnz) - b.indptr[b_row]
-    at = (indptr[(a_row * p)[:, None] + b_row] + a_at[:, None] * nb[b_row] + b_at).ravel()
-    data = np.empty(at.size, dtype=np.result_type(a.dtype, b.dtype))
-    indices = np.empty(at.size, dtype=np.int64)
-    data[at] = (a.data[:, None] * b.data).ravel()
-    indices[at] = (a.indices[:, None].astype(np.int64) * q + b.indices).ravel()
-    return sp.csr_matrix((data, indices, indptr), shape=(a.shape[0] * p, a.shape[1] * q))
+    return (((ia * p)[:, None] + ib).ravel(), ((ja * q)[:, None] + jb).ravel(),
+            (a[ia, ja][:, None] * b[ib, jb]).ravel())
 
 
-def commutator_superop(h: QOperator) -> sp.csr_matrix:
+def lindblad(h: QOperator, jumps: Sequence[tuple[float, QOperator]]) -> Superoperator:
+    """The GKSL generator of Hamiltonian ``h`` and jumps ``(rate, c)``.
+
+    L = I kron K + conj(K) kron I + sum_k r_k conj(c_k) kron c_k with
+    K = -i H - (1/2) sum_k r_k c_k^dag c_k.  The entries at one position
+    are summed in this order of the terms, and a sum that is exactly 0 is
+    not stored.
+    """
+    d = h.dims.total_dim
+    k = -1j * h.data
+    for rate, c in jumps:
+        k = k - (0.5 * rate) * (c.data.conj().T @ c.data)
+    ident = np.eye(d)
+    terms = [kron(ident, k), kron(k.conj(), ident)]
+    for rate, c in jumps:
+        row, col, data = kron(c.data.conj(), c.data)
+        terms.append((row, col, rate * data))
+    row, col, data = (np.concatenate(parts) for parts in zip(*terms))
+    key = row * (d * d) + col
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    summed = np.add.reduceat(data[order], first) if first.size else data[:0]
+    stored = summed != 0
+    at = order[first[stored]]
+    return Superoperator(h.dims, (row[at], col[at], summed[stored]))
+
+
+def _thermal_jumps(c: QOperator, gamma: float, n_th: float) -> list[tuple[float, QOperator]]:
+    """The jumps of a thermal dissipator, without those of rate 0."""
+    jumps = [(gamma * (n_th + 1.0), c), (gamma * n_th, c.dag())]
+    return [(rate, op) for rate, op in jumps if rate != 0]
+
+
+def commutator_superop(h: QOperator) -> Superoperator:
     """-i [H, .] on column-stacked density matrices."""
-    hs = sp.csr_matrix(h.data)
-    ident = sp.identity(h.dims.total_dim, dtype=np.complex128, format="csr")
-    return (-1j * (kron(ident, hs) - kron(hs.T, ident))).tocsr()
+    return lindblad(h, [])
 
 
 def dissipator(c_op: QOperator, gamma: float, n_th: float) -> Superoperator:
@@ -200,23 +263,8 @@ def dissipator(c_op: QOperator, gamma: float, n_th: float) -> Superoperator:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     if n_th < 0:
         raise ValueError(f"n_th must be >= 0, got {n_th}")
-    d = c_op.dims.total_dim
-    if gamma == 0:
-        return Superoperator(c_op.dims, sp.csr_matrix((d * d, d * d), dtype=np.complex128))
-    ident = sp.identity(d, dtype=np.complex128, format="csr")
-    c = sp.csr_matrix(c_op.data)
-    cd = sp.csr_matrix(c_op.data.conj().T)
-
-    def _one_sided(jump: sp.csr_matrix) -> sp.csr_matrix:
-        jd_j = (jump.conj().T @ jump).tocsr()
-        sandwich = kron(jump.conj(), jump)
-        anti = kron(ident, jd_j) + kron(jd_j.T, ident)
-        return (sandwich - 0.5 * anti).tocsr()
-
-    total = gamma * (n_th + 1.0) * _one_sided(c)
-    if n_th > 0:
-        total = total + gamma * n_th * _one_sided(cd)
-    return Superoperator(c_op.dims, total.tocsr())
+    zero = QOperator(c_op.dims, np.zeros_like(c_op.data))
+    return lindblad(zero, _thermal_jumps(c_op, gamma, n_th))
 
 
 def liouvillian(params: SystemParams, dims) -> Superoperator:
@@ -224,14 +272,13 @@ def liouvillian(params: SystemParams, dims) -> Superoperator:
     dims = as_dims(dims)
     if dims.n_modes != 2:
         raise ValueError(f"liouvillian expects two modes, got {dims.n_modes}")
-    total = commutator_superop(hamiltonian(params, dims))
-    if params.gamma_c > 0:
-        a_full = embed(annihilation(dims.dims[0]), 0, dims)
-        total = total + dissipator(a_full, params.gamma_c, params.n_optical()).matrix
-    if params.gamma_m > 0:
-        b_full = embed(annihilation(dims.dims[1]), 1, dims)
-        total = total + dissipator(b_full, params.gamma_m, params.n_mech()).matrix
-    return Superoperator(dims, total.tocsr())
+    jumps = []
+    for mode, gamma, occupation in ((0, params.gamma_c, params.n_optical),
+                                    (1, params.gamma_m, params.n_mech)):
+        if gamma > 0:
+            lower = embed(annihilation(dims.dims[mode]), mode, dims)
+            jumps += _thermal_jumps(lower, gamma, occupation())
+    return lindblad(hamiltonian(params, dims), jumps)
 
 
 def combined_kerr_liouvillian(params: SystemParams, n: int) -> Superoperator:
@@ -241,12 +288,10 @@ def combined_kerr_liouvillian(params: SystemParams, n: int) -> Superoperator:
     frequency omega_m, damped at gamma_m against a bath with occupation
     taken at omega_m.
     """
-    dims = HilbertDims((n,))
     chi = params.k_c + params.k_m
     num = number(n)
     h = params.omega_m * num + chi * (num @ num)
-    total = commutator_superop(h)
+    jumps = []
     if params.gamma_m > 0:
-        total = total + dissipator(annihilation(n), params.gamma_m, params.n_mech()).matrix
-    return Superoperator(dims, total.tocsr())
-
+        jumps = _thermal_jumps(annihilation(n), params.gamma_m, params.n_mech())
+    return lindblad(h, jumps)

@@ -356,7 +356,8 @@ def run_snapshots(config: RunConfig, out_dir: Path) -> list[Path]:
     if not config.snapshot_times:
         raise ValueError("config has no snapshot times")
     mode = config.resolved_wigner_mode()
-    names = {t: f"wigner_t{t:.3f}_mode{mode}.dat" for t in set(config.snapshot_times)}
+    # -0.0 names the grid of 0.0
+    names = {t: f"wigner_t{t + 0.0:.3f}_mode{mode}.dat" for t in set(config.snapshot_times)}
     shared = sorted(name for name, n in Counter(names.values()).items() if n > 1)
     if shared:
         raise ValueError(

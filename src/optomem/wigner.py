@@ -19,11 +19,12 @@ for a, b < K = 2N - 1, where psi_a are the orthonormal Hermite functions
 and U^M[m, a] = (-1)^(M-m) d^{M/2}[m, a] is a real orthogonal
 (M+1) x (M+1) matrix, d^j the Wigner small-d matrix of spin j at angle
 pi/2 with rows and columns indexed from the top weight.  The matrices of
-every shell come from d^0 = [[1]] by the spin-1/2 coupling recursion
-(``_shell_rotations``).  The map rho -> C is block diagonal by shell
-M = m + n and has O(N^3) entries (27 000 at N = 30).  ``wigner_map``
-builds it and the two Phi once; each grid is then one sparse product and
-two small dense ones (0.2 ms on the default 201 x 201 grid, 2-vCPU Xeon
+all shells come together from one three-term recurrence along their
+columns (``_shell_rotations``).  The map rho -> C is block diagonal by
+shell M = m + n and has O(N^3) entries (27 000 at N = 30), held as index
+arrays.  ``wigner_map`` builds it and the two Phi once; each grid is then
+one sparse product (a gather and one ``np.bincount``) and two small
+dense ones (0.2 ms on the default 201 x 201 grid, 2-vCPU Xeon
 VM, one BLAS thread).  A state's field depends only on that state.
 
 The error is absolute, not relative.  Against a 40-digit evaluation of
@@ -41,7 +42,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .states import DensityMatrix
 
@@ -126,7 +126,7 @@ def wigner_map(
     them, so the map may be called from several threads at once.
     """
     k = 2 * n - 1
-    table = _shell_table(n)
+    rows, columns, weights = _shell_table(n)
     phi_x = _hermite_functions(np.sqrt(2.0) * grid.x_axis(), k)
     phi_p = _hermite_functions(np.sqrt(2.0) * grid.p_axis(), k)
 
@@ -135,7 +135,7 @@ def wigner_map(
             raise ValueError(f"a map for {n} levels got a {rho.dims.total_dim}-level state")
         # (Re rho_mn, Im rho_mn) interleaved, as the table's columns expect
         parts = np.ascontiguousarray(rho.data, dtype=np.complex128).reshape(-1).view(np.float64)
-        coeffs = (table @ parts).reshape(k, k)
+        coeffs = np.bincount(rows, weights * parts[columns], k * k).reshape(k, k)
         values = phi_x @ coeffs @ phi_p.T
         values.setflags(write=False)
         return WignerField(grid, values)
@@ -167,66 +167,67 @@ def _hermite_functions(s: np.ndarray, k: int) -> np.ndarray:
     return psi.T
 
 
-def _shell_rotations(top: int) -> list[np.ndarray]:
-    """U^M for M = 0..``top``, by the stretched spin-1/2 coupling recursion
-    (Risbo, J. Geodesy 70, 383, 1996).
+def _shell_rotations(top: int) -> np.ndarray:
+    """U^M for M = 0..``top``, zero padded: U^M is ``u[M, :M+1, :M+1]``.
 
-    With p = q = cos(pi/4) = sin(pi/4) and d = d^{(M-1)/2}(pi/2) indexed
-    0..M-1, d^{M/2}(pi/2) is four weighted, shifted copies of d:
+    U^M is symmetric, and with S the symmetric tridiagonal matrix with
+    S[c, c+1] = sqrt((c+1)(M-c)) and Z = diag(M - 2r), U^M S = -Z U^M (the
+    rotation by pi/2 takes J_x to J_z).  So row r obeys the three-term
+    recurrence
 
-        M d'[i, k] = p sqrt((M-i)(M-k)) d[i, k]   + q sqrt(i (M-k)) d[i-1, k]
-                   - q sqrt((M-i) k) d[i, k-1] + p sqrt(i k) d[i-1, k-1],
+        sqrt((c+1)(M-c)) U[r, c+1] = (2r - M) U[r, c] - sqrt(c (M-c+1)) U[r, c-1]
 
-    a term dropped where its index leaves 0..M-1.  U^M[r, c] is
-    (-1)^(M-r) d^{M/2}[r, c].  Against the eigendecomposition of the
-    rotation generator kept in the tests, every shell up to 178 agrees to
-    8.3e-15.
+    from U[r, 0] = (-1)^(M-r) 2^(-M/2) sqrt(C(M, r)), a running product
+    over r.  It runs over the first half of the columns, c <= M/2, for
+    every shell and row at once, where it grows with each row's solution
+    and is stable; U[r, M-c] = (-1)^(M+r) U[r, c] gives the second half.
+    Against the eigendecomposition of the rotation generator kept in the
+    tests, every shell up to 178 agrees to 8.2e-15.
     """
-    half = np.sqrt(0.5)
-    d = np.ones((1, 1))
-    rotations = [d]
-    for shell in range(1, top + 1):
-        stay = np.sqrt(np.arange(shell, 0, -1.0))  # sqrt(M - i) for i < M
-        move = np.sqrt(np.arange(1.0, shell + 1))  # sqrt(i + 1) for i < M
-        scaled = (half / shell) * d
-        new = np.zeros((shell + 1, shell + 1))
-        new[:-1, :-1] += stay[:, None] * scaled * stay
-        new[1:, :-1] += move[:, None] * scaled * stay
-        new[:-1, 1:] -= stay[:, None] * scaled * move
-        new[1:, 1:] += move[:, None] * scaled * move
-        d = new
-        rotations.append((-1.0) ** (shell - np.arange(shell + 1.0))[:, None] * d)
-    return rotations
+    t = top + 1
+    shell = np.arange(t)
+    # u[M, c] is column c of U^M, and so also its row c
+    u = np.zeros((t, t, t))
+    factors = np.empty((t, t))
+    factors[:, 0] = (-1.0) ** shell * 2.0 ** (-0.5 * shell)
+    factors[:, 1:] = -np.sqrt(np.maximum(shell[:, None] - shell[:-1], 0) / (shell[:-1] + 1.0))
+    u[:, 0] = np.cumprod(factors, axis=1)
+    twice_r_less_m = 2.0 * shell - shell[:, None]
+    for c in range(top // 2):
+        lo = 2 * c + 2  # the shells whose column c + 1 is in their first half
+        m = shell[lo:, None]
+        column = twice_r_less_m[lo:] * u[lo:, c]
+        if c:
+            column -= np.sqrt(c * (m - c + 1.0)) * u[lo:, c - 1]
+        u[lo:, c + 1] = column / np.sqrt((c + 1.0) * (m - c))
+    m, c = np.nonzero((shell > shell[:, None] // 2) & (shell <= shell[:, None]))
+    u[m, c] = u[m, m - c] * (1 - 2 * ((m[:, None] + shell) & 1))
+    return u
 
 
-def _shell_table(n: int) -> sp.csr_array:
-    """The linear map rho -> C for an n-level mode, as a sparse matrix.
+def _shell_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The linear map rho -> C for an n-level mode, as sparse entries.
 
-    Its columns are the interleaved (Re, Im) parts of the row-major rho,
-    its rows the row-major C of shape (k, k), k = 2n - 1.  Since
+    Returns ``(rows, columns, values)``: row a k + b of the map is entry
+    a k + b of the row-major C of shape (k, k), k = 2n - 1, and column c the
+    c-th of the interleaved (Re, Im) parts of the row-major rho.  Since
     (-i)^b is real for even b and imaginary for odd b,
     C_ab = pi^(-1/2) sum_{m+n=a+b} (-1)^(b//2) U^{a+b}[m, a] x_mn, where x_mn
     is Re rho_mn for even b and Im rho_mn for odd b.  The map is block
-    diagonal by shell M = m + n = a + b, with O(n^3) entries.  Row
-    a k + b holds one entry per m of its shell, in increasing m, so the
-    arrays are filled shell by shell in their final CSR order.
+    diagonal by shell M = m + n = a + b, with O(n^3) entries, listed row by
+    row and, within a row, in increasing m.
     """
     k = 2 * n - 1
     shells = np.add.outer(np.arange(k), np.arange(k)).ravel()
     first = np.maximum(0, shells - n + 1)
     counts = np.maximum(np.minimum(shells, n - 1) + 1 - first, 0)
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    data = np.empty(indptr[-1])
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    for shell, u in enumerate(_shell_rotations(k - 1)):
-        m = np.arange(max(0, shell - n + 1), min(shell, n - 1) + 1)
-        a = np.arange(shell + 1)[:, None]
-        b = shell - a
-        at = indptr[a * k + b] + np.arange(m.size)
-        indices[at] = 2 * (m * n + shell - m) + b % 2
-        data[at] = (-1.0) ** (b // 2) * u[m].T
-    data /= np.sqrt(np.pi)
-    return sp.csr_array((data, indices, indptr), shape=(k * k, 2 * n * n))
+    rows = np.repeat(np.arange(k * k), counts)
+    m = first[rows] + np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+    a, b = np.divmod(rows, k)
+    shell = a + b
+    # (-1)^(b//2) is -1 where b has its bit of value 2 set
+    values = np.where(b & 2, -1.0, 1.0) * _shell_rotations(k - 1)[shell, m, a] / np.sqrt(np.pi)
+    return rows, 2 * (m * n + shell - m) + b % 2, values
 
 
 def min_value(field: WignerField) -> tuple[float, float, float]:

@@ -3,11 +3,13 @@
 Everything here is deliberately written from scratch (direct factorial
 formulas, explicit sums, normalised Hermite recurrences, ladder matrices
 built in place) so tests never validate the package against its own
-primitives.  Four exceptions: ``wigner_per_point``, a frozen copy of an
+primitives.  Five exceptions: ``wigner_per_point``, a frozen copy of an
 earlier Wigner kernel (the associated-Laguerre recurrence, run at every grid
 point) that the Hermite-Gauss kernel must match to rounding;
 ``shell_rotation``, the earlier eigendecomposition construction of the
 Wigner kernel's shell matrices, against which their recursion is checked;
+``scipy_kron_lindblad``, which assembles a generator from the package's
+operators with scipy's Kronecker product and sparse sums;
 ``generator_check``, which runs the package's ``evolve`` against a finite
 difference of the generator it propagates; and ``evolve_rk4``, a fixed-step
 RK4 on the full space that takes the package's generator and ladder
@@ -18,11 +20,12 @@ import math
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 from scipy.special import gammaln
 
 from optomem.evolve import EvolveOptions, TimeGrid, Trajectory, evolve
 from optomem.fock import QOperator, annihilation, embed, expectation
-from optomem.liouvillian import unvec, vec
+from optomem.liouvillian import Superoperator, unvec, vec
 
 
 def coherent_coeffs(alpha: complex, n: int) -> np.ndarray:
@@ -98,6 +101,23 @@ def coherent_overlap(rho, alpha: complex, mode: int = 0) -> float:
         reduced = np.trace(reduced.reshape(d0, d1, d0, d1), axis1=other, axis2=other + 2)
     c = coherent_coeffs(alpha, reduced.shape[0])
     return float(np.real(c.conj() @ reduced @ c))
+
+
+def scipy_kron_lindblad(h, jumps):
+    """The GKSL generator of Hamiltonian ``h`` and jumps ``(rate, c)`` as
+    scipy builds it: I kron K + conj(K) kron I + sum_k r_k conj(c_k) kron c_k
+    with K = -i H - (1/2) sum_k r_k c_k^dag c_k, each product by
+    ``scipy.sparse.kron`` and the sum by CSR additions, in that order.
+    """
+    d = h.dims.total_dim
+    k = -1j * h.data
+    for rate, c in jumps:
+        k = k - (0.5 * rate) * (c.data.conj().T @ c.data)
+    ident = sp.identity(d, format="csr")
+    total = sp.kron(ident, sp.csr_matrix(k)) + sp.kron(sp.csr_matrix(k.conj()), ident)
+    for rate, c in jumps:
+        total = total + rate * sp.kron(sp.csr_matrix(c.data.conj()), sp.csr_matrix(c.data))
+    return Superoperator(h.dims, total.tocsr())
 
 
 def generator_check(superop, rho, dt: float) -> float:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import expm_multiply
 
 from helpers import (
@@ -195,7 +196,9 @@ def test_trajectory_quality_signals():
     traj = evolve(dm, superop, grid, EvolveOptions(snapshot_times=(25.0, 50.0)))
     assert np.max(np.abs(traj.trace - 1.0)) < 1e-6
     assert np.all(traj.purity > 0.0) and np.all(traj.purity <= 1.0 + 1e-8)
-    assert traj.max_hermiticity_error < 1e-8
+    # the dense propagators and the branch's Taylor series keep the
+    # self-mirror blocks Hermitian to the bit here
+    assert traj.max_hermiticity_error == 0.0
     # positivity at spot-checked snapshot times
     for _, state in traj.snapshots:
         assert min_eigenvalue(state) > -1e-6
@@ -294,7 +297,7 @@ def test_exact_path_crosses_extreme_rates_to_closed_form_decay():
 
 def test_dense_path_refuses_a_branch_beyond_the_action_bound():
     # the dense propagators cross these rates between samples, but an
-    # off-grid snapshot branches by expm_multiply, whose cost grows with
+    # off-grid snapshot branches by a Taylor series, whose cost grows with
     # ||L||_1 times the branch; the run is refused before its first step
     superop = combined_kerr_liouvillian(EXTREME_DECAY, 4)
     dm = product_dm([coherent_ket(0.8, 4)])
@@ -341,7 +344,7 @@ def test_deterministic_repetition():
 
 def test_live_set_optical_vacuum_at_zero_temperature():
     superop, dm = mechanical_storage(default_params(), (10, 10))
-    live = live_coordinates(superop.matrix, vec(dm.data), 100)
+    live = live_coordinates(superop, vec(dm.data))
     k_a, k_a_prime = optical_indices((10, 10))
     assert np.array_equal(live, np.flatnonzero((k_a == 0) & (k_a_prime == 0)))
     assert live.size == 100
@@ -352,7 +355,7 @@ def test_live_set_optical_vacuum_at_zero_temperature():
 def test_live_set_thermal_optical_bath_is_the_optical_diagonal():
     assert THERMAL.n_optical() > 0
     superop, dm = mechanical_storage(THERMAL, (10, 10))
-    live = live_coordinates(superop.matrix, vec(dm.data), 100)
+    live = live_coordinates(superop, vec(dm.data))
     k_a, k_a_prime = optical_indices((10, 10))
     assert np.array_equal(live, np.flatnonzero(k_a == k_a_prime))
     assert live.size == 1000
@@ -372,7 +375,7 @@ def test_restricted_evolve_agrees_with_full_rk4_on_thermal_bath():
 def test_live_set_combined_kerr_coherent_state_is_everything():
     superop = combined_kerr_liouvillian(default_params(), 12)
     dm = product_dm([coherent_ket(1.5, 12)])
-    live = live_coordinates(superop.matrix, vec(dm.data), 12)
+    live = live_coordinates(superop, vec(dm.data))
     assert np.array_equal(live, np.arange(144))
 
 
@@ -380,7 +383,7 @@ def test_live_set_of_zero_generator_is_the_initial_support():
     ket = Ket(HilbertDims((4,)), np.array([1.0, 0.0, 1.0, 0.0]) / np.sqrt(2.0))
     dm = product_dm([ket])
     # rho_00, rho_20, rho_02, rho_22 at column-stacked indices 0, 2, 8, 10
-    assert live_coordinates(zero_superop(4).matrix, vec(dm.data), 4).tolist() == [0, 2, 8, 10]
+    assert live_coordinates(zero_superop(4), vec(dm.data)).tolist() == [0, 2, 8, 10]
     traj = evolve(dm, zero_superop(4), TimeGrid(1.0, 2))
     assert traj.n_live == 4
 
@@ -391,12 +394,12 @@ def test_live_set_closed_under_transposition():
     n = 3
     feed = sp.csr_matrix(([1.0 + 0j], ([1], [0])), shape=(n * n, n * n))
     dm = product_dm([vacuum_ket(n)])
-    assert live_coordinates(feed, vec(dm.data), n).tolist() == [0, 1, 3]
+    assert live_coordinates(Superoperator(HilbertDims((n,)), feed), vec(dm.data)).tolist() == [0, 1, 3]
 
 
 def test_restricted_snapshot_is_full_with_exact_zeros_outside_live_set():
     superop, dm = mechanical_storage(default_params(), (4, 5))
-    live = live_coordinates(superop.matrix, vec(dm.data), 20)
+    live = live_coordinates(superop, vec(dm.data))
     traj = evolve(dm, superop, TimeGrid(20.0, 5),
                   EvolveOptions(snapshot_times=(10.0, 20.0)))
     assert traj.n_live == live.size == 25
@@ -418,12 +421,84 @@ def test_symmetry_blocks_of_the_presets():
         assert len(traj.block_sizes) == n_blocks
         assert max(traj.block_sizes) == largest
     superop, dm = build_problem(preset("fig2-combined"))
-    blocks = symmetry_blocks(superop.matrix)
+    blocks = symmetry_blocks(superop.row, superop.col, 900)
     k = np.arange(900)
     coherence = k % 30 - k // 30  # m - m' of the coordinate m + 30 m'
     for idx in blocks:
         assert np.all(np.diff(idx) > 0)
         assert np.unique(coherence[idx]).size == 1
+
+
+def test_evolve_makes_a_product_with_the_matrix_a_caller_gives():
+    # a caller's scipy matrix is kept and multiplied at least once (a check
+    # that L rho(0) stays on the live coordinates), so a matrix type that
+    # counts its products sees the generator used; the run is the run of
+    # the package's own generator, bit for bit
+    class CountingMatrix(sp.csr_matrix):
+        products = 0
+
+        def __matmul__(self, other):
+            self.products += 1
+            return super().__matmul__(other)
+
+    superop, dm = build_problem(preset("fig4"))
+    grid = TimeGrid(20.0, 101)
+    counting = CountingMatrix(superop.matrix)
+    traj = evolve(dm, Superoperator(superop.dims, counting), grid)
+    assert counting.products >= 1
+    assert np.array_equal(traj.amplitudes, evolve(dm, superop, grid).amplitudes)
+
+
+def test_symmetry_blocks_match_scipy_connected_components():
+    # the label propagation against scipy's weakly connected components:
+    # the full generators of the presets (on the dense path and, for
+    # optical storage, on the other), and random patterns with isolated
+    # coordinates, chains and one-way entries
+    def scipy_blocks(matrix):
+        n_blocks, labels = connected_components(matrix != 0, directed=True, connection="weak")
+        order = np.argsort(labels, kind="stable")
+        return np.split(order, np.cumsum(np.bincount(labels, minlength=n_blocks))[:-1])
+
+    sweep = preset("fig7")
+    configs = [preset("fig2-combined"), preset("fig4"), preset("harmonic-check"),
+               replace(preset("fig4"), storage_mode=0),
+               *(sweep.point_config(value) for value in sweep.values)]
+    patterns = [build_problem(config)[0].matrix for config in configs]
+    rng = np.random.default_rng(5)
+    for n, density in ((1, 1.0), (7, 0.0), (40, 0.02), (200, 0.004), (300, 0.01)):
+        patterns.append(sp.random(n, n, density=density, format="csr", random_state=rng))
+    patterns.append(sp.diags([np.ones(59)], [1], shape=(60, 60), format="csr"))
+    for matrix in patterns:
+        coo = matrix.tocoo()
+        got = symmetry_blocks(coo.row.astype(np.intp), coo.col.astype(np.intp), matrix.shape[0])
+        expected = scipy_blocks(matrix)
+        assert len(got) == len(expected)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+
+def test_dense_exponential_matches_scipy_on_the_preset_blocks(monkeypatch):
+    # the numpy Pade exponential of every step and jump block that the
+    # dense path builds for these presets, against scipy.linalg.expm (Al-Mohy
+    # & Higham, SIMAX 31, 970, 2009); relative to the block's largest entry
+    # or 1, the largest differences measured are 1.6e-15 at the step and
+    # 9.7e-14 at the jump, where both square 6 or 7 times
+    built = []
+    original = EVOLVE._block_exp
+    monkeypatch.setattr(EVOLVE, "_block_exp",
+                        lambda dense, gap: built.append((dense, gap)) or original(dense, gap))
+    sweep = preset("fig7")
+    worst = {"step": 0.0, "jump": 0.0}
+    for config in (preset("fig2-combined"), preset("fig4"),
+                   *(sweep.point_config(value) for value in sweep.values)):
+        built.clear()
+        traj, _ = simulate(config)
+        assert [gap for _, gap in built] == [traj.times[1], traj.times[EVOLVE.SAMPLE_BLOCK]]
+        for kind, (dense, gap) in zip(("step", "jump"), built):
+            for block in dense:
+                got, expected = EVOLVE._expm(block * gap), scipy.linalg.expm(block * gap)
+                gap_to_scipy = np.max(np.abs(got - expected)) / max(1.0, np.max(np.abs(expected)))
+                worst[kind] = max(worst[kind], gap_to_scipy)
+    assert worst["step"] < 4e-15 and worst["jump"] < 2e-13
 
 
 def thermal_combined_kerr():
@@ -444,6 +519,8 @@ def test_dense_path_agrees_with_expm_multiply_on_thermal_combined_kerr(monkeypat
     for traj in (dense, action):
         assert traj.n_rejected == 0 and traj.n_steps == 121
         assert traj.max_hermiticity_error < 1e-13
+    # the populations, the one self-mirror block, stay real on the dense path
+    assert dense.max_hermiticity_error == 0.0
     for a, b in ((dense.amplitudes[0], action.amplitudes[0]),
                  (dense.trace, action.trace), (dense.purity, action.purity),
                  (dense.coherent_overlap, action.coherent_overlap)):
@@ -503,15 +580,18 @@ def test_block_larger_than_the_dense_limit_selects_expm_multiply(monkeypatch):
 
 
 def test_dense_blocks_are_the_slices_of_the_generator(monkeypatch):
-    # one scatter of the restricted generator's entries gives each kept
-    # block bitwise as two sparse slices of it do
+    # one scatter of the kept generator's entries gives each kept block
+    # bitwise as two sparse slices of it do
     original = EVOLVE._dense_blocks
     checked = []
 
-    def sliced(lmat, kept_blocks):
-        dense = original(lmat, kept_blocks)
-        for idx, block in zip(kept_blocks, dense, strict=True):
-            assert block.tobytes() == lmat[idx][:, idx].toarray().tobytes()
+    def sliced(row, col, data, sizes):
+        dense = original(row, col, data, sizes)
+        n = sum(sizes)
+        kept = sp.csr_matrix((data, (row, col)), shape=(n, n))
+        ends = np.cumsum(sizes)
+        for a, b, block in zip(ends - sizes, ends, dense, strict=True):
+            assert block.tobytes() == kept[a:b][:, a:b].toarray().tobytes()
         checked.append(len(dense))
         return dense
 
@@ -534,19 +614,29 @@ def built(monkeypatch):
     return gaps
 
 
+def branch_calls(monkeypatch) -> list:
+    """The shape of the stacked rows of every ``_branch`` call, in call order."""
+    shapes = []
+    original = EVOLVE._branch
+    monkeypatch.setattr(EVOLVE, "_branch",
+                        lambda *args: shapes.append(args[-2].shape) or original(*args))
+    return shapes
+
+
 def test_one_step_propagator_serves_every_step(monkeypatch, built):
     acted = []
     monkeypatch.setattr(EVOLVE, "expm_multiply",
                         lambda a, z: acted.append(a.shape) or expm_multiply(a, z))
+    branched = branch_calls(monkeypatch)
     superop, dm = thermal_combined_kerr()
     grid = TimeGrid(4.0, 9)
     traj = evolve(dm, superop, grid, EvolveOptions(snapshot_times=(1.2,)))
     # eight steps of 0.5 along the samples by one propagator, built once; the
     # branch from the sample at 1.0 to the snapshot builds no propagator but
-    # acts once on the kept vector
+    # acts once on the kept vector, by a Taylor series and not by scipy
     assert traj.path == "expm" and traj.n_steps == 9
     assert built == [0.5]
-    assert acted == [(traj.n_propagated, traj.n_propagated)]
+    assert acted == [] and branched == [(1, traj.n_propagated)]
 
 
 @pytest.mark.parametrize("n, n_built", [(1, 0), (2, 1), (EVOLVE.SAMPLE_BLOCK, 1),
@@ -612,13 +702,15 @@ def test_trajectory_does_not_depend_on_snapshots(monkeypatch, max_dense_block, p
 
 @pytest.mark.parametrize("max_dense_block, path", [(300, "expm"), (0, "expm_multiply")])
 def test_off_grid_branches_are_one_stacked_action(monkeypatch, max_dense_block, path):
-    # every off-grid snapshot is advanced from its base sample by one
-    # expm_multiply call on the stacked rows after the loop; each still
-    # matches exp(L gap) of its own base state
+    # every off-grid snapshot is advanced from its base sample by one action
+    # on the stacked rows after the loop: a Taylor series on the dense path,
+    # one expm_multiply call on the other; each still matches exp(L gap) of
+    # its own base state
     monkeypatch.setattr(EVOLVE, "MAX_DENSE_BLOCK", max_dense_block)
     calls = []
     monkeypatch.setattr(EVOLVE, "expm_multiply",
                         lambda a, z: calls.append(a.shape) or expm_multiply(a, z))
+    branched = branch_calls(monkeypatch)
     superop, dm = thermal_combined_kerr()
     grid = TimeGrid(30.0, 150)
     times = grid.times
@@ -627,15 +719,20 @@ def test_off_grid_branches_are_one_stacked_action(monkeypatch, max_dense_block, 
     traj = evolve(dm, superop, grid, EvolveOptions(snapshot_times=(*off_grid, times[99])))
     steps = 0 if path == "expm" else times.size - 1
     n = traj.n_propagated
-    assert traj.path == path and len(calls) == steps + 1
-    assert calls[-1] == (len(off_grid) * n, len(off_grid) * n)
+    assert traj.path == path
+    if path == "expm":
+        assert calls == [] and branched == [(len(off_grid), n)]
+    else:
+        assert len(calls) == steps + 1 and branched == []
+        assert calls[-1] == (len(off_grid) * n, len(off_grid) * n)
     assert traj.n_steps == times.size - 1 + len(off_grid)
     # the base samples as on-grid snapshots, which no call branches; the
     # on-grid snapshot is the same copy of its sample in both runs
     calls.clear()
+    branched.clear()
     base = times[np.searchsorted(times, off_grid, side="right") - 1]
     bases = evolve(dm, superop, grid, EvolveOptions(snapshot_times=(*base, times[99])))
-    assert len(calls) == steps and bases.n_steps == times.size - 1
+    assert len(calls) == steps and branched == [] and bases.n_steps == times.size - 1
     branched, started = dict(traj.snapshots), dict(bases.snapshots)
     assert np.array_equal(branched[times[99]].data, started[times[99]].data)
     generator = superop.matrix.toarray()
@@ -644,7 +741,7 @@ def test_off_grid_branches_are_one_stacked_action(monkeypatch, max_dense_block, 
     for t, t0 in zip(off_grid, base.tolist()):
         expected = unvec(scipy.linalg.expm(generator * (t - t0)) @ vec(started[t0].data), d)
         worst = max(worst, float(np.max(np.abs(branched[t].data - expected))))
-    # largest difference measured: 4.2e-16 (expm), 5.5e-16 (expm_multiply)
+    # largest difference measured: 1.1e-16 on both paths
     assert worst < 2e-15
 
 
@@ -697,12 +794,12 @@ def test_sample_block_jumps_match_the_per_sample_chain(monkeypatch, built):
     plain.append(evolve(dm, superop, grid, on_grid))
     assert jumped.path == stepped.path == "expm"
     assert jumped.n_steps == stepped.n_steps == 199 + 2
-    # the dense propagators keep every sample Hermitian bitwise; the two
-    # off-grid snapshots branch by expm_multiply, whose rounding the error
-    # records (largest measured: 2.7e-17)
+    # the dense propagators keep every sample Hermitian bitwise, and so does
+    # the Taylor series of the two off-grid branches: the self-mirror block
+    # (the populations) is real
     assert [traj.max_hermiticity_error for traj in plain] == [0.0, 0.0]
-    assert 0.0 < jumped.max_hermiticity_error < 1e-16
-    assert 0.0 < stepped.max_hermiticity_error < 1e-16
+    assert jumped.max_hermiticity_error == 0.0
+    assert stepped.max_hermiticity_error == 0.0
     # largest difference measured: 4.4e-15
     for name in ("amplitudes", "trace", "purity", "coherent_overlap"):
         assert np.max(np.abs(getattr(jumped, name) - getattr(stepped, name))) < 2e-14

@@ -4,6 +4,9 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -613,6 +616,57 @@ def test_cli_negative_zero_snapshot_time_is_zero(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == [
         "config.txt", "wigner_t0.000_mode0.dat", "wigner_t10.000_mode0.dat"]
     assert "snapshots = 0.0, 10.0\n" in (out / "config.txt").read_text()
+
+
+# imports the CLI, runs the benchmark's three commands in that process and
+# prints the scipy modules loaded after the import and after the runs
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+import optomem.cli as cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+after_import = scipy_modules()
+out = sys.argv[1]
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["wigner-snapshots", "--preset", "fig2-combined", "--out", out + "/fig2"])
+    cli.main(["simulate", "--preset", "fig4", "--out", out + "/fig4"])
+    cli.main(["revival-report", "--run", out + "/fig4"])
+    cli.main(["sweep", "--preset", "fig7", "--threads", "1", "--out", out + "/fig7"])
+print(json.dumps([after_import, scipy_modules()]))
+"""
+
+
+def test_default_path_loads_no_scipy(tmp_path):
+    # every preset the benchmark runs stays on the dense path, which needs
+    # numpy alone; scipy.signal (peak finding) and scipy.special were the
+    # first modules kept off it
+    src = str(Path(runner.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(tmp_path)],
+                         env=env, capture_output=True, text=True, check=True)
+    after_import, after_runs = json.loads(out.stdout)
+    assert "scipy.signal" not in after_import and "scipy.special" not in after_import
+    assert after_import == [] and after_runs == []
+    assert (tmp_path / "fig7" / "sweep_summary.csv").exists()
+
+
+def test_run_snapshots_names_a_negative_zero_time_zero(tmp_path):
+    # a library caller's -0.0 is not parsed from text; it used to write
+    # wigner_t-0.000_mode0.dat
+    config = replace(preset("fig2-combined"), dims=(8,), snapshot_times=(-0.0, 10.0))
+    paths = run_snapshots(config, tmp_path / "out")
+    assert [p.name for p in paths] == ["wigner_t0.000_mode0.dat", "wigner_t10.000_mode0.dat"]
+
+
+def test_sweep_spec_refuses_zero_and_negative_zero():
+    # a library caller's -0.0 is not parsed from text; it used to validate
+    # and name the point bath_temp_-0
+    spec = preset("fig7")
+    assert spec.point_dir(-0.0) == spec.point_dir(0.0) == "bath_temp_0"
+    with pytest.raises(ValueError, match="bath_temp_0"):
+        SweepSpec("bath_temp", (0.0, -0.0), spec.base).validate()
 
 
 def test_cli_sweep_refuses_zero_and_negative_zero(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import scipy.sparse as sp
 import pytest
 
-from helpers import random_density, random_hermitian
+from helpers import random_density, random_hermitian, scipy_kron_lindblad
 
 from optomem.config import OMEGA_C_DEFAULT, default_params, preset
 from optomem.fock import HilbertDims, QOperator, annihilation, embed
@@ -222,7 +222,7 @@ def test_combined_kerr_generator_matches_manual():
     superop = combined_kerr_liouvillian(params, 8)
     n = np.diag(np.arange(8)).astype(complex)
     h = QOperator(HilbertDims((8,)), params.omega_m * n + 0.02 * n @ n)
-    manual = commutator_superop(h) + dissipator(annihilation(8), params.gamma_m, 0.0).matrix
+    manual = commutator_superop(h).matrix + dissipator(annihilation(8), params.gamma_m, 0.0).matrix
     assert np.max(np.abs((superop.matrix - manual).toarray())) < 1e-14
 
 
@@ -241,7 +241,7 @@ def test_commutator_convention():
     superop = commutator_superop(QOperator(HilbertDims((4,)), h))
     ident = np.eye(4)
     expected = -1j * (np.kron(ident, h) - np.kron(h.T, ident))
-    assert np.max(np.abs(superop.toarray() - expected)) < 1e-14
+    assert np.max(np.abs(superop.matrix.toarray() - expected)) < 1e-14
 
 
 def _assert_same_csr(got, ref):
@@ -254,12 +254,12 @@ def _assert_same_csr(got, ref):
 def test_kron_is_scipy_kron_bit_for_bit():
     rng = np.random.default_rng(11)
 
-    def random_csr(rows, cols, density):
+    def random_dense(rows, cols, density):
         values = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
         values[rng.random((rows, cols)) >= density] = 0.0
         if density < 1.0:
             values[rows // 2] = 0.0
-        return sp.csr_matrix(values)
+        return values
 
     # sparse factors with an empty row, 1 x 1 factors on either side, and
     # full ones, which scipy multiplies as a block sparse matrix
@@ -267,9 +267,14 @@ def test_kron_is_scipy_kron_bit_for_bit():
               ((6, 3), 0.5, (1, 1), 1.0), ((20, 20), 0.1, (9, 9), 0.2),
               ((4, 7), 0.3, (2, 3), 1.0)]
     for shape_a, density_a, shape_b, density_b in shapes:
-        a, b = random_csr(*shape_a, density_a), random_csr(*shape_b, density_b)
-        assert a.nnz and b.nnz
-        _assert_same_csr(kron(a, b), sp.kron(a, b).tocsr())
+        a, b = random_dense(*shape_a, density_a), random_dense(*shape_b, density_b)
+        assert np.count_nonzero(a) and np.count_nonzero(b)
+        row, col, data = kron(a, b)
+        # the entries in canonical order, as scipy stores them
+        order = np.lexsort((col, row))
+        got = sp.csr_matrix((data[order], col[order], np.searchsorted(row[order], np.arange(
+            a.shape[0] * b.shape[0] + 1))), shape=(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]))
+        _assert_same_csr(got, sp.kron(sp.csr_matrix(a), sp.csr_matrix(b)).tocsr())
 
 
 def test_generators_are_assembled_bit_for_bit_as_with_scipy_kron(monkeypatch):
@@ -279,6 +284,6 @@ def test_generators_are_assembled_bit_for_bit_as_with_scipy_kron(monkeypatch):
     configs = [preset("fig2-combined"), preset("fig4"), preset("harmonic-check"),
                *(sweep.point_config(value) for value in sweep.values)]
     built = [build_problem(config)[0].matrix for config in configs]
-    monkeypatch.setattr(module, "kron", lambda a, b: sp.kron(a, b).tocsr())
+    monkeypatch.setattr(module, "lindblad", scipy_kron_lindblad)
     for config, matrix in zip(configs, built, strict=True):
         _assert_same_csr(matrix, build_problem(config)[0].matrix)

@@ -1,8 +1,4 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +6,6 @@ from scipy.signal import find_peaks
 
 from helpers import kerr_amplitude_closed_form
 
-import optomem
 from optomem import revival
 from optomem.config import PRESETS, SweepSpec
 from optomem.runner import simulate
@@ -201,14 +196,3 @@ def test_find_peaks_matches_scipy_on_every_preset(monkeypatch):
     for x, prominence, distance in calls:
         for p, d in ((prominence, distance), (0.0, 1), (0.25 * prominence, 3)):
             assert np.array_equal(finder(x, p, d), scipy_peaks(x, p, d))
-
-
-def test_cli_import_leaves_scipy_signal_unloaded():
-    src = str(Path(optomem.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, optomem.cli; print('scipy.signal' in sys.modules, 'scipy.special' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.strip() == "False False"
