@@ -79,6 +79,14 @@ class RunConfig:
             )
         if not 0 <= self.storage_mode < len(self.dims):
             raise ValueError(f"storage_mode {self.storage_mode} out of range")
+        if min(self.dims) < 1:
+            raise ValueError(f"dims must give every mode at least 1 level, got {self.dims}")
+        if self.dims[self.storage_mode] < 2:
+            # like alpha == 0: one level holds only the vacuum
+            raise ValueError(
+                f"dims must give the storage mode at least 2 levels, got {self.dims} "
+                f"with storage_mode {self.storage_mode}: one level holds only the vacuum"
+            )
         if not (math.isfinite(self.alpha.real) and math.isfinite(self.alpha.imag)):
             raise ValueError("alpha must be finite")
         if self.alpha == 0:

@@ -19,6 +19,16 @@ in term order) and summed with one ``np.add.reduceat``.  numpy alone
 builds it; scipy is loaded only when a caller reads
 :attr:`Superoperator.matrix`.
 
+Given the initial state, :func:`lindblad` lists only the columns of the
+coordinates that rho(0) can reach: its support, closed under rho_ij <->
+rho_ji and under the d x d nonzero patterns of K and of each jump
+(:func:`_reachable`).  Each stored entry is then the full generator's,
+bit for bit, and L rho(t) never leaves those coordinates.  The two-mode
+run with the optical mode in vacuum at zero temperature keeps 180 of the
+58 599 entries; a combined-Kerr coherent state reaches every column, and
+its generator is the full one.  Without a state every column is listed,
+by the same code.
+
 Two generator assemblies are provided: the literal two-mode optomechanical
 generator (optical Kerr mode radiation-pressure-coupled to an anharmonic
 mechanical mode, each with its own thermal dissipator) and an effective
@@ -47,6 +57,7 @@ from .fock import (
     embed,
     number,
 )
+from .states import DensityMatrix
 
 # 1 atomic unit of temperature expressed in Kelvin (hbar = k_B = 1).
 KELVIN_PER_ATOMIC_UNIT = 3.1577464e5
@@ -204,46 +215,134 @@ def hamiltonian(params: SystemParams, dims) -> QOperator:
     return h
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The nonzero entries ``(row, col, data)`` of ``a kron b`` for dense matrices.
+def entries(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero entries ``(i, j, a[i, j])`` of a dense matrix, row-major."""
+    i, j = np.nonzero(a)
+    return i, j, a[i, j]
 
-    The product of a[i, j] and b[k, l] sits at (i p + k, j q + l) for a
-    p x q ``b``; the products are listed by a's nonzeros in row-major order,
-    each with all of b's, also in row-major order.
+
+def kron(a, b, shape: tuple[int, int],
+         active: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero entries ``(row, col, data)`` of A kron B, for matrices
+    given by their nonzero entries ``a`` and ``b`` (as :func:`entries`
+    lists them), B of ``shape`` (p, q).
+
+    The product of A[i, j] and B[k, l] sits at (i p + k, j q + l); the
+    products are listed by a's entries, each with all of b's.  Given a
+    boolean ``active`` over the q columns of both factors, only the
+    products with ``active[j]`` and ``active[l]`` are listed, in the same
+    order.
     """
-    ia, ja = np.nonzero(a)
-    ib, jb = np.nonzero(b)
-    p, q = b.shape
+    (ia, ja, va), (ib, jb, vb) = a, b
+    if active is not None:
+        ia, ja, va = (x[active[ja]] for x in (ia, ja, va))
+        ib, jb, vb = (x[active[jb]] for x in (ib, jb, vb))
+    p, q = shape
     return (((ia * p)[:, None] + ib).ravel(), ((ja * q)[:, None] + jb).ravel(),
-            (a[ia, ja][:, None] * b[ib, jb]).ravel())
+            (va[:, None] * vb).ravel())
 
 
-def lindblad(h: QOperator, jumps: Sequence[tuple[float, QOperator]]) -> Superoperator:
+def _reachable(k: tuple[np.ndarray, np.ndarray], jumps: list[tuple[np.ndarray, np.ndarray]],
+               rho: np.ndarray) -> np.ndarray:
+    """The d x d mask of the entries rho_ij that a generator can make
+    nonzero from ``rho``, given the positions ``(i, j)`` of the nonzero
+    entries of its K (``k``) and of each of its jump operators c (``jumps``).
+
+    The support of ``rho``, closed under rho_ij <-> rho_ji, is closed under
+    the terms of :func:`lindblad`: rho_ij feeds (K rho)_i'j where
+    K[i', i] != 0, (rho K^dag)_ij' where K[j', j] != 0, and
+    (c rho c^dag)_i'j' where c[i', i] != 0 and c[j', j] != 0.  With T the
+    reflexive transitive closure of K's pattern, found by squaring, a round
+    is S <- T S T^T and then S <- S + c S c^T for each jump c in turn, until
+    a round adds nothing; each step keeps S symmetric.  The patterns are
+    0/1 float32 matrices, so a step is two BLAS products, and a sum of such
+    products is positive exactly where one of its terms is.
+    """
+    support = rho != 0
+    support |= support.T
+    if support.all():
+        return support
+
+    def pattern(at):
+        out = np.zeros(rho.shape, dtype=np.float32)
+        out[at] = 1
+        return out
+
+    step = pattern(k)
+    np.fill_diagonal(step, 1)
+    while True:
+        longer = np.minimum(step @ step, 1)
+        if np.count_nonzero(longer) == np.count_nonzero(step):
+            break
+        step = longer
+    hops = [pattern(at) for at in jumps]
+    s = support.astype(np.float32)
+    while True:
+        reached = np.count_nonzero(s)
+        s = np.minimum(step @ s @ step.T, 1)
+        for hop in hops:
+            s += hop @ s @ hop.T
+            np.minimum(s, 1, out=s)
+        if np.count_nonzero(s) == reached:
+            return s > 0
+
+
+def lindblad(h: QOperator, jumps: Sequence[tuple[float, QOperator]],
+             rho0: DensityMatrix | None = None) -> Superoperator:
     """The GKSL generator of Hamiltonian ``h`` and jumps ``(rate, c)``.
 
     L = I kron K + conj(K) kron I + sum_k r_k conj(c_k) kron c_k with
     K = -i H - (1/2) sum_k r_k c_k^dag c_k.  The entries at one position
     are summed in this order of the terms, and a sum that is exactly 0 is
-    not stored.
+    not stored.  Given ``rho0``, only the columns of the coordinates that
+    rho(0) can reach (:func:`_reachable`, column-stacked) are listed, and
+    each entry there is the full generator's, bit for bit: L rho never
+    leaves those coordinates, so the generator evolves rho(0) as the full
+    one does.  Without it every column is listed.
     """
     d = h.dims.total_dim
     k = -1j * h.data
     for rate, c in jumps:
         k = k - (0.5 * rate) * (c.data.conj().T @ c.data)
-    ident = np.eye(d)
-    terms = [kron(ident, k), kron(k.conj(), ident)]
-    for rate, c in jumps:
-        row, col, data = kron(c.data.conj(), c.data)
+    # the nonzero entries of each factor, found once: conj(K) and conj(c)
+    # have K's and c's positions
+    ident = (np.arange(d), np.arange(d), np.ones(d))
+    ik, jk, vk = entries(k)
+    hops = [entries(c.data) for _, c in jumps]
+    # the columns kept (None: all) and the indices that the reached rho_ij
+    # use (active): kron lists the columns j d + l with j and l active,
+    # and the unreached ones among them are dropped after the sums
+    columns = active = None
+    if rho0 is not None:
+        if rho0.dims != h.dims:
+            raise ValueError(
+                f"dimension mismatch: state {rho0.dims.dims} vs generator {h.dims.dims}"
+            )
+        reach = _reachable((ik, jk), [(i, j) for i, j, _ in hops], rho0.data)
+        if not reach.all():
+            columns = vec(reach)
+            active = reach.any(axis=0)
+    shape = (d, d)
+    terms = [kron(ident, (ik, jk, vk), shape, active),
+             kron((ik, jk, vk.conj()), ident, shape, active)]
+    for (rate, _), (i, j, v) in zip(jumps, hops):
+        row, col, data = kron((i, j, v.conj()), (i, j, v), shape, active)
         terms.append((row, col, rate * data))
     row, col, data = (np.concatenate(parts) for parts in zip(*terms))
     key = row * (d * d) + col
     order = np.argsort(key, kind="stable")
     key = key[order]
-    first = np.flatnonzero(np.diff(key, prepend=-1))
+    # the first product at each position
+    starts = np.ones(key.size, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=starts[1:])
+    first = np.flatnonzero(starts)
     summed = np.add.reduceat(data[order], first) if first.size else data[:0]
+    at = order[first]
+    col = col[at]
     stored = summed != 0
-    at = order[first[stored]]
-    return Superoperator(h.dims, (row[at], col[at], summed[stored]))
+    if columns is not None:
+        stored &= columns[col]
+    return Superoperator(h.dims, (row[at[stored]], col[stored], summed[stored]))
 
 
 def _thermal_jumps(c: QOperator, gamma: float, n_th: float) -> list[tuple[float, QOperator]]:
@@ -267,8 +366,12 @@ def dissipator(c_op: QOperator, gamma: float, n_th: float) -> Superoperator:
     return lindblad(zero, _thermal_jumps(c_op, gamma, n_th))
 
 
-def liouvillian(params: SystemParams, dims) -> Superoperator:
-    """Full two-mode generator: -i[H, .] plus one thermal dissipator per mode."""
+def liouvillian(params: SystemParams, dims,
+                rho0: DensityMatrix | None = None) -> Superoperator:
+    """Full two-mode generator: -i[H, .] plus one thermal dissipator per mode.
+
+    Given ``rho0``, only the columns that it can reach (see :func:`lindblad`).
+    """
     dims = as_dims(dims)
     if dims.n_modes != 2:
         raise ValueError(f"liouvillian expects two modes, got {dims.n_modes}")
@@ -278,15 +381,17 @@ def liouvillian(params: SystemParams, dims) -> Superoperator:
         if gamma > 0:
             lower = embed(annihilation(dims.dims[mode]), mode, dims)
             jumps += _thermal_jumps(lower, gamma, occupation())
-    return lindblad(hamiltonian(params, dims), jumps)
+    return lindblad(hamiltonian(params, dims), jumps, rho0)
 
 
-def combined_kerr_liouvillian(params: SystemParams, n: int) -> Superoperator:
+def combined_kerr_liouvillian(params: SystemParams, n: int,
+                              rho0: DensityMatrix | None = None) -> Superoperator:
     """Effective single-mode generator for the combined system.
 
     One Kerr mode with anharmonicity chi = k_c + k_m at the storage-mode
     frequency omega_m, damped at gamma_m against a bath with occupation
-    taken at omega_m.
+    taken at omega_m.  Given ``rho0``, only the columns that it can reach
+    (see :func:`lindblad`).
     """
     chi = params.k_c + params.k_m
     num = number(n)
@@ -294,4 +399,4 @@ def combined_kerr_liouvillian(params: SystemParams, n: int) -> Superoperator:
     jumps = []
     if params.gamma_m > 0:
         jumps = _thermal_jumps(annihilation(n), params.gamma_m, params.n_mech())
-    return lindblad(h, jumps)
+    return lindblad(h, jumps, rho0)

@@ -61,17 +61,22 @@ def build_problem(config: RunConfig) -> tuple[Superoperator, DensityMatrix]:
 
     One entry in ``dims`` selects the combined-Kerr generator, two the
     two-mode one; the storage mode starts coherent, every other in vacuum.
+    The generator holds only the columns of the coordinates that rho(0)
+    can reach (see ``liouvillian.lindblad``): the full generator's entries
+    there, bit for bit, and none elsewhere, so it evolves rho(0) exactly as
+    the full one does (on ``fig4`` 180 of 58 599 entries).
     """
     config.validate()
-    if len(config.dims) == 1:
-        superop = combined_kerr_liouvillian(config.params, config.dims[0])
-    else:
-        superop = liouvillian(config.params, config.dims)
     kets = [
         coherent_ket(config.alpha, d) if mode == config.storage_mode else vacuum_ket(d)
         for mode, d in enumerate(config.dims)
     ]
-    return superop, product_dm(kets)
+    rho0 = product_dm(kets)
+    if len(config.dims) == 1:
+        superop = combined_kerr_liouvillian(config.params, config.dims[0], rho0)
+    else:
+        superop = liouvillian(config.params, config.dims, rho0)
+    return superop, rho0
 
 
 def simulate(config: RunConfig) -> tuple[Trajectory, RevivalReport]:

@@ -25,7 +25,13 @@ from scipy.special import gammaln
 
 from optomem.evolve import EvolveOptions, TimeGrid, Trajectory, evolve
 from optomem.fock import QOperator, annihilation, embed, expectation
-from optomem.liouvillian import Superoperator, unvec, vec
+from optomem.liouvillian import (
+    Superoperator,
+    combined_kerr_liouvillian,
+    liouvillian,
+    unvec,
+    vec,
+)
 
 
 def coherent_coeffs(alpha: complex, n: int) -> np.ndarray:
@@ -103,12 +109,14 @@ def coherent_overlap(rho, alpha: complex, mode: int = 0) -> float:
     return float(np.real(c.conj() @ reduced @ c))
 
 
-def scipy_kron_lindblad(h, jumps):
+def scipy_kron_lindblad(h, jumps, rho0=None):
     """The GKSL generator of Hamiltonian ``h`` and jumps ``(rate, c)`` as
     scipy builds it: I kron K + conj(K) kron I + sum_k r_k conj(c_k) kron c_k
     with K = -i H - (1/2) sum_k r_k c_k^dag c_k, each product by
     ``scipy.sparse.kron`` and the sum by CSR additions, in that order.
+    Every column: ``rho0`` must be None.
     """
+    assert rho0 is None
     d = h.dims.total_dim
     k = -1j * h.data
     for rate, c in jumps:
@@ -118,6 +126,14 @@ def scipy_kron_lindblad(h, jumps):
     for rate, c in jumps:
         total = total + rate * sp.kron(sp.csr_matrix(c.data.conj()), sp.csr_matrix(c.data))
     return Superoperator(h.dims, total.tocsr())
+
+
+def full_generator(config):
+    """A config's generator with every column: the call that
+    ``runner.build_problem`` makes, without the initial state."""
+    if len(config.dims) == 1:
+        return combined_kerr_liouvillian(config.params, config.dims[0])
+    return liouvillian(config.params, config.dims)
 
 
 def generator_check(superop, rho, dt: float) -> float:

@@ -12,6 +12,7 @@ from scipy.sparse.linalg import expm_multiply
 from helpers import (
     coherent_coeffs,
     evolve_rk4,
+    full_generator,
     generator_check,
     kerr_amplitude,
     kerr_amplitude_closed_form,
@@ -463,7 +464,7 @@ def test_symmetry_blocks_match_scipy_connected_components():
     configs = [preset("fig2-combined"), preset("fig4"), preset("harmonic-check"),
                replace(preset("fig4"), storage_mode=0),
                *(sweep.point_config(value) for value in sweep.values)]
-    patterns = [build_problem(config)[0].matrix for config in configs]
+    patterns = [full_generator(config).matrix for config in configs]
     rng = np.random.default_rng(5)
     for n, density in ((1, 1.0), (7, 0.0), (40, 0.02), (200, 0.004), (300, 0.01)):
         patterns.append(sp.random(n, n, density=density, format="csr", random_state=rng))
@@ -1029,3 +1030,30 @@ def test_initial_deviation_outside_the_self_mirror_blocks_is_reported():
     rho0 = DensityMatrix(QOperator(dm.dims, data))
     traj = evolve(rho0, superop, TimeGrid(1.0, 2))
     assert traj.max_hermiticity_error == np.max(np.abs(rho0.data - rho0.data.conj().T)) > 4e-11
+
+
+def test_evolve_on_the_restricted_generator_is_evolve_on_the_full_one():
+    # build_problem's generator holds only the columns rho(0) reaches; the
+    # run on it is the run on the full generator, bit for bit, on both
+    # paths and with a warm optical bath, whose reachable set is larger
+    warm = replace(preset("fig4"), dims=(3, 4), params=THERMAL)
+    configs = [preset("fig2-combined"), preset("fig4"), preset("harmonic-check"),
+               preset("fig7").point_config(3.0), warm,
+               replace(preset("fig4"), dims=(4, 10), storage_mode=0)]
+    for config, path in zip(configs, ["expm"] * 5 + ["expm_multiply"], strict=True):
+        restricted, rho0 = build_problem(config)
+        grid = TimeGrid(config.resolved_horizon(), 150)
+        opts = EvolveOptions(snapshot_times=(0.0, 10.0, grid.span / 3, grid.span),
+                             overlap_alpha=config.alpha, overlap_mode=config.storage_mode)
+        if path == "expm_multiply":
+            grid, opts.snapshot_times = TimeGrid(20.0, 41), (0.0, 7.5, 20.0)
+        got = evolve(rho0, restricted, grid, opts)
+        want = evolve(rho0, full_generator(config), grid, opts)
+        assert got.path == path
+        for name in ("times", "amplitudes", "trace", "purity", "coherent_overlap"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        for (s, a), (t, b) in zip(got.snapshots, want.snapshots, strict=True):
+            assert s == t and a.data.tobytes() == b.data.tobytes()
+        for name in ("n_live", "block_sizes", "n_propagated", "n_steps",
+                     "max_hermiticity_error", "max_trace_drift"):
+            assert getattr(got, name) == getattr(want, name)

@@ -237,6 +237,15 @@ def test_cli_model_follows_from_dims(tmp_path):
         assert (tmp_path / "fig4" / name).read_bytes() == (tmp_path / "fig2" / name).read_bytes()
 
 
+@pytest.mark.parametrize("command", ["simulate", "wigner-snapshots"])
+def test_cli_one_level_storage_mode_writes_nothing(tmp_path, command):
+    # it used to evolve every sample and only then fail in revival detection
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="storage mode at least 2 levels"):
+        main([command, "--preset", "fig2-combined", "--out", str(out), "--override", "dims=1"])
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("override", [
     "params.gamma_m=nan", "params.k_c=inf", "params.bath_temp=inf", "params.g0=nan",
 ])
@@ -273,6 +282,15 @@ def test_cli_simulate_refuses_a_snapshot_outside_the_horizon(tmp_path):
     with pytest.raises(ValueError, match="snapshot times"):
         main(["simulate", "--preset", "fig4", "--out", str(out), "--override", "snapshots=1000"])
     assert not out.exists()
+
+
+def test_run_config_refuses_a_one_level_storage_mode():
+    # |<a>(0)| is 0 on a one-level storage mode, as at alpha == 0; and a
+    # mode needs at least one level
+    for dims, storage_mode in (((1,), 0), ((10, 1), 1), ((0,), 0), ((0, 10), 1)):
+        with pytest.raises(ValueError, match="dims must give"):
+            small_run_config(dims=dims, storage_mode=storage_mode).validate()
+    small_run_config(dims=(1, 2)).validate()
 
 
 def test_wigner_mode_validation():

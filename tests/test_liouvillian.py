@@ -1,20 +1,22 @@
 import math
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import scipy.sparse as sp
 import pytest
 
-from helpers import random_density, random_hermitian, scipy_kron_lindblad
+from helpers import full_generator, random_density, random_hermitian, scipy_kron_lindblad
 
-from optomem.config import OMEGA_C_DEFAULT, default_params, preset
+from optomem.config import OMEGA_C_DEFAULT, PRESET_NAMES, SweepSpec, default_params, preset
 from optomem.fock import HilbertDims, QOperator, annihilation, embed
 from optomem.liouvillian import (
     SystemParams,
     combined_kerr_liouvillian,
     commutator_superop,
     dissipator,
+    entries,
     hamiltonian,
     kelvin_to_au,
     kron,
@@ -24,7 +26,7 @@ from optomem.liouvillian import (
     vec,
 )
 from optomem.runner import build_problem
-from optomem.states import DensityMatrix, product_dm, vacuum_ket
+from optomem.states import DensityMatrix, coherent_ket, product_dm, vacuum_ket
 
 # mean mechanical bath occupation at 30 mK for the reference omega_m,
 # pinned from direct evaluation of 1/expm1(omega/T)
@@ -269,7 +271,7 @@ def test_kron_is_scipy_kron_bit_for_bit():
     for shape_a, density_a, shape_b, density_b in shapes:
         a, b = random_dense(*shape_a, density_a), random_dense(*shape_b, density_b)
         assert np.count_nonzero(a) and np.count_nonzero(b)
-        row, col, data = kron(a, b)
+        row, col, data = kron(entries(a), entries(b), b.shape)
         # the entries in canonical order, as scipy stores them
         order = np.lexsort((col, row))
         got = sp.csr_matrix((data[order], col[order], np.searchsorted(row[order], np.arange(
@@ -283,7 +285,105 @@ def test_generators_are_assembled_bit_for_bit_as_with_scipy_kron(monkeypatch):
     sweep = preset("fig7")
     configs = [preset("fig2-combined"), preset("fig4"), preset("harmonic-check"),
                *(sweep.point_config(value) for value in sweep.values)]
-    built = [build_problem(config)[0].matrix for config in configs]
+    built = [full_generator(config).matrix for config in configs]
     monkeypatch.setattr(module, "lindblad", scipy_kron_lindblad)
     for config, matrix in zip(configs, built, strict=True):
-        _assert_same_csr(matrix, build_problem(config)[0].matrix)
+        _assert_same_csr(matrix, full_generator(config).matrix)
+
+
+# A two-mode model whose warm optical bath feeds the optical levels, so that
+# more than the storage mode's coordinates are reachable.
+WARM = SystemParams(omega_c=0.5, omega_m=0.3, k_c=0.02, k_m=0.02, g0=0.03,
+                    gamma_c=0.05, gamma_m=0.05, bath_temp=3e5)
+
+
+def _every_run_config():
+    """Every preset run and sweep point, and optical storage."""
+    configs = [replace(preset("fig4"), storage_mode=0)]
+    for name in PRESET_NAMES:
+        spec = preset(name)
+        configs += ([spec.point_config(value) for value in spec.values]
+                    if isinstance(spec, SweepSpec) else [spec])
+    return configs
+
+
+def _walked_columns(h, jumps, rho: np.ndarray) -> np.ndarray:
+    """The coordinates of vec(rho) reachable from rho's support, by a
+    walk over the pairs (i, j): rho_ij feeds rho_i'j and rho_ji' where
+    K[i', i] or K[j', j] is nonzero, and rho_i'j' where c[i', i] and
+    c[j', j] are, for K = -i H - (1/2) sum_k r_k c_k^dag c_k, each pair
+    with its transpose."""
+    k = -1j * h.data
+    for rate, c in jumps:
+        k = k - (0.5 * rate) * (c.data.conj().T @ c.data)
+    d = k.shape[0]
+
+    def targets(m):
+        return [np.flatnonzero(m[:, i]).tolist() for i in range(d)]
+
+    k_to, c_to = targets(k), [targets(c.data) for _, c in jumps]
+    seen = set()
+    todo = [(int(i), int(j)) for i, j in zip(*np.nonzero(rho))]
+    while todo:
+        i, j = todo.pop()
+        if (i, j) in seen:
+            continue
+        seen |= {(i, j), (j, i)}
+        todo += [(a, j) for a in k_to[i]] + [(i, b) for b in k_to[j]] + [(j, i)]
+        todo += [(a, b) for to in c_to for a in to[i] for b in to[j]]
+    reach = np.zeros((d, d), dtype=bool)
+    reach[tuple(np.array(sorted(seen)).T)] = True
+    return np.flatnonzero(vec(reach))
+
+
+def test_restricted_generator_is_the_full_one_in_the_reachable_columns(monkeypatch):
+    # every generator built with a state: those of the presets, sweep points
+    # and optical storage, one with a warm optical bath, and a jump-free
+    # one whose commutator diagonal cancels to exactly 0 in every column
+    module = sys.modules["optomem.liouvillian"]
+    calls = []
+    lindblad = module.lindblad
+
+    def recorded(h, jumps, rho0=None):
+        calls.append((h, jumps, rho0))
+        return lindblad(h, jumps, rho0)
+
+    monkeypatch.setattr(module, "lindblad", recorded)
+    for config in _every_run_config():
+        build_problem(config)
+    liouvillian(WARM, HilbertDims((4, 5)), product_dm([vacuum_ket(4), coherent_ket(1.0, 5)]))
+    # levels {0, 1} and {2, 3, 4} uncoupled: rho_00 reaches 4 of 25 columns
+    h = np.diag([0.3, 1.1, 2.0, 0.7, 1.9]).astype(complex)
+    h[0, 1] = h[1, 0] = 0.25
+    h[2, 4] = h[4, 2] = 0.5
+    h = QOperator(HilbertDims((5,)), h)
+    restricted = lindblad(h, [], product_dm([vacuum_ket(5)]))
+    calls.append((h, [], product_dm([vacuum_ket(5)])))
+    # the diagonal sums of rho_00 and rho_11 are exactly 0 and not stored
+    assert restricted.data.size == 10
+    assert len(calls) == len(_every_run_config()) + 2
+    sizes = []
+    for h, jumps, rho0 in calls:
+        reach = _walked_columns(h, jumps, rho0.data)
+        full = lindblad(h, jumps)
+        got = lindblad(h, jumps, rho0)
+        kept = np.isin(full.col, reach)
+        assert np.array_equal(got.row, full.row[kept]) and np.array_equal(got.col, full.col[kept])
+        assert got.data.tobytes() == full.data[kept].tobytes()
+        sizes.append((got.data.size, full.data.size))
+    # optical storage leaves out a few columns, the warm bath many
+    assert sizes[0] == (57_933, 58_599)
+    assert sizes[-2:] == [(618, 2_322), (10, 60)]
+
+
+def test_build_problem_lists_only_the_entries_that_rho0_reaches():
+    counts = {name: build_problem(preset(name))[0].data.size
+              for name in ("fig2-combined", "fig4", "harmonic-check")}
+    assert counts == {"fig2-combined": 1_740, "fig4": 180, "harmonic-check": 90}
+    assert full_generator(preset("fig4")).data.size == 58_599
+    assert full_generator(preset("harmonic-check")).data.size == 42_300
+
+
+def test_lindblad_refuses_a_state_of_other_dims():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        liouvillian(_params(), HilbertDims((3, 4)), product_dm([vacuum_ket(4), vacuum_ket(3)]))
