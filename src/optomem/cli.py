@@ -66,7 +66,10 @@ def _load(args: argparse.Namespace):
     if bool(args.preset) == bool(args.config):
         raise SystemExit("exactly one of --preset or --config is required")
     if args.preset:
-        obj = preset(args.preset)
+        try:
+            obj = preset(args.preset)
+        except KeyError as exc:
+            raise SystemExit(exc.args[0]) from None
         flat = sweep_to_flat(obj) if isinstance(obj, SweepSpec) else config_to_flat(obj)
     else:
         flat = parse_config_text(Path(args.config).read_text())
@@ -131,6 +134,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_revival_report(args: argparse.Namespace) -> int:
     run_dir = Path(args.run)
+    for name in ("config.txt", "trajectory.csv"):
+        if not (run_dir / name).is_file():
+            raise SystemExit(f"{run_dir / name} not found; revival-report reads a `simulate` run")
     flat = parse_config_text((run_dir / "config.txt").read_text())
     config = _require_single(load_object(flat))
     columns = read_trajectory_csv(run_dir / "trajectory.csv")

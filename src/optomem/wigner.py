@@ -18,14 +18,15 @@ Laguerre-Gauss function of (x, p) of order m + n, so for an N-level state
 for a, b < K = 2N - 1, where psi_a are the orthonormal Hermite functions
 and U^M[m, a] = (-1)^(M-m) d^{M/2}[m, a] is a real orthogonal
 (M+1) x (M+1) matrix, d^j the Wigner small-d matrix of spin j at angle
-pi/2 with rows and columns indexed from the top weight.  The matrices of
-all shells come together from one three-term recurrence along their
-columns (``_shell_rotations``).  The map rho -> C is block diagonal by
-shell M = m + n and has O(N^3) entries (27 000 at N = 30), held as index
-arrays.  ``wigner_map`` builds it and the two Phi once; each grid is then
-one sparse product (a gather and one ``np.bincount``) and two small
-dense ones (0.2 ms on the default 201 x 201 grid, 2-vCPU Xeon
-VM, one BLAS thread).  A state's field depends only on that state.
+pi/2 with rows and columns indexed from the top weight.  U^M is symmetric
+and U^M[r, M-c] = (-1)^(M+r) U^M[r, c], so only its columns c <= M/2 are
+built, for all shells at once by one three-term recurrence
+(``_shell_rotations``).  The map rho -> C is block diagonal by shell
+M = m + n and has N^3 entries (27 000 at N = 30), held as index arrays.
+``wigner_map`` builds it and the two Phi once; each grid is then one
+sparse product (a gather and one ``np.bincount``) and two small dense ones
+(0.2 ms on the default 201 x 201 grid, 2-vCPU Xeon VM, one BLAS thread).
+A state's field depends only on that state.
 
 The error is absolute, not relative.  Against a 40-digit evaluation of
 Fock |N-1> at N = 30, 60 and 90 (every 7th point of the default grid and of
@@ -168,7 +169,7 @@ def _hermite_functions(s: np.ndarray, k: int) -> np.ndarray:
 
 
 def _shell_rotations(top: int) -> np.ndarray:
-    """U^M for M = 0..``top``, zero padded: U^M is ``u[M, :M+1, :M+1]``.
+    """Columns c <= M/2 of U^M, M = 0..``top``, zero padded: ``u[M, c]`` is column c.
 
     U^M is symmetric, and with S the symmetric tridiagonal matrix with
     S[c, c+1] = sqrt((c+1)(M-c)) and Z = diag(M - 2r), U^M S = -Z U^M (the
@@ -180,28 +181,24 @@ def _shell_rotations(top: int) -> np.ndarray:
     from U[r, 0] = (-1)^(M-r) 2^(-M/2) sqrt(C(M, r)), a running product
     over r.  It runs over the first half of the columns, c <= M/2, for
     every shell and row at once, where it grows with each row's solution
-    and is stable; U[r, M-c] = (-1)^(M+r) U[r, c] gives the second half.
-    Against the eigendecomposition of the rotation generator kept in the
-    tests, every shell up to 178 agrees to 8.2e-15.
+    and is stable; the second half, U[r, M-c] = (-1)^(M+r) U[r, c], is not
+    stored.  Against the eigendecomposition of the rotation generator kept
+    in the tests, every shell up to 178 agrees to 8.2e-15.
     """
     t = top + 1
     shell = np.arange(t)
-    # u[M, c] is column c of U^M, and so also its row c
-    u = np.zeros((t, t, t))
+    u = np.zeros((t, top // 2 + 1, t))
     factors = np.empty((t, t))
     factors[:, 0] = (-1.0) ** shell * 2.0 ** (-0.5 * shell)
     factors[:, 1:] = -np.sqrt(np.maximum(shell[:, None] - shell[:-1], 0) / (shell[:-1] + 1.0))
     u[:, 0] = np.cumprod(factors, axis=1)
-    twice_r_less_m = 2.0 * shell - shell[:, None]
     for c in range(top // 2):
         lo = 2 * c + 2  # the shells whose column c + 1 is in their first half
         m = shell[lo:, None]
-        column = twice_r_less_m[lo:] * u[lo:, c]
+        column = (2.0 * shell - m) * u[lo:, c]
         if c:
             column -= np.sqrt(c * (m - c + 1.0)) * u[lo:, c - 1]
         u[lo:, c + 1] = column / np.sqrt((c + 1.0) * (m - c))
-    m, c = np.nonzero((shell > shell[:, None] // 2) & (shell <= shell[:, None]))
-    u[m, c] = u[m, m - c] * (1 - 2 * ((m[:, None] + shell) & 1))
     return u
 
 
@@ -214,8 +211,10 @@ def _shell_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     (-i)^b is real for even b and imaginary for odd b,
     C_ab = pi^(-1/2) sum_{m+n=a+b} (-1)^(b//2) U^{a+b}[m, a] x_mn, where x_mn
     is Re rho_mn for even b and Im rho_mn for odd b.  The map is block
-    diagonal by shell M = m + n = a + b, with O(n^3) entries, listed row by
-    row and, within a row, in increasing m.
+    diagonal by shell M = m + n = a + b, with n^3 entries, listed row by
+    row and, within a row, in increasing m.  U^M[m, a] = U^M[a, m] is read
+    from column m of ``_shell_rotations`` where 2m <= M, and from column
+    M - m with the sign (-1)^(M+a) = (-1)^b where 2m > M.
     """
     k = 2 * n - 1
     shells = np.add.outer(np.arange(k), np.arange(k)).ravel()
@@ -225,8 +224,9 @@ def _shell_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     m = first[rows] + np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
     a, b = np.divmod(rows, k)
     shell = a + b
-    # (-1)^(b//2) is -1 where b has its bit of value 2 set
-    values = np.where(b & 2, -1.0, 1.0) * _shell_rotations(k - 1)[shell, m, a] / np.sqrt(np.pi)
+    mirrored = 2 * m > shell  # read from column M - m, with the sign (-1)^b
+    rotations = _shell_rotations(k - 1)[shell, np.where(mirrored, shell - m, m), a]
+    values = np.where(((b >> 1) ^ (b & mirrored)) & 1, -1.0, 1.0) * rotations / np.sqrt(np.pi)
     return rows, 2 * (m * n + shell - m) + b % 2, values
 
 

@@ -767,6 +767,28 @@ def test_cli_revival_report_refuses_a_config_with_a_mode_line(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_cli_revival_report_refuses_a_snapshot_run(tmp_path, capsys):
+    # a wigner-snapshots directory holds config.txt but no trajectory.csv;
+    # the report used to die with a FileNotFoundError traceback
+    out = tmp_path / "snap"
+    main(["wigner-snapshots", "--preset", "fig2-combined", "--out", str(out),
+          "--override", "dims=8,", "--override", "snapshots=0"])
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["revival-report", "--run", str(out)])
+    assert exc.value.code == f"{out / 'trajectory.csv'} not found; revival-report reads a `simulate` run"
+    assert capsys.readouterr().out == ""
+
+
+def test_cli_unknown_preset_is_refused_and_writes_nothing(tmp_path):
+    # it used to end in a KeyError traceback from config.preset
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--preset", "nosuch", "--out", str(out)])
+    assert exc.value.code == f"unknown preset 'nosuch'; available: {', '.join(sorted(PRESET_NAMES))}"
+    assert not out.exists()
+
+
 def test_cli_errors(tmp_path):
     with pytest.raises(SystemExit):
         main(["simulate", "--out", str(tmp_path)])

@@ -1,3 +1,5 @@
+import functools
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -340,14 +342,58 @@ def test_shell_rotations_match_gauss_hermite_quadrature():
         minus = hermite_functions(shell + 1, (s - t) / np.sqrt(2.0))
         quad = (w * plus * minus[::-1]) @ (hermite_functions(shell + 1, s)
                                            * hermite_functions(shell + 1, t)[::-1]).T
-        assert np.max(np.abs(WIGNER._shell_rotations(shell)[shell] - quad)) <= 5e-15
+        half = WIGNER._shell_rotations(shell)[shell]
+        assert half.shape == (shell // 2 + 1, shell + 1)
+        assert np.max(np.abs(half - quad[:, :shell // 2 + 1].T)) <= 5e-15
+
+
+@functools.cache
+def _reference_rotation(shell):
+    # the full U^M of the eigendecomposition helper, shared by the shell tests
+    return shell_rotation(shell)
 
 
 def test_shell_recursion_matches_the_eigendecomposition_up_to_n_90():
-    # every shell of an n = 90 table, zero padded to the largest; largest
-    # difference measured: 8.2e-15 (8.3e-15 by the spin-1/2 recursion)
+    # the first half of the columns of every shell of an n = 90 table, zero
+    # padded to the largest; largest difference measured: 8.2e-15 (8.3e-15
+    # by the spin-1/2 recursion)
     rotations = WIGNER._shell_rotations(178)
-    assert rotations.shape == (179, 179, 179)
+    assert rotations.shape == (179, 90, 179)
     for shell, u in enumerate(rotations):
-        assert np.max(np.abs(u[:shell + 1, :shell + 1] - shell_rotation(shell))) <= 1e-14
-        assert not u[shell + 1:].any() and not u[:, shell + 1:].any()
+        half = shell // 2 + 1
+        reference = _reference_rotation(shell)
+        assert np.max(np.abs(u[:half, :shell + 1] - reference[:, :half].T)) <= 1e-14
+        assert not u[half:].any() and not u[:, shell + 1:].any()
+
+
+@pytest.mark.parametrize("n", [2, 3, 30, 60, 90])
+def test_shell_table_matches_the_eigendecomposition(n):
+    # every entry, those read from column M - m by the sign rule included,
+    # against C_ab = pi^(-1/2) sum_{m+n=a+b} (-1)^(b//2) U^{a+b}[m, a] x_mn
+    # built entry by entry from the full matrices; largest difference
+    # measured: 4.2e-15 (n = 90)
+    k = 2 * n - 1
+    rows, columns, values = [], [], []
+    for a in range(k):
+        for b in range(k):
+            shell = a + b
+            m = np.arange(max(0, shell - n + 1), min(shell, n - 1) + 1)
+            rows.append(np.full(m.size, a * k + b))
+            columns.append(2 * (m * n + shell - m) + b % 2)
+            values.append((-1) ** (b // 2) * _reference_rotation(shell)[m, a] / np.sqrt(np.pi))
+    got_rows, got_columns, got_values = WIGNER._shell_table(n)
+    np.testing.assert_array_equal(got_rows, np.concatenate(rows))
+    np.testing.assert_array_equal(got_columns, np.concatenate(columns))
+    assert np.max(np.abs(got_values - np.concatenate(values))) <= 1e-14
+
+
+def test_wigner_map_60_peak_memory():
+    # tracemalloc peak measured: 18.6 MiB, 33.0 MiB while every shell
+    # matrix was held in full
+    tracemalloc.start()
+    try:
+        wigner_map(60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2 ** 20
