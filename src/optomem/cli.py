@@ -10,8 +10,9 @@ Subcommands:
 
 A run is selected either by ``--preset NAME`` or ``--config FILE``; dotted
 keys can be adjusted with repeated ``--override key=value`` flags.
-``sweep --threads`` sets how many sweep points run at once, one worker
-process each, by default one per CPU this process may use.
+``sweep --threads`` sets how many sweep points run at once, by default one
+per CPU this process may use: the calling process runs a share of them and
+forked child processes the rest (Linux only; elsewhere they run inline).
 """
 
 from __future__ import annotations
@@ -72,7 +73,11 @@ def _load(args: argparse.Namespace):
             raise SystemExit(exc.args[0]) from None
         flat = sweep_to_flat(obj) if isinstance(obj, SweepSpec) else config_to_flat(obj)
     else:
-        flat = parse_config_text(Path(args.config).read_text())
+        try:
+            text = Path(args.config).read_text()
+        except OSError as exc:
+            raise SystemExit(f"{args.config}: cannot read --config: {exc.strerror}") from None
+        flat = parse_config_text(text)
     for item in args.override:
         if "=" not in item:
             raise SystemExit(f"--override expects KEY=VALUE, got {item!r}")
@@ -173,8 +178,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a parameter sweep")
     _add_run_flags(p)
     p.add_argument("--threads", type=_positive_int, default=_usable_cpus(),
-                   help="how many sweep points run at once, one worker process each "
-                        "(default: the %(default)s CPUs this process may use)")
+                   help="how many sweep points run at once, this process and forked "
+                        "children each running a share; Linux only, elsewhere one "
+                        "at a time (default: the %(default)s CPUs this process may use)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("revival-report", help="recompute the report of a finished run")

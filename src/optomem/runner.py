@@ -9,8 +9,10 @@ Outputs per run directory:
 * ``wigner_t<...>.dat``   -- self-describing grid text files (snapshot runs)
 
 ``run_sweep`` takes ``threads``, how many sweep points run at once, never
-more than there are points; they run on a process pool (``_pool_map``,
-inline for one worker), since ``evolve`` holds the GIL for most of a point.
+more than there are points, since ``evolve`` holds the GIL for most of a
+point.  ``_pool_map`` runs a share of them in the calling process and
+forks a child for each other share; one worker, or a platform other than
+Linux, runs them all inline.
 ``run_snapshots`` runs in the calling thread: it evolves the run, builds
 the Wigner table once (``wigner.wigner_map``), then evaluates, renders and
 writes the grids one snapshot at a time.
@@ -35,10 +37,15 @@ one-mode (combined) run has zeros in the ``b`` columns.
 from __future__ import annotations
 
 import json
+import os
+import pickle
+import signal
+import sys
+import traceback
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -383,17 +390,86 @@ def run_snapshots(config: RunConfig, out_dir: Path) -> list[Path]:
 
 
 def _pool_map(fn, jobs: list, threads: int) -> list:
-    """``[fn(job) for job in jobs]``, on a process pool when ``threads > 1``.
+    """``[fn(job) for job in jobs]`` on ``min(threads, len(jobs))`` workers.
 
-    The pool has at most one worker per job, and results come back in job
-    order.  With one worker (or ``threads < 1``) the jobs run inline in this
-    process.
+    Worker ``w`` of ``W`` runs jobs ``w, w + W, ...``.  The calling process
+    is worker 0; every other worker is a forked child that pickles its
+    results, or its first failure, into a pipe and leaves by ``os._exit``.
+    Each pipe is read to EOF before its child is reaped, so a result of any
+    size comes back, and every child is reaped on every path.  Results come
+    back in job order; a failure is re-raised as the lowest-index failing
+    job's, with its type and message.  One worker (or ``threads < 1``) runs
+    the jobs inline, as does any platform but Linux: Windows has no fork,
+    and macOS system frameworks are not fork-safe.
     """
-    workers = min(threads, len(jobs))
+    workers = min(threads, len(jobs)) if sys.platform == "linux" else 1
     if workers <= 1:
         return [fn(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
+    children = []  # (pid, read end) of each child not yet reaped
+    try:
+        for w in range(1, workers):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child_share(fn, jobs[w::workers], write)
+            os.close(write)
+            children.append((pid, open(read, "rb")))
+        shares = [(*_share(fn, jobs[::workers]), None)]  # this process's, no trace
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del children[0]
+            code = os.waitstatus_to_exitcode(status)
+            shares.append(pickle.loads(data) if data else ([], RuntimeError(
+                f"forked worker {pid} exited with code {code} and sent no results"), None))
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    failures = [(w + len(results) * workers, exc, trace)
+                for w, (results, exc, trace) in enumerate(shares) if exc is not None]
+    if failures:
+        _, exc, trace = min(failures, key=lambda failure: failure[0])
+        if trace is None:
+            raise exc
+        raise exc from RuntimeError(f"raised in a forked worker:\n{trace}")
+    ordered = [None] * len(jobs)
+    for w, (results, _, _) in enumerate(shares):
+        ordered[w::workers] = results
+    return ordered
+
+
+def _share(fn, jobs: list) -> tuple[list, Exception | None]:
+    """A worker's results up to its first failure, and that failure."""
+    results = []
+    try:
+        for job in jobs:
+            results.append(fn(job))
+    except Exception as exc:
+        return results, exc
+    return results, None
+
+
+def _child_share(fn, jobs: list, write: int) -> NoReturn:
+    """Run a forked worker's ``jobs``, pickle its share into ``write``, exit.
+
+    A failure travels with its formatted traceback, which pickling drops.
+    Whatever keeps the share from being sent is printed to stderr, and the
+    child exits with code 1.
+    """
+    try:
+        results, exc = _share(fn, jobs)
+        trace = None if exc is None else "".join(traceback.format_exception(exc))
+        data = pickle.dumps((results, exc, trace))
+        with open(write, "wb") as sink:
+            sink.write(data)
+    except BaseException:  # not re-raised: the child must never unwind into the caller's stack
+        traceback.print_exc()
+        os._exit(1)
+    os._exit(0)
 
 
 def _sweep_point(args) -> tuple[float, RevivalReport]:

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -505,7 +506,7 @@ def small_snapshot_config() -> RunConfig:
     return cfg
 
 
-def test_run_snapshots_pool_matches_serial(tmp_path):
+def test_run_snapshots_writes_one_grid_per_time(tmp_path):
     cfg = small_snapshot_config()
     paths = run_snapshots(cfg, tmp_path / "snap")
     # one grid per snapshot time, in the order of the times
@@ -514,35 +515,119 @@ def test_run_snapshots_pool_matches_serial(tmp_path):
     assert sorted(_digests(tmp_path / "snap")) == sorted(["config.txt", *names])
 
 
+def counted_forks(monkeypatch) -> list:
+    """The pids ``os.fork`` returns to this process from now on."""
+    pids, fork = [], os.fork
+
+    def counting_fork():
+        pids.append(fork())
+        return pids[-1]
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_pool_is_capped_at_the_job_count(tmp_path, monkeypatch):
-    sizes = []
-
-    class InlinePool:
-        """Stand-in for a process pool: records its size, runs inline."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", InlinePool)
+    forks = counted_forks(monkeypatch)
     base = small_run_config(dims=(6,), storage_mode=0)
     base.horizon = 330.0
     base.n_samples = 120
     spec = SweepSpec("gamma", (1e-5, 1e-3), base)
-    # a process per sweep point
+    # a worker per sweep point, this process being one of them
     run_sweep(spec, tmp_path / "sweep", threads=64)
-    assert sizes == [2]
-    # one worker never starts a pool
+    assert len(forks) == 1
+    # one worker forks nothing
     run_sweep(spec, tmp_path / "one", threads=1)
-    assert sizes == [2]
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_pool_runs_inline_outside_linux(monkeypatch):
+    forks = counted_forks(monkeypatch)
+    monkeypatch.setattr(sys, "platform", "darwin")
+    assert runner._pool_map(lambda job: os.getpid(), [0, 1, 2], 3) == [os.getpid()] * 3
+    assert forks == []
+
+
+def test_pool_keeps_job_order_at_every_worker_count(monkeypatch):
+    forks = counted_forks(monkeypatch)
+    jobs = list(range(7))
+    for threads in range(1, len(jobs) + 2):
+        before = len(forks)
+        results = runner._pool_map(lambda job: (job, os.getpid()), jobs, threads)
+        assert [job for job, _ in results] == jobs
+        # job j ran on worker j % workers; worker 0 is this process
+        pids = [os.getpid(), *forks[before:]]
+        workers = len(pids)
+        assert workers == min(threads, len(jobs))
+        assert [pid for _, pid in results] == [pids[job % workers] for job in jobs]
+    assert_no_child_left()
+
+
+def test_pool_returns_results_larger_than_a_pipe_buffer():
+    # a child blocks on a full pipe until its result is read
+    results = runner._pool_map(lambda job: np.full(100_000, job), [1.0, 2.0, 3.0], 3)
+    assert [r.nbytes for r in results] == [800_000] * 3
+    assert [float(r.sum()) for r in results] == [1e5, 2e5, 3e5]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("failing, raised", [
+    ({1}, 1),     # in the child's share
+    ({2}, 2),     # in this process's share
+    ({1, 2}, 1),  # the lowest index wins, wherever it ran
+    ({2, 3}, 2),
+])
+def test_pool_raises_the_lowest_failing_job(failing, raised):
+    def job(index):
+        if index in failing:
+            raise LookupError(f"job {index} failed")
+        return index
+
+    # with 2 workers jobs 0 and 2 run in this process, 1 and 3 in the child
+    with pytest.raises(LookupError) as exc:
+        runner._pool_map(job, [0, 1, 2, 3], 2)
+    assert str(exc.value) == f"job {raised} failed"
+    # a child's failure carries its traceback from the child
+    if raised % 2:
+        assert "LookupError: job 1 failed" in str(exc.value.__cause__)
+    assert_no_child_left()
+
+
+def test_pool_names_a_child_that_sends_nothing():
+    parent = os.getpid()
+
+    def job(index):
+        if os.getpid() != parent:
+            os._exit(3)
+        return index
+
+    with pytest.raises(RuntimeError, match="exited with code 3 and sent no results"):
+        runner._pool_map(job, [0, 1], 2)
+    assert_no_child_left()
+
+
+def test_pool_kills_its_children_when_this_process_stops():
+    class Stop(BaseException):
+        pass
+
+    parent = os.getpid()
+
+    def job(index):
+        if os.getpid() == parent:
+            raise Stop
+        time.sleep(60)
+
+    start = time.monotonic()
+    with pytest.raises(Stop):
+        runner._pool_map(job, [0, 1, 2], 3)
+    assert time.monotonic() - start < 30
+    assert_no_child_left()
 
 
 def test_invalid_run_creates_no_output_directory(tmp_path):
@@ -637,37 +722,56 @@ def test_cli_negative_zero_snapshot_time_is_zero(tmp_path):
 
 
 # imports the CLI, runs the benchmark's three commands in that process and
-# prints the scipy modules loaded after the import and after the runs
-_SCIPY_PROBE = """
+# prints, for each of the package roots it is given, the modules under it
+# that are loaded after the import and after the runs
+_MODULE_PROBE = """
 import contextlib, io, json, sys
 import optomem.cli as cli
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+out, roots = sys.argv[1], sys.argv[2:]
 
-after_import = scipy_modules()
-out = sys.argv[1]
+def loaded():
+    return {root: sorted(m for m in sys.modules if m.split(".")[0] == root) for root in roots}
+
+after_import = loaded()
 with contextlib.redirect_stdout(io.StringIO()):
     cli.main(["wigner-snapshots", "--preset", "fig2-combined", "--out", out + "/fig2"])
     cli.main(["simulate", "--preset", "fig4", "--out", out + "/fig4"])
     cli.main(["revival-report", "--run", out + "/fig4"])
-    cli.main(["sweep", "--preset", "fig7", "--threads", "1", "--out", out + "/fig7"])
-print(json.dumps([after_import, scipy_modules()]))
+    cli.main(["sweep", "--preset", "fig7", "--threads", "2", "--out", out + "/fig7"])
+print(json.dumps([after_import, loaded()]))
 """
 
 
-def test_default_path_loads_no_scipy(tmp_path):
+@pytest.fixture(scope="module")
+def probed_modules(tmp_path_factory):
+    """The probe's modules after the import and after the runs, and its output."""
+    out = tmp_path_factory.mktemp("probe")
+    src = str(Path(runner.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = subprocess.run(
+        [sys.executable, "-c", _MODULE_PROBE, str(out), "scipy", "concurrent", "multiprocessing"],
+        env=env, capture_output=True, text=True, check=True)
+    after_import, after_runs = json.loads(probe.stdout)
+    return after_import, after_runs, out
+
+
+def test_default_path_loads_no_scipy(probed_modules):
     # every preset the benchmark runs stays on the dense path, which needs
     # numpy alone; scipy.signal (peak finding) and scipy.special were the
     # first modules kept off it
-    src = str(Path(runner.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(tmp_path)],
-                         env=env, capture_output=True, text=True, check=True)
-    after_import, after_runs = json.loads(out.stdout)
-    assert "scipy.signal" not in after_import and "scipy.special" not in after_import
-    assert after_import == [] and after_runs == []
-    assert (tmp_path / "fig7" / "sweep_summary.csv").exists()
+    after_import, after_runs, out = probed_modules
+    assert after_import["scipy"] == [] and after_runs["scipy"] == []
+    assert (out / "fig7" / "sweep_summary.csv").exists()
+
+
+def test_commands_load_no_process_pool_modules(probed_modules):
+    # a sweep forks its workers itself; importing concurrent.futures.process
+    # for them cost every command 10-19 ms at start-up
+    after_import, after_runs, out = probed_modules
+    for root in ("concurrent", "multiprocessing"):
+        assert after_import[root] == [] and after_runs[root] == []
+    assert len(list((out / "fig7").glob("bath_temp_*/trajectory.csv"))) == 4
 
 
 def test_run_snapshots_names_a_negative_zero_time_zero(tmp_path):
@@ -787,6 +891,18 @@ def test_cli_unknown_preset_is_refused_and_writes_nothing(tmp_path):
         main(["simulate", "--preset", "nosuch", "--out", str(out)])
     assert exc.value.code == f"unknown preset 'nosuch'; available: {', '.join(sorted(PRESET_NAMES))}"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_cli_unreadable_config_is_refused_and_writes_nothing(tmp_path, capsys, command):
+    # it used to end in a FileNotFoundError traceback from read_text
+    missing, out = tmp_path / "missing.cfg", tmp_path / "out"
+    for config, reason in [(missing, "No such file or directory"), (tmp_path, "Is a directory")]:
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(config), "--out", str(out)])
+        assert exc.value.code == f"{config}: cannot read --config: {reason}"
+    assert capsys.readouterr().out == ""
+    assert sorted(tmp_path.iterdir()) == []
 
 
 def test_cli_errors(tmp_path):
