@@ -51,21 +51,16 @@ yet it moved <a> from the damped-Kerr closed form by up to 1.0e-13 instead
 of 1.6e-14.
 
 The snapshot branches apply the action exp(L gap) z to kept vectors alone,
-all of a run's branches at once, after the last sample.  On the dense path
-that is a truncated Taylor series of the kept generator's entries
-(:func:`_branch`), in substeps as Al-Mohy & Higham (SISC 33, 488, 2011)
-choose them for one degree.  On the other path, where every step is such an
-action too, scipy's ``expm_multiply`` (the same method) crosses each step
-from an operand L h formed before the first sample, and the branches in one
-call: exp of a block diagonal is the block diagonal of the exps, so the
-base states stacked one after another go to their snapshot times under
-block_diag(L gap_1, L gap_2, ...), which holds one copy of the kept
-generator's entries per off-grid snapshot.  scipy is imported there, on
-first use, and nowhere else in the package.  The cost of an action grows
-with the operand's 1-norm, ||L||_1 times its (largest) gap, and it cannot
-fail, so the run is refused up front, with :class:`IntegrationFailure`,
-when that product exceeds :data:`MAX_ACTION_NORM` for the largest gap it is
-asked to cross.
+all of a run's branches at once, after the last sample; on the other path,
+``"taylor"``, every step is such an action too, one row at gap h.
+:func:`_branch` computes every action: a truncated Taylor series, in
+substeps as Al-Mohy & Higham (SISC 33, 488, 2011) choose them for one
+degree, of the kept generator with each block shifted by its mean diagonal
+(:func:`_action_plan`, built before the first sample when an action runs).
+The cost of an action grows with ||L||_1 times its largest gap, and it
+cannot fail, so the run is refused up front, with
+:class:`IntegrationFailure`, when that product, of the unshifted ||L||_1,
+exceeds :data:`MAX_ACTION_NORM` for the largest gap it is asked to cross.
 
 On both paths every state, the initial one and each snapshot included, is
 re-symmetrised (rho <- (rho + rho^dag)/2) on the self-mirror blocks, and
@@ -77,7 +72,8 @@ the snapshots see is exactly Hermitian.
 The loop fills one block of :data:`SAMPLE_BLOCK` rows at a time with the
 kept vectors of its samples, each re-symmetrised: on the dense path by
 doubling in the first block and by one jump of the whole block after it,
-on the other sample by sample, each row propagated from the one before.
+on the taylor path sample by sample, each row propagated from the one
+before.
 It then copies the row of each snapshot whose last sample at or before it
 lies in the block, and evaluates the block at once on the kept
 coordinates: each observable Tr(A rho) (<a_k> of every mode, the trace,
@@ -184,10 +180,11 @@ class Trajectory:
     # reads it
     n_steps: int = 0
     n_rejected: int = 0
-    # live coordinates of vec(rho), the propagation path ("expm" or
-    # "expm_multiply"), the sizes of the live generator's symmetry blocks
-    # and the coordinates actually advanced (one block of each conjugate
-    # pair); None when the full space was integrated (RK4)
+    # live coordinates of vec(rho), the propagation path ("expm", dense
+    # block propagators, or "taylor", the Taylor action), the sizes of the
+    # live generator's symmetry blocks and the coordinates actually
+    # advanced (one block of each conjugate pair); None when the full space
+    # was integrated (RK4)
     n_live: int | None = None
     path: str | None = None
     block_sizes: tuple[int, ...] | None = None
@@ -195,33 +192,28 @@ class Trajectory:
 
 
 # Largest symmetry block propagated by a dense exp(L_b gap); a larger block
-# sends the whole run to expm_multiply.  A propagator holds sum(s_b^2)
+# sends the whole run to the taylor path.  A propagator holds sum(s_b^2)
 # entries and costs O(s_b^3) to build: at most twice per run, both before
 # the first sample (the step and the block jump), plus the five squarings
 # of the step that fill the first sample block; snapshot branches build
 # none.  Two-mode optical storage at (n, 10), whose largest block is 100 n,
-# 2 000 samples, one thread (2-vCPU Xeon VM), `simulate` with dense blocks
-# vs expm_multiply, median of 3 runs, wall time and peak RSS: largest block
-# 200: 0.056 s / 74 MB vs 1.0 s / 66 MB; 300: 0.24 s / 85 MB vs 1.3 s /
-# 66 MB; 400: 0.40 s / 101 MB vs 1.7 s / 68 MB; 500: 0.84 s / 123 MB vs
-# 1.9 s / 69 MB; 600: 1.5 s / 149 MB vs 2.4 s / 71 MB.  The dense path is
-# faster up to 600 but its memory grows as s_b^2; expm_multiply varies
-# most between runs: 1.0 to 1.2 s at 200, 1.3 to 2.2 s at 300.  Those runs
-# used scipy's expm; with the numpy Pade and no scipy loaded on the dense
-# path (one run each): 200: 0.08 s / 43 MB vs 1.2 s / 65 MB; 300: 0.25 s /
-# 55 MB vs 1.5 s / 65 MB.
+# 2 000 samples, one thread (2-vCPU Xeon VM), fresh `simulate` processes
+# with dense blocks vs the taylor path, 3 runs each in turn, wall time and
+# peak RSS: largest block 300: 0.33-0.42 s / 54 MB vs 0.61-0.67 s / 34 MB;
+# 400: 0.89-0.98 s / 76 MB vs 0.84-1.16 s / 35 MB; 600: 2.1-2.4 s /
+# 138 MB vs 1.2-1.6 s / 40 MB.  The two cross near 400, where the dense
+# path's memory is already twice the other's and grows as s_b^2.
 MAX_DENSE_BLOCK = 300
 
-# Largest ||L||_1 * gap that an action is asked to cross: on the dense
-# path the snapshot branches, whose Taylor series (``_branch``) takes about
-# ||L||_1 times the largest branch gap / 6 substeps; on the other every
-# step and the stacked branches of one expm_multiply call, whose operand
-# has that product as its 1-norm.  One gap costs O(||L||_1 gap) products.
-# One thread (2-vCPU Xeon VM): expm_multiply 1.5 -> 4.9 ms, 1e2 -> 0.10 s
-# and 1e3 -> 0.63 s on the 9 820 live coordinates of two-mode optical
-# storage at (10, 10), and 18 ms at 1e3 and 0.15 s at 1e4 on a 16-dim
-# damped mode; the Taylor series 8.6 ms at 1e2 and 39 ms at 1e3 on that
-# mode.  The presets sit at 0.25 (fig4) to 5.3 (fig2-combined).
+# Largest ||L||_1 * gap that an action (``_branch``) is asked to cross, with
+# the generator's own ||L||_1, not the shifted one the series runs on: on
+# the dense path the snapshot branches, on the taylor path every step and
+# the branches.  One gap costs O(||L||_1 gap) products.  One row, one
+# thread (2-vCPU Xeon VM), best of 3: 1.5 -> 1.7 ms, 1e2 -> 18 ms and
+# 1e3 -> 0.20 s on the 5 410 kept coordinates of two-mode optical storage
+# at (10, 10) (||L||_1 4.86, shifted 1.08); 2.6 ms at 1e2, 25 ms at 1e3 and
+# 0.25 s at 1e4 on a damped 16-dim mode at N = 4, gamma_m = 1 (6.0, shifted
+# 4.5).  The presets sit at 0.25 (fig4) to 5.3 (fig2-combined).
 MAX_ACTION_NORM = 1e3
 
 # Largest |Tr rho(t) - 1| a run may reach.  Both paths are exact, so a
@@ -251,7 +243,7 @@ _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
            33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
 _THETA13 = 5.371920351148152
 
-# The degree of the Taylor polynomial of one branch substep, and the
+# The degree of the Taylor polynomial of one action substep, and the
 # largest ||A||_1 it is applied to: its truncation error is then below
 # 2^-53 in the backward sense (Al-Mohy & Higham, SISC 33, 488, 2011,
 # Table 3.1).  A series stops early, as theirs does, once two terms in a
@@ -314,50 +306,68 @@ def _block_exp(dense: list[np.ndarray], gap: float) -> list[np.ndarray]:
     return [_expm(block * gap) for block in dense]
 
 
-def _slots(row: np.ndarray, col: np.ndarray, data: np.ndarray, n: int):
-    """Canonical entries of an n x n matrix as the columns and values of
-    ``width`` slots of n: slot k holds the k-th entry of every row, and a
-    zero entry where the row has fewer, so a product is one gather per slot.
+def _action_plan(row: np.ndarray, col: np.ndarray, data: np.ndarray, sizes: list[int]):
+    """The kept generator L, with canonical entries ``row``, ``col``,
+    ``data`` and blocks of ``sizes`` along the diagonal, as :func:`_branch`
+    takes it.
+
+    Each block L_b is shifted by its mean diagonal mu_b, which commutes
+    with it: exp(L_b t) = e^(mu_b t) exp((L_b - mu_b) t), and the shifted
+    block has the smaller 1-norm.  L - mu is held in ``width`` slots of n,
+    so that a product is one gather over all slots: slot 0 holds the
+    diagonal, slot k > 0 the k-th off-diagonal entry of every row, and a
+    zero entry where the row has fewer.  Returns the slots' columns and
+    values, mu per block, the block of each coordinate and ||L - mu||_1.
     """
-    place = np.arange(row.size) - np.searchsorted(row, row)
-    width = int(np.max(place, initial=0)) + 1
-    cols = np.zeros((width, n), dtype=np.intp)
-    values = np.zeros((width, n, 1), dtype=data.dtype)
+    n = sum(sizes)
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    on = row == col
+    diagonal = np.zeros(n, dtype=data.dtype)
+    diagonal[row[on]] = data[on]
+    mu = np.add.reduceat(diagonal, np.cumsum([0, *sizes[:-1]])) / sizes
+    row, col, data = row[~on], col[~on], data[~on]
+    place = np.arange(row.size) - np.searchsorted(row, row) + 1
+    cols = np.zeros((int(np.max(place, initial=0)) + 1, n), dtype=np.intp)
+    values = np.zeros((*cols.shape, 1), dtype=data.dtype)
+    cols[0] = np.arange(n)
+    values[0, :, 0] = diagonal - mu[block]
     cols[place, row] = col
     values[place, row, 0] = data
-    return cols, values
+    norm = float(np.max(np.bincount(col, np.abs(data), minlength=n) + np.abs(values[0, :, 0])))
+    return cols, values, mu, block, norm
 
 
-def _branch(row: np.ndarray, col: np.ndarray, data: np.ndarray, norm: float,
-            rows: np.ndarray, gaps: np.ndarray) -> np.ndarray:
-    """exp(L gap_j) z_j for each row z_j of ``rows``, where L is the kept
-    generator with canonical entries ``row``, ``col``, ``data`` and 1-norm
-    ``norm``.
+def _branch(plan, rows: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+    """exp(L gap_j) z_j for each row z_j of ``rows``, where ``plan`` is the
+    kept generator L as :func:`_action_plan` gives it.
 
     Each gap is crossed in s substeps of gap_j / s, s the least with
-    norm * max(gaps) / s <= :data:`_TAYLOR_THETA`, and each substep sums
-    (L gap_j / s)^i z_j / i! up to i = :data:`_TAYLOR_DEGREE`, for every row
-    at once.  The sizes the series stops on are maxima over the real and
-    imaginary parts.
+    ||L - mu||_1 max(gaps) / s <= :data:`_TAYLOR_THETA`.  Each substep sums
+    ((L - mu) gap_j / s)^i z_j / i! up to i = :data:`_TAYLOR_DEGREE`, for
+    every row at once, and multiplies each block's part by
+    e^(mu_b gap_j / s).  The sizes the series stops on are maxima over the
+    real and imaginary parts.
     """
-    cols, values = _slots(row, col, data, rows.shape[1])
+    cols, values, mu, block, norm = plan
     substeps = max(1, math.ceil(norm * float(np.max(gaps)) / _TAYLOR_THETA))
     scale = gaps / substeps
-    z = rows.T.copy()  # one column per branch
+    phase = np.exp(np.multiply.outer(mu, scale))[block]
+    z = rows.T.copy()  # one column per row
     for _ in range(substeps):
         total, term = z.copy(), z
-        last = np.max(np.abs(term.view(np.float64)))
+        last = np.abs(term.view(np.float64)).max()
         for i in range(1, _TAYLOR_DEGREE + 1):
-            product = values[0] * term[cols[0]]
-            for k in range(1, len(cols)):
-                product += values[k] * term[cols[k]]
-            product *= scale / i
-            term = product
+            # one gather over all slots; take is the fast gather along an axis
+            product = term.take(cols, axis=0)
+            product *= values
+            term = product.sum(axis=0)
+            term *= scale / i
             total += term
-            size = np.max(np.abs(term.view(np.float64)))
-            if last + size <= 2.0 ** -53 * np.max(np.abs(total.view(np.float64))):
+            size = np.abs(term.view(np.float64)).max()
+            if last + size <= 2.0 ** -53 * np.abs(total.view(np.float64)).max():
                 break
             last = size
+        total *= phase
         z = total
     return z.T
 
@@ -380,13 +390,6 @@ def _dense_blocks(row: np.ndarray, col: np.ndarray, data: np.ndarray,
     owner = block[row]
     flat[starts[owner] + local[row] * sizes[owner] + local[col]] = data
     return [flat[a:b].reshape(s, s) for a, b, s in zip(starts[:-1], starts[1:], sizes)]
-
-
-def expm_multiply(a, z):
-    """``scipy.sparse.linalg.expm_multiply(a, z)``, importing scipy on first use."""
-    from scipy.sparse.linalg import expm_multiply as action
-
-    return action(a, z)
 
 
 class _KeptObservables:
@@ -533,17 +536,17 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
     exp(L h) from sample to sample: with dense block propagators when no
     block exceeds :data:`MAX_DENSE_BLOCK`, which fill the first block of
     :data:`SAMPLE_BLOCK` samples by doubling and advance each later block
-    at once, and with scipy's ``expm_multiply`` otherwise.  Full density
-    matrices are stored only at ``opts.snapshot_times`` (which must be
-    finite and lie within the grid span), each branched off the last sample
-    at or before it by the action of exp(L gap) on the kept vector, all of
-    them together after the loop (a Taylor series on the dense path, one
-    ``expm_multiply`` call on the other), so the samples do not depend on
-    them.  Raises ValueError when the generator does not preserve
-    Hermiticity, and :class:`IntegrationFailure` when the trace drift is not
-    within :data:`TRACE_DRIFT_LIMIT` or when ||L||_1 times the largest gap
-    that an action crosses (each snapshot branch, and on the
-    ``expm_multiply`` path each step) exceeds :data:`MAX_ACTION_NORM`.
+    at once, and otherwise sample by sample by the action of exp(L h) on
+    the kept vector.  Full density matrices are stored only at
+    ``opts.snapshot_times`` (which must be finite and lie within the grid
+    span), each branched off the last sample at or before it by the action
+    of exp(L gap) on the kept vector, all of them together after the loop,
+    so the samples do not depend on them.  Every action is one
+    :func:`_branch` call.  Raises ValueError when the generator does not
+    preserve Hermiticity, and :class:`IntegrationFailure` when the trace
+    drift is not within :data:`TRACE_DRIFT_LIMIT` or when ||L||_1 times the
+    largest gap that an action crosses (each snapshot branch, and on the
+    taylor path each step) exceeds :data:`MAX_ACTION_NORM`.
     """
     opts = opts or EvolveOptions()
     dims = rho0.dims
@@ -614,8 +617,9 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
     branch_gaps = offsets[branched]
 
     dense_path = max(block_sizes) <= MAX_DENSE_BLOCK
-    # an action crosses the branches, and on the expm_multiply path the step
-    acted = branch_gaps if dense_path else np.append(branch_gaps, h)
+    # an action crosses the branches, and on the taylor path every step
+    acted = branch_gaps if dense_path or n_t == 1 else np.append(branch_gaps, h)
+    # the unshifted ||L||_1: the bound is on the generator as given
     norm = float(np.max(np.bincount(kcol, np.abs(kdata), minlength=kept.size)))
     # one gap costs about ||L||_1 gap products and an action never gives
     # up, so refuse a run it would not finish (NaN included)
@@ -625,14 +629,16 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
             f"{MAX_ACTION_NORM:.0e}; shrink the rates, the sample spacing or the truncation"
         )
 
-    # the propagation plan, fixed before the first sample: on the dense path
-    # the step and the jump blocks, each with the columns of the kept vector
-    # it acts on, and on the other the step operand; None where the dense
-    # path takes no step or jump
+    # the propagation plan, fixed before the first sample: the action when
+    # one runs, and on the dense path the step and the jump blocks, each
+    # with the columns of the kept vector it acts on; None where the run
+    # takes no action, step or jump.  The taylor path goes sample by sample
+    # only: a jump would cross SAMPLE_BLOCK steps at once, so
+    # MAX_ACTION_NORM would refuse runs it admits for one step
+    sizes = [idx.size for idx in kept_blocks]
+    action = _action_plan(krow, kcol, kdata, sizes) if acted.size else None
     step = jumps = None
     if dense_path:
-        path = "expm"
-        sizes = [idx.size for idx in kept_blocks]
         dense = _dense_blocks(krow, kcol, kdata, sizes)
         ends = np.cumsum(sizes).tolist()
         spans = list(zip([0, *ends[:-1]], ends))
@@ -640,15 +646,6 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
             step = list(zip(spans, _block_exp(dense, h)))
         if n_t > SAMPLE_BLOCK:
             jumps = list(zip(spans, _block_exp(dense, times[SAMPLE_BLOCK])))
-    else:
-        import scipy.sparse as sp
-
-        # sample by sample only: a jump would cross SAMPLE_BLOCK steps at
-        # once, so MAX_ACTION_NORM would refuse runs it admits for one step
-        path = "expm_multiply"
-        kmat = sp.csr_matrix((kdata, kcol, np.searchsorted(krow, np.arange(kept.size + 1))),
-                             shape=(kept.size, kept.size))
-        step = kmat * h
 
     amps = np.empty((dims.n_modes, n_t), dtype=np.complex128)
     tr = np.empty(n_t)
@@ -682,7 +679,7 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
         if not dense_path:
             # rows[-1] is the last sample of the full block before
             for j in range(0 if start else 1, k):
-                rows[j] = expm_multiply(step, rows[j - 1])
+                rows[j] = _branch(action, rows[j - 1, None], times[1:2])[0]
                 herm_dev = max(herm_dev, symmetrise(rows[j]))
         elif start:
             # sample i is exp(L times[SAMPLE_BLOCK]) applied to sample
@@ -718,14 +715,9 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
             )
 
     # branched only now, so that a failing trace gate is what a broken run
-    # raises; exp(block_diag(L gap_j)) is block_diag(exp(L gap_j)), so one
-    # expm_multiply call on the stacked base rows crosses every branch
+    # raises; one action on the stacked base rows crosses every branch
     if branch_gaps.size:
-        if dense_path:
-            ends = _branch(krow, kcol, kdata, norm, snap_rows[branched], branch_gaps)
-        else:
-            stack = sp.block_diag([kmat * gap for gap in branch_gaps.tolist()], format="csr")
-            ends = expm_multiply(stack, snap_rows[branched].ravel()).reshape(branch_gaps.size, -1)
+        ends = _branch(action, snap_rows[branched], branch_gaps)
         herm_dev = max(herm_dev, symmetrise(ends))
         snap_rows[branched] = ends
     snapshots = []
@@ -749,7 +741,7 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
         max_trace_drift=float(np.max(np.abs(tr - 1.0))),
         n_steps=n_t - 1 + branch_gaps.size,
         n_live=n,
-        path=path,
+        path="expm" if dense_path else "taylor",
         block_sizes=block_sizes,
         n_propagated=kept.size,
     )

@@ -256,10 +256,10 @@ EXTREME_DECAY = SystemParams(omega_c=0.0, omega_m=1.0, k_c=0.0, k_m=0.0, g0=0.0,
 
 
 def test_action_path_refuses_extreme_rates(monkeypatch):
-    # decay rate 15 orders beyond the horizon scale: expm_multiply would need
+    # decay rate 15 orders beyond the horizon scale: the Taylor action would need
     # about 1e15 products for this gap and never gives up, so the run must
     # fail loudly before the first step instead of spinning
-    monkeypatch.setattr(EVOLVE, "MAX_DENSE_BLOCK", 0)  # force expm_multiply
+    monkeypatch.setattr(EVOLVE, "MAX_DENSE_BLOCK", 0)  # force the taylor path
     superop = combined_kerr_liouvillian(EXTREME_DECAY, 4)
     dm = product_dm([coherent_ket(0.8, 4)])
     start = time.monotonic()
@@ -270,7 +270,7 @@ def test_action_path_refuses_extreme_rates(monkeypatch):
 
 def test_action_path_refuses_nan_generator(monkeypatch):
     # ||L||_1 is NaN, which a "cost > limit" test would let through to
-    # expm_multiply
+    # the Taylor action
     monkeypatch.setattr(EVOLVE, "MAX_DENSE_BLOCK", 0)
     n = 3
     bad = Superoperator(HilbertDims((n,)), sp.csr_matrix(
@@ -281,7 +281,7 @@ def test_action_path_refuses_nan_generator(monkeypatch):
 
 
 def test_exact_path_crosses_extreme_rates_to_closed_form_decay():
-    # the generator expm_multiply refuses: the dense exp(L t) still gives
+    # the generator the taylor path refuses: the dense exp(L t) still gives
     # <a>(t) = <a>(0) exp((-i omega - gamma/2) t), exact in the truncation
     superop = combined_kerr_liouvillian(EXTREME_DECAY, 4)
     dm = product_dm([coherent_ket(0.8, 4)])
@@ -515,7 +515,7 @@ def test_dense_path_agrees_with_expm_multiply_on_thermal_combined_kerr(monkeypat
     dense = evolve(dm, superop, grid, opts)
     monkeypatch.setattr(EVOLVE, "MAX_DENSE_BLOCK", 0)
     action = evolve(dm, superop, grid, opts)
-    assert (dense.path, action.path) == ("expm", "expm_multiply")
+    assert (dense.path, action.path) == ("expm", "taylor")
     # 120 grid gaps, one of them split by the snapshot at 45.25
     for traj in (dense, action):
         assert traj.n_rejected == 0 and traj.n_steps == 121
@@ -575,7 +575,7 @@ def test_block_larger_than_the_dense_limit_selects_expm_multiply(monkeypatch):
     monkeypatch.setattr(EVOLVE, "MAX_DENSE_BLOCK", 11)
     above = evolve(dm, superop, grid)
     assert max(at_limit.block_sizes) == max(above.block_sizes) == 12
-    assert at_limit.path == "expm" and above.path == "expm_multiply"
+    assert at_limit.path == "expm" and above.path == "taylor"
     # one application of exp(L gap) per gap on both paths
     assert at_limit.n_steps == above.n_steps == 5
 
@@ -616,28 +616,26 @@ def built(monkeypatch):
 
 
 def branch_calls(monkeypatch) -> list:
-    """The shape of the stacked rows of every ``_branch`` call, in call order."""
-    shapes = []
+    """The plan, the shape of the stacked rows and the gaps of every
+    ``_branch`` call, in call order."""
+    calls = []
     original = EVOLVE._branch
-    monkeypatch.setattr(EVOLVE, "_branch",
-                        lambda *args: shapes.append(args[-2].shape) or original(*args))
-    return shapes
+    monkeypatch.setattr(EVOLVE, "_branch", lambda plan, rows, gaps: calls.append(
+        (plan, rows.shape, gaps.tolist())) or original(plan, rows, gaps))
+    return calls
 
 
 def test_one_step_propagator_serves_every_step(monkeypatch, built):
-    acted = []
-    monkeypatch.setattr(EVOLVE, "expm_multiply",
-                        lambda a, z: acted.append(a.shape) or expm_multiply(a, z))
     branched = branch_calls(monkeypatch)
     superop, dm = thermal_combined_kerr()
     grid = TimeGrid(4.0, 9)
     traj = evolve(dm, superop, grid, EvolveOptions(snapshot_times=(1.2,)))
     # eight steps of 0.5 along the samples by one propagator, built once; the
     # branch from the sample at 1.0 to the snapshot builds no propagator but
-    # acts once on the kept vector, by a Taylor series and not by scipy
+    # is the run's one action on the kept vector
     assert traj.path == "expm" and traj.n_steps == 9
     assert built == [0.5]
-    assert acted == [] and branched == [(1, traj.n_propagated)]
+    assert [call[1:] for call in branched] == [((1, traj.n_propagated), [1.2 - 1.0])]
 
 
 @pytest.mark.parametrize("n, n_built", [(1, 0), (2, 1), (EVOLVE.SAMPLE_BLOCK, 1),
@@ -665,22 +663,25 @@ def test_dense_plan_builds_the_step_and_the_jump_a_grid_uses(monkeypatch, built,
 
 
 def test_expm_multiply_plan_forms_one_step_operand(monkeypatch, built):
-    # every step acts with the same L h, formed before the first sample,
-    # past two sample blocks and with no dense propagator built
+    # every step is one action on one row at gap h, all with the same plan,
+    # formed before the first sample, past two sample blocks and with no
+    # dense propagator built
     monkeypatch.setattr(EVOLVE, "MAX_DENSE_BLOCK", 0)
-    operands = []
-    monkeypatch.setattr(EVOLVE, "expm_multiply",
-                        lambda a, z: operands.append(a) or expm_multiply(a, z))
+    plans = []
+    original = EVOLVE._action_plan
+    monkeypatch.setattr(EVOLVE, "_action_plan",
+                        lambda *args: plans.append(original(*args)) or plans[-1])
+    branched = branch_calls(monkeypatch)
     superop, dm = thermal_combined_kerr()
     n = 2 * EVOLVE.SAMPLE_BLOCK + 1
     traj = evolve(dm, superop, TimeGrid(0.25 * (n - 1), n))
-    assert traj.path == "expm_multiply" and traj.n_steps == len(operands) == n - 1
-    assert all(a is operands[0] for a in operands)
-    assert operands[0].shape == (traj.n_propagated, traj.n_propagated)
+    assert traj.path == "taylor" and traj.n_steps == len(branched) == n - 1
+    assert len(plans) == 1 and all(plan is plans[0] for plan, _, _ in branched)
+    assert all(call[1:] == ((1, traj.n_propagated), [0.25]) for call in branched)
     assert built == []
 
 
-@pytest.mark.parametrize("max_dense_block, path", [(300, "expm"), (0, "expm_multiply")])
+@pytest.mark.parametrize("max_dense_block, path", [(300, "expm"), (0, "taylor")])
 def test_trajectory_does_not_depend_on_snapshots(monkeypatch, max_dense_block, path):
     # snapshots branch off the sample chain, so asking for them, on sample
     # times or between them, moves no bit of any sampled observable
@@ -701,39 +702,31 @@ def test_trajectory_does_not_depend_on_snapshots(monkeypatch, max_dense_block, p
         assert traj.n_steps == plain.n_steps + off_grid == 149 + off_grid
 
 
-@pytest.mark.parametrize("max_dense_block, path", [(300, "expm"), (0, "expm_multiply")])
+@pytest.mark.parametrize("max_dense_block, path", [(300, "expm"), (0, "taylor")])
 def test_off_grid_branches_are_one_stacked_action(monkeypatch, max_dense_block, path):
     # every off-grid snapshot is advanced from its base sample by one action
-    # on the stacked rows after the loop: a Taylor series on the dense path,
-    # one expm_multiply call on the other; each still matches exp(L gap) of
-    # its own base state
+    # on the stacked rows after the loop, on both paths, the taylor path's
+    # steps being one action each before it; each still matches exp(L gap)
+    # of its own base state
     monkeypatch.setattr(EVOLVE, "MAX_DENSE_BLOCK", max_dense_block)
-    calls = []
-    monkeypatch.setattr(EVOLVE, "expm_multiply",
-                        lambda a, z: calls.append(a.shape) or expm_multiply(a, z))
-    branched = branch_calls(monkeypatch)
+    calls = branch_calls(monkeypatch)
     superop, dm = thermal_combined_kerr()
     grid = TimeGrid(30.0, 150)
     times = grid.times
     # three off-grid times in three sample blocks, one on-grid time
     off_grid = (0.1, 15.5, 29.99)
     traj = evolve(dm, superop, grid, EvolveOptions(snapshot_times=(*off_grid, times[99])))
-    steps = 0 if path == "expm" else times.size - 1
-    n = traj.n_propagated
+    steps = [((1, traj.n_propagated), [times[1]])] * (0 if path == "expm" else times.size - 1)
+    base = times[np.searchsorted(times, off_grid, side="right") - 1]
+    stacked = ((len(off_grid), traj.n_propagated), (np.array(off_grid) - base).tolist())
     assert traj.path == path
-    if path == "expm":
-        assert calls == [] and branched == [(len(off_grid), n)]
-    else:
-        assert len(calls) == steps + 1 and branched == []
-        assert calls[-1] == (len(off_grid) * n, len(off_grid) * n)
+    assert [call[1:] for call in calls] == [*steps, stacked]
     assert traj.n_steps == times.size - 1 + len(off_grid)
     # the base samples as on-grid snapshots, which no call branches; the
     # on-grid snapshot is the same copy of its sample in both runs
     calls.clear()
-    branched.clear()
-    base = times[np.searchsorted(times, off_grid, side="right") - 1]
     bases = evolve(dm, superop, grid, EvolveOptions(snapshot_times=(*base, times[99])))
-    assert len(calls) == steps and branched == [] and bases.n_steps == times.size - 1
+    assert [call[1:] for call in calls] == steps and bases.n_steps == times.size - 1
     branched, started = dict(traj.snapshots), dict(bases.snapshots)
     assert np.array_equal(branched[times[99]].data, started[times[99]].data)
     generator = superop.matrix.toarray()
@@ -879,12 +872,16 @@ def test_trace_gate_names_its_first_offending_time_in_a_later_block():
 
 
 def test_hermiticity_error_is_the_largest_per_sample_deviation(monkeypatch):
-    # rho(0) is exactly Hermitian, and the dense block propagators keep it
-    # so; expm_multiply leaves rounding deviations, whose largest over the
-    # samples is the error.  Blocks of one sample take each sample's
-    # deviation on its own
+    # rho(0) is made exactly Hermitian, and on optical storage the Taylor
+    # action leaves rounding deviations in the self-mirror block, whose
+    # largest over the samples is the error (2.7e-20 measured; it keeps
+    # thermal_combined_kerr's real populations exactly real).  Blocks of one
+    # sample take each sample's deviation on its own
     monkeypatch.setattr(EVOLVE, "MAX_DENSE_BLOCK", 0)
-    superop, dm = thermal_combined_kerr()
+    config = replace(preset("fig4"), storage_mode=0, dims=(4, 5), alpha=0.8 + 0.3j)
+    superop, rho0 = build_problem(config)
+    dm = DensityMatrix(QOperator(rho0.dims, 0.5 * (rho0.data + rho0.data.conj().T)))
+    assert np.array_equal(dm.data, dm.data.conj().T)
     grid = TimeGrid(30.0, 150)
     opts = EvolveOptions(snapshot_times=(7.7,))
     blocked = evolve(dm, superop, grid, opts).max_hermiticity_error
@@ -963,7 +960,7 @@ def test_fig2_combined_on_expm_multiply_matches_damped_kerr_closed_form(monkeypa
     monkeypatch.setattr(EVOLVE, "MAX_DENSE_BLOCK", 0)
     config = preset("fig2-combined")
     traj, _ = simulate(config)
-    assert traj.path == "expm_multiply" and len(traj.snapshots) == 15
+    assert traj.path == "taylor" and len(traj.snapshots) == 15
     assert_matches_damped_kerr_closed_form(config, traj)
     assert np.max(np.abs(traj.trace - 1.0)) < 1e-12
 
@@ -981,7 +978,7 @@ def test_halved_path_agrees_with_full_rk4_on_optical_storage(monkeypatch):
     grid = TimeGrid(20.0, 11)
     full = evolve_rk4(dm, superop, grid, dt=1e-3)
     # both paths, the largest block (100) below and above the dense limit
-    for max_dense_block, path in ((300, "expm"), (0, "expm_multiply")):
+    for max_dense_block, path in ((300, "expm"), (0, "taylor")):
         monkeypatch.setattr(EVOLVE, "MAX_DENSE_BLOCK", max_dense_block)
         exact = evolve(dm, superop, grid, EvolveOptions(snapshot_times=(7.5, 20.0)))
         # pairs of 75, 50 and 5 coordinates beside the self-mirror block of 100
@@ -1010,7 +1007,7 @@ def test_snapshots_are_exactly_hermitian_from_a_nearly_hermitian_start(monkeypat
     rho0 = DensityMatrix(QOperator(dm.dims, dm.data + 1e-12j * np.abs(dm.data)))
     deviation = np.max(np.abs(rho0.data - rho0.data.conj().T))
     assert 5e-13 < deviation < 2e-12
-    for max_dense_block, path in ((300, "expm"), (0, "expm_multiply")):
+    for max_dense_block, path in ((300, "expm"), (0, "taylor")):
         monkeypatch.setattr(EVOLVE, "MAX_DENSE_BLOCK", max_dense_block)
         for grid, snapshot_times in ((TimeGrid(0.0, 1), (0.0,)),
                                      (TimeGrid(20.0, 11), (0.0, 7.5, 20.0))):
@@ -1040,12 +1037,12 @@ def test_evolve_on_the_restricted_generator_is_evolve_on_the_full_one():
     configs = [preset("fig2-combined"), preset("fig4"), preset("harmonic-check"),
                preset("fig7").point_config(3.0), warm,
                replace(preset("fig4"), dims=(4, 10), storage_mode=0)]
-    for config, path in zip(configs, ["expm"] * 5 + ["expm_multiply"], strict=True):
+    for config, path in zip(configs, ["expm"] * 5 + ["taylor"], strict=True):
         restricted, rho0 = build_problem(config)
         grid = TimeGrid(config.resolved_horizon(), 150)
         opts = EvolveOptions(snapshot_times=(0.0, 10.0, grid.span / 3, grid.span),
                              overlap_alpha=config.alpha, overlap_mode=config.storage_mode)
-        if path == "expm_multiply":
+        if path == "taylor":
             grid, opts.snapshot_times = TimeGrid(20.0, 41), (0.0, 7.5, 20.0)
         got = evolve(rho0, restricted, grid, opts)
         want = evolve(rho0, full_generator(config), grid, opts)

@@ -727,6 +727,7 @@ def test_cli_negative_zero_snapshot_time_is_zero(tmp_path):
 _MODULE_PROBE = """
 import contextlib, io, json, sys
 import optomem.cli as cli
+import optomem.evolve as evolve
 
 out, roots = sys.argv[1], sys.argv[2:]
 
@@ -734,11 +735,15 @@ def loaded():
     return {root: sorted(m for m in sys.modules if m.split(".")[0] == root) for root in roots}
 
 after_import = loaded()
-with contextlib.redirect_stdout(io.StringIO()):
+with contextlib.redirect_stdout(io.StringIO()) as log:
     cli.main(["wigner-snapshots", "--preset", "fig2-combined", "--out", out + "/fig2"])
     cli.main(["simulate", "--preset", "fig4", "--out", out + "/fig4"])
     cli.main(["revival-report", "--run", out + "/fig4"])
     cli.main(["sweep", "--preset", "fig7", "--threads", "2", "--out", out + "/fig7"])
+    # every step and branch on the taylor path
+    evolve.MAX_DENSE_BLOCK = 0
+    cli.main(["simulate", "--preset", "fig4", "--out", out + "/taylor"])
+assert log.getvalue().count(", taylor, ") == 1
 print(json.dumps([after_import, loaded()]))
 """
 
@@ -757,12 +762,13 @@ def probed_modules(tmp_path_factory):
 
 
 def test_default_path_loads_no_scipy(probed_modules):
-    # every preset the benchmark runs stays on the dense path, which needs
-    # numpy alone; scipy.signal (peak finding) and scipy.special were the
-    # first modules kept off it
+    # both run paths, the dense one of every preset the benchmark runs and
+    # the taylor one, need numpy alone; scipy.signal (peak finding) and
+    # scipy.special were the first modules kept off them
     after_import, after_runs, out = probed_modules
     assert after_import["scipy"] == [] and after_runs["scipy"] == []
     assert (out / "fig7" / "sweep_summary.csv").exists()
+    assert (out / "taylor" / "revival_report.json").exists()
 
 
 def test_commands_load_no_process_pool_modules(probed_modules):

@@ -11,8 +11,8 @@ missing or empty):
   grids of the stored mode's partial trace, at a second truncation (N = 10)
 * ``simulate --preset fig4`` and ``simulate --preset harmonic-check``
 * ``simulate --preset fig4 --override storage_mode=0`` (optical storage,
-  whose largest symmetry block takes the ``expm_multiply`` path; about 5 s
-  of the script's ~7 s on a 2-vCPU Xeon VM)
+  whose largest symmetry block takes the ``taylor`` path; about 3 s of the
+  script's ~4.5 s on a 2-vCPU Xeon VM)
 * ``sweep --preset fig5`` .. ``fig8``, once with ``--threads 1`` and once
   with ``--threads 2``
 
