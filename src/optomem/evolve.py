@@ -56,7 +56,7 @@ all of a run's branches at once, after the last sample; on the other path,
 :func:`_branch` computes every action: a truncated Taylor series, in
 substeps as Al-Mohy & Higham (SISC 33, 488, 2011) choose them for one
 degree, of the kept generator with each block shifted by its mean diagonal
-(:func:`_action_plan`, built before the first sample when an action runs).
+(in slots that :func:`_plan` fills when an action runs).
 The cost of an action grows with ||L||_1 times its largest gap, and it
 cannot fail, so the run is refused up front, with
 :class:`IntegrationFailure`, when that product, of the unshifted ||L||_1,
@@ -87,10 +87,11 @@ the copied rows are branched, re-symmetrised and scattered to full d x d
 states, so a failing trace gate raises before any snapshot is built.
 Repeated runs are bitwise reproducible.
 
-The tests cross-check both paths against a fixed-step RK4 on the full space
-(``evolve_rk4`` in ``tests/helpers.py``), which shares no stepping or
-observable code with this module, and check the dense exponential, the
-components and the branches against scipy.
+``evolve`` builds a plan (:func:`_plan`), every check included, then runs it.
+The tests cross-check both paths against a fixed-step RK4 (``evolve_rk4``
+in ``tests/helpers.py``) on the live coordinates of its own walk, sharing no
+stepping, observable or live-set code with this module, and check the
+dense exponential, the components and the branches against scipy.
 """
 
 from __future__ import annotations
@@ -183,8 +184,8 @@ class Trajectory:
     # live coordinates of vec(rho), the propagation path ("expm", dense
     # block propagators, or "taylor", the Taylor action), the sizes of the
     # live generator's symmetry blocks and the coordinates actually
-    # advanced (one block of each conjugate pair); None when the full space
-    # was integrated (RK4)
+    # advanced (one block of each conjugate pair), as the plan fixes them;
+    # None for a trajectory another integrator made (RK4)
     n_live: int | None = None
     path: str | None = None
     block_sizes: tuple[int, ...] | None = None
@@ -301,45 +302,9 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def _block_exp(dense: list[np.ndarray], gap: float) -> list[np.ndarray]:
-    """exp(L_b gap) of each block L_b of ``dense``: one dense expm per block."""
-    return [_expm(block * gap) for block in dense]
-
-
-def _action_plan(row: np.ndarray, col: np.ndarray, data: np.ndarray, sizes: list[int]):
-    """The kept generator L, with canonical entries ``row``, ``col``,
-    ``data`` and blocks of ``sizes`` along the diagonal, as :func:`_branch`
-    takes it.
-
-    Each block L_b is shifted by its mean diagonal mu_b, which commutes
-    with it: exp(L_b t) = e^(mu_b t) exp((L_b - mu_b) t), and the shifted
-    block has the smaller 1-norm.  L - mu is held in ``width`` slots of n,
-    so that a product is one gather over all slots: slot 0 holds the
-    diagonal, slot k > 0 the k-th off-diagonal entry of every row, and a
-    zero entry where the row has fewer.  Returns the slots' columns and
-    values, mu per block, the block of each coordinate and ||L - mu||_1.
-    """
-    n = sum(sizes)
-    block = np.repeat(np.arange(len(sizes)), sizes)
-    on = row == col
-    diagonal = np.zeros(n, dtype=data.dtype)
-    diagonal[row[on]] = data[on]
-    mu = np.add.reduceat(diagonal, np.cumsum([0, *sizes[:-1]])) / sizes
-    row, col, data = row[~on], col[~on], data[~on]
-    place = np.arange(row.size) - np.searchsorted(row, row) + 1
-    cols = np.zeros((int(np.max(place, initial=0)) + 1, n), dtype=np.intp)
-    values = np.zeros((*cols.shape, 1), dtype=data.dtype)
-    cols[0] = np.arange(n)
-    values[0, :, 0] = diagonal - mu[block]
-    cols[place, row] = col
-    values[place, row, 0] = data
-    norm = float(np.max(np.bincount(col, np.abs(data), minlength=n) + np.abs(values[0, :, 0])))
-    return cols, values, mu, block, norm
-
-
-def _branch(plan, rows: np.ndarray, gaps: np.ndarray) -> np.ndarray:
-    """exp(L gap_j) z_j for each row z_j of ``rows``, where ``plan`` is the
-    kept generator L as :func:`_action_plan` gives it.
+def _branch(plan: _Plan, rows: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+    """exp(L gap_j) z_j for each row z_j of ``rows``, L the kept generator
+    as the Taylor slots of ``plan`` hold it.
 
     Each gap is crossed in s substeps of gap_j / s, s the least with
     ||L - mu||_1 max(gaps) / s <= :data:`_TAYLOR_THETA`.  Each substep sums
@@ -348,18 +313,17 @@ def _branch(plan, rows: np.ndarray, gaps: np.ndarray) -> np.ndarray:
     e^(mu_b gap_j / s).  The sizes the series stops on are maxima over the
     real and imaginary parts.
     """
-    cols, values, mu, block, norm = plan
-    substeps = max(1, math.ceil(norm * float(np.max(gaps)) / _TAYLOR_THETA))
+    substeps = max(1, math.ceil(plan.norm * float(np.max(gaps)) / _TAYLOR_THETA))
     scale = gaps / substeps
-    phase = np.exp(np.multiply.outer(mu, scale))[block]
+    phase = np.exp(np.multiply.outer(plan.mu, scale))[plan.block]
     z = rows.T.copy()  # one column per row
     for _ in range(substeps):
         total, term = z.copy(), z
         last = np.abs(term.view(np.float64)).max()
         for i in range(1, _TAYLOR_DEGREE + 1):
             # one gather over all slots; take is the fast gather along an axis
-            product = term.take(cols, axis=0)
-            product *= values
+            product = term.take(plan.cols, axis=0)
+            product *= plan.values
             term = product.sum(axis=0)
             term *= scale / i
             total += term
@@ -372,24 +336,22 @@ def _branch(plan, rows: np.ndarray, gaps: np.ndarray) -> np.ndarray:
     return z.T
 
 
-def _dense_blocks(row: np.ndarray, col: np.ndarray, data: np.ndarray,
-                  sizes: list[int]) -> list[np.ndarray]:
-    """The dense diagonal blocks, of ``sizes``, of the kept generator whose
-    entries are ``row``, ``col`` and ``data``.
+def _dense_blocks(row: np.ndarray, col: np.ndarray, data: np.ndarray, sizes: np.ndarray,
+                  starts: np.ndarray, block: np.ndarray) -> list[np.ndarray]:
+    """The dense diagonal blocks of the kept generator whose entries are
+    ``row``, ``col`` and ``data``; block b has ``sizes[b]`` coordinates from
+    ``starts[b]`` on, and ``block`` is the block of each coordinate.
 
     One scatter of the entries: each goes to its block's row-major slice of
     one buffer at its local indices.  No entry links two blocks, and each
     position is stored once, so every entry is assigned, not summed.
     """
-    sizes = np.array(sizes)
-    ends = np.cumsum(sizes)
-    block = np.repeat(np.arange(sizes.size), sizes)
-    local = np.arange(ends[-1]) - (ends - sizes)[block]
-    starts = np.concatenate([[0], np.cumsum(sizes * sizes)])
-    flat = np.zeros(starts[-1], dtype=data.dtype)
+    local = np.arange(block.size) - starts[block]
+    slices = np.concatenate([[0], np.cumsum(sizes * sizes)])
+    flat = np.zeros(slices[-1], dtype=data.dtype)
     owner = block[row]
-    flat[starts[owner] + local[row] * sizes[owner] + local[col]] = data
-    return [flat[a:b].reshape(s, s) for a, b, s in zip(starts[:-1], starts[1:], sizes)]
+    flat[slices[owner] + local[row] * sizes[owner] + local[col]] = data
+    return [flat[a:b].reshape(s, s) for a, b, s in zip(slices[:-1], slices[1:], sizes)]
 
 
 class _KeptObservables:
@@ -525,6 +487,173 @@ def _fold(blocks: list[np.ndarray], mirror: np.ndarray) -> tuple[list[np.ndarray
     return self_blocks + pair_blocks, sum(idx.size for idx in self_blocks)
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """How :func:`evolve` advances one run, fixed by :func:`_plan` before
+    the first sample.
+
+    ``live`` holds the live coordinates of vec(rho), and ``block_sizes``
+    the sizes of all their symmetry blocks.  The kept vector zk holds the coordinates ``kept`` of vec(rho), one
+    ``spans`` slice per kept block, and ``block`` is the kept block of each
+    entry.  Its leading ``n_self`` entries are the self-mirror blocks, whose
+    mirrors sit at ``self_dag`` in zk; each later entry's conjugate is the
+    coordinate ``partners`` of vec(rho).  Snapshot ``snapshot_times[j]``
+    branches off sample ``base[j]`` by ``gaps[j]`` (0 on the sample).  On
+    the ``"expm"`` path ``step`` and ``jump`` hold exp(L_b h) and
+    exp(L_b times[SAMPLE_BLOCK]) of each kept block, when the grid takes a
+    step or a jump.  When an action runs (:func:`_branch`), the kept
+    generator with each block L_b shifted by its mean diagonal ``mu[b]``
+    lies in slots: slot 0 of ``cols`` and ``values`` holds the diagonal,
+    slot k > 0 the k-th off-diagonal entry of every row (0 where the row
+    has fewer), and ``norm`` is ||L - mu||_1.
+    """
+
+    live: np.ndarray
+    kept: np.ndarray
+    partners: np.ndarray
+    n_self: int
+    self_dag: np.ndarray
+    block_sizes: tuple[int, ...]
+    spans: tuple[tuple[int, int], ...]
+    block: np.ndarray
+    path: str
+    h: float
+    snapshot_times: np.ndarray
+    base: np.ndarray
+    gaps: np.ndarray
+    step: tuple[np.ndarray, ...]
+    jump: tuple[np.ndarray, ...]
+    cols: np.ndarray | None
+    values: np.ndarray | None
+    mu: np.ndarray | None
+    norm: float | None
+
+
+def _plan(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
+          snapshot_times) -> _Plan:
+    """The plan of :func:`evolve` for these inputs; every refusal of a run
+    is raised here, before any sample is computed."""
+    dims = rho0.dims
+    if dims != superop.dims:
+        raise ValueError(
+            f"dimension mismatch: state {dims.dims} vs generator {superop.dims.dims}"
+        )
+    d = dims.total_dim
+    z0 = vec(rho0.data)
+    live = live_coordinates(superop, z0)
+    n = live.size
+    # L rho(0) lies on the live coordinates.  Checked by one product with
+    # the generator as the caller gave it, so a matrix type that counts its
+    # products (the traced benchmark) sees the generator used; a finite
+    # nonzero elsewhere means the matrix and its entry arrays disagree.
+    outside = np.abs(superop @ z0)
+    outside[live] = 0.0
+    if np.any(outside > 0):
+        raise ValueError("L rho(0) leaves the live coordinates: the superoperator's "
+                         "matrix does not match its entries")
+    # the entries among live coordinates, renumbered in the same order
+    at = np.full(d * d, -1)
+    at[live] = np.arange(n)
+    among = (at[superop.row] >= 0) & (at[superop.col] >= 0)
+    lrow, lcol, ldata = at[superop.row[among]], at[superop.col[among]], superop.data[among]
+    mirror = np.searchsorted(live, _transpose_index(d)[live])
+    if not _conjugate_symmetric(lrow, lcol, ldata, mirror):
+        raise ValueError(
+            "generator does not preserve Hermiticity: L[M, M] != conj(L) on the "
+            "live coordinates, where M maps rho_ij to rho_ji"
+        )
+    blocks = symmetry_blocks(lrow, lcol, n)
+    kept_blocks, n_self = _fold(blocks, mirror)
+    kept = np.concatenate(kept_blocks)
+    pos = np.full(n, -1)
+    pos[kept] = np.arange(kept.size)
+    # the kept generator's entries in the coordinates of zk, canonical; no
+    # entry links two blocks, so one with a kept row has a kept column
+    inside = pos[lrow] >= 0
+    krow, kcol = pos[lrow[inside]], pos[lcol[inside]]
+    order = np.argsort(krow * kept.size + kcol)
+    krow, kcol, kdata = krow[order], kcol[order], ldata[inside][order]
+    sizes = np.array([idx.size for idx in kept_blocks])
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    block = np.repeat(np.arange(sizes.size), sizes)
+
+    times = grid.times
+    snapshot_times = np.array(sorted(set(float(t) for t in snapshot_times)))
+    # against the span, not times[-1], which may lie an ulp short of it
+    if np.any(~np.isfinite(snapshot_times) | (snapshot_times < 0)
+              | (snapshot_times > grid.span)):
+        raise ValueError(
+            "snapshot times must be finite and lie within the time grid span "
+            f"[0, {grid.span:g}]"
+        )
+    # one step h serves every sample: times[k] == k h bitwise
+    h = times[1] if times.size > 1 else 0.0
+    # each snapshot branches off the last sample at or before it
+    base = np.searchsorted(times, snapshot_times, side="right") - 1
+    gaps = snapshot_times - times[base]
+
+    path = "expm" if max(idx.size for idx in blocks) <= MAX_DENSE_BLOCK else "taylor"
+    # an action crosses the branches, and on the taylor path every step;
+    # the bound is on the unshifted ||L||_1, the generator as given.  One
+    # gap costs about ||L||_1 gap products and an action never gives up,
+    # so refuse a run it would not finish (NaN included)
+    largest = float(np.max(gaps, initial=h if path == "taylor" else 0.0))
+    norm = float(np.max(np.bincount(kcol, np.abs(kdata), minlength=kept.size)))
+    if largest > 0 and not norm * largest <= MAX_ACTION_NORM:
+        raise IntegrationFailure(
+            f"||L||_1 * largest gap = {norm * largest:.3e} exceeds "
+            f"{MAX_ACTION_NORM:.0e}; shrink the rates, the sample spacing or the truncation"
+        )
+
+    # the dense path's propagators; the taylor path goes sample by sample
+    # only: a jump would cross SAMPLE_BLOCK steps at once, so
+    # MAX_ACTION_NORM would refuse runs it admits for one step
+    dense = _dense_blocks(krow, kcol, kdata, sizes, starts, block) if path == "expm" else []
+    step = tuple(_expm(a * h) for a in dense) if times.size > 1 else ()
+    jump = tuple(_expm(a * times[SAMPLE_BLOCK]) for a in dense) if times.size > SAMPLE_BLOCK else ()
+    # the Taylor slots of L - mu: mu_b commutes with L_b, so
+    # exp(L_b t) = e^(mu_b t) exp((L_b - mu_b) t), and the shifted block
+    # has the smaller 1-norm
+    cols = values = mu = shifted = None
+    if largest > 0:
+        on = krow == kcol
+        diagonal = np.zeros(kept.size, dtype=kdata.dtype)
+        diagonal[krow[on]] = kdata[on]
+        mu = np.add.reduceat(diagonal, starts) / sizes
+        row, col, data = krow[~on], kcol[~on], kdata[~on]
+        place = np.arange(row.size) - np.searchsorted(row, row) + 1
+        cols = np.zeros((int(np.max(place, initial=0)) + 1, kept.size), dtype=np.intp)
+        values = np.zeros((*cols.shape, 1), dtype=data.dtype)
+        cols[0] = np.arange(kept.size)
+        values[0, :, 0] = diagonal - mu[block]
+        cols[place, row] = col
+        values[place, row, 0] = data
+        shifted = float(np.max(np.bincount(col, np.abs(data), minlength=kept.size)
+                               + np.abs(values[0, :, 0])))
+    return _Plan(
+        live=live,
+        kept=live[kept],
+        partners=live[mirror[kept[n_self:]]],
+        n_self=n_self,
+        self_dag=pos[mirror[kept[:n_self]]],
+        block_sizes=tuple(idx.size for idx in blocks),
+        spans=tuple(zip(starts.tolist(), ends.tolist())),
+        block=block,
+        path=path,
+        h=h,
+        snapshot_times=snapshot_times,
+        base=base,
+        gaps=gaps,
+        step=step,
+        jump=jump,
+        cols=cols,
+        values=values,
+        mu=mu,
+        norm=shifted,
+    )
+
+
 def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
            opts: EvolveOptions | None = None) -> Trajectory:
     """Integrate d(rho)/dt = L rho and sample observables on ``grid``.
@@ -549,159 +678,70 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
     taylor path each step) exceeds :data:`MAX_ACTION_NORM`.
     """
     opts = opts or EvolveOptions()
+    plan = _plan(rho0, superop, grid, opts.snapshot_times)
     dims = rho0.dims
-    if dims != superop.dims:
-        raise ValueError(
-            f"dimension mismatch: state {dims.dims} vs generator {superop.dims.dims}"
-        )
     d = dims.total_dim
-    m = d * d
     z0 = vec(rho0.data)
-    live = live_coordinates(superop, z0)
-    n = live.size
-    # L rho(0) lies on the live coordinates.  Checked by one product with
-    # the generator as the caller gave it, so a matrix type that counts its
-    # products (the traced benchmark) sees the generator used; a finite
-    # nonzero elsewhere means the matrix and its entry arrays disagree.
-    outside = np.abs(superop @ z0)
-    outside[live] = 0.0
-    if np.any(outside > 0):
-        raise ValueError("L rho(0) leaves the live coordinates: the superoperator's "
-                         "matrix does not match its entries")
-    # the entries among live coordinates, renumbered in the same order
-    at = np.full(m, -1)
-    at[live] = np.arange(n)
-    among = (at[superop.row] >= 0) & (at[superop.col] >= 0)
-    lrow, lcol, ldata = at[superop.row[among]], at[superop.col[among]], superop.data[among]
-    mirror = np.searchsorted(live, _transpose_index(d)[live])
-    if not _conjugate_symmetric(lrow, lcol, ldata, mirror):
-        raise ValueError(
-            "generator does not preserve Hermiticity: L[M, M] != conj(L) on the "
-            "live coordinates, where M maps rho_ij to rho_ji"
-        )
-    blocks = symmetry_blocks(lrow, lcol, n)
-    block_sizes = tuple(idx.size for idx in blocks)
-    kept_blocks, n_self = _fold(blocks, mirror)
-    # the kept vector zk holds the coordinates kept[k], block by block; its
-    # leading n_self entries are the self-mirror blocks, whose mirrors sit at
-    # self_dag, and each later entry has its conjugate written to partners
-    kept = np.concatenate(kept_blocks)
-    pos = np.full(n, -1)
-    pos[kept] = np.arange(kept.size)
-    self_dag = pos[mirror[kept[:n_self]]]
-    partners = mirror[kept[n_self:]]
-    # the kept generator's entries in the coordinates of zk, canonical; no
-    # entry links two blocks, so one with a kept row has a kept column
-    inside = pos[lrow] >= 0
-    krow, kcol = pos[lrow[inside]], pos[lcol[inside]]
-    order = np.argsort(krow * kept.size + kcol)
-    krow, kcol, kdata = krow[order], kcol[order], ldata[inside][order]
-
     times = grid.times
     n_t = times.size
-    snapshot_times = np.array(sorted(set(float(t) for t in opts.snapshot_times)))
-    # against the span, not times[-1], which may lie an ulp short of it
-    if np.any(~np.isfinite(snapshot_times) | (snapshot_times < 0)
-              | (snapshot_times > grid.span)):
-        raise ValueError(
-            "snapshot times must be finite and lie within the time grid span "
-            f"[0, {grid.span:g}]"
-        )
-
-    # one step h serves every sample: times[k] == k h bitwise
-    h = times[1] if n_t > 1 else 0.0
-    # each snapshot branches off the last sample at or before it
-    base = np.searchsorted(times, snapshot_times, side="right") - 1
-    offsets = snapshot_times - times[base]
-    branched = offsets > 0
-    branch_gaps = offsets[branched]
-
-    dense_path = max(block_sizes) <= MAX_DENSE_BLOCK
-    # an action crosses the branches, and on the taylor path every step
-    acted = branch_gaps if dense_path or n_t == 1 else np.append(branch_gaps, h)
-    # the unshifted ||L||_1: the bound is on the generator as given
-    norm = float(np.max(np.bincount(kcol, np.abs(kdata), minlength=kept.size)))
-    # one gap costs about ||L||_1 gap products and an action never gives
-    # up, so refuse a run it would not finish (NaN included)
-    if acted.size and not norm * float(np.max(acted)) <= MAX_ACTION_NORM:
-        raise IntegrationFailure(
-            f"||L||_1 * largest gap = {norm * float(np.max(acted)):.3e} exceeds "
-            f"{MAX_ACTION_NORM:.0e}; shrink the rates, the sample spacing or the truncation"
-        )
-
-    # the propagation plan, fixed before the first sample: the action when
-    # one runs, and on the dense path the step and the jump blocks, each
-    # with the columns of the kept vector it acts on; None where the run
-    # takes no action, step or jump.  The taylor path goes sample by sample
-    # only: a jump would cross SAMPLE_BLOCK steps at once, so
-    # MAX_ACTION_NORM would refuse runs it admits for one step
-    sizes = [idx.size for idx in kept_blocks]
-    action = _action_plan(krow, kcol, kdata, sizes) if acted.size else None
-    step = jumps = None
-    if dense_path:
-        dense = _dense_blocks(krow, kcol, kdata, sizes)
-        ends = np.cumsum(sizes).tolist()
-        spans = list(zip([0, *ends[:-1]], ends))
-        if n_t > 1:
-            step = list(zip(spans, _block_exp(dense, h)))
-        if n_t > SAMPLE_BLOCK:
-            jumps = list(zip(spans, _block_exp(dense, times[SAMPLE_BLOCK])))
+    branched = plan.gaps > 0
+    step_gap = np.array([plan.h])
 
     amps = np.empty((dims.n_modes, n_t), dtype=np.complex128)
     tr = np.empty(n_t)
     pur = np.empty(n_t)
     ovl = np.empty(n_t) if opts.overlap_alpha is not None else None
     # the kept states of one block of samples, evaluated together
-    rows = np.empty((SAMPLE_BLOCK, kept.size), dtype=np.complex128)
-    kept_full = live[kept]
-    partners_full = live[partners]
+    rows = np.empty((SAMPLE_BLOCK, plan.kept.size), dtype=np.complex128)
     obs = _KeptObservables(dims, opts.overlap_alpha, opts.overlap_mode,
-                           kept_full, partners_full, n_self, SAMPLE_BLOCK)
+                           plan.kept, plan.partners, plan.n_self, SAMPLE_BLOCK)
     # the kept state of each snapshot's base sample, copied as the loop
     # passes it, and branched to the snapshot time after the loop
-    snap_rows = np.empty((snapshot_times.size, kept.size), dtype=np.complex128)
-    # rho(0) over every live coordinate: only one of a pair's blocks is kept
-    herm_dev = float(np.max(np.abs(z0[live] - z0[live[mirror]].conj())))
+    snap_rows = np.empty((plan.snapshot_times.size, plan.kept.size), dtype=np.complex128)
 
     def symmetrise(z: np.ndarray) -> float:
         # only self-mirror blocks hold both rho_ij and rho_ji among the kept
         # coordinates; each other kept block's mirror is its conjugate
-        mirrored = z[..., self_dag].conj()
-        dev = float(np.max(np.abs(z[..., :n_self] - mirrored)))
-        z[..., :n_self] = 0.5 * (z[..., :n_self] + mirrored)
+        mirrored = z[..., plan.self_dag].conj()
+        dev = float(np.max(np.abs(z[..., :plan.n_self] - mirrored)))
+        z[..., :plan.n_self] = 0.5 * (z[..., :plan.n_self] + mirrored)
         return dev
 
-    rows[0] = z0[kept_full]
+    # rho(0) over every live coordinate: the paired blocks here, of which
+    # only one is kept, and the self-mirror blocks by symmetrise
+    herm_dev = float(np.max(np.abs(z0[plan.kept[plan.n_self:]] - z0[plan.partners].conj()),
+                            initial=0.0))
+    rows[0] = z0[plan.kept]
     herm_dev = max(herm_dev, symmetrise(rows[0]))
     for start in range(0, n_t, SAMPLE_BLOCK):
         stop = min(start + SAMPLE_BLOCK, n_t)
         k = stop - start
-        if not dense_path:
+        if plan.path == "taylor":
             # rows[-1] is the last sample of the full block before
             for j in range(0 if start else 1, k):
-                rows[j] = _branch(action, rows[j - 1, None], times[1:2])[0]
+                rows[j] = _branch(plan, rows[j - 1, None], step_gap)[0]
                 herm_dev = max(herm_dev, symmetrise(rows[j]))
         elif start:
             # sample i is exp(L times[SAMPLE_BLOCK]) applied to sample
             # i - SAMPLE_BLOCK, the row it replaces
-            for (a, b), prop in jumps:
+            for (a, b), prop in zip(plan.spans, plan.jump):
                 rows[:k, a:b] = rows[:k, a:b] @ prop.T
             herm_dev = max(herm_dev, symmetrise(rows[:k]))
         else:
             # sample i, 2^l <= i < 2^(l+1), is exp(L h)^(2^l) applied to
             # sample i - 2^l; each power is the square of the one before
-            powers, width = step, 1
+            powers, width = plan.step, 1
             while width < k:
                 top = min(2 * width, k)
-                for (a, b), power in powers:
+                for (a, b), power in zip(plan.spans, powers):
                     rows[width:top, a:b] = rows[:top - width, a:b] @ power.T
                 herm_dev = max(herm_dev, symmetrise(rows[width:top]))
                 width = top
                 if width < k:
-                    powers = [(span, power @ power) for span, power in powers]
+                    powers = [power @ power for power in powers]
         # the base samples of the snapshots that branch off this block
-        lo, hi = np.searchsorted(base, (start, stop))
-        snap_rows[lo:hi] = rows[base[lo:hi] - start]
+        lo, hi = np.searchsorted(plan.base, (start, stop))
+        snap_rows[lo:hi] = rows[plan.base[lo:hi] - start]
         amps[:, start:stop], tr[start:stop], pur[start:stop], overlap = obs.evaluate(rows[:k])
         if ovl is not None:
             ovl[start:stop] = overlap
@@ -716,15 +756,15 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
 
     # branched only now, so that a failing trace gate is what a broken run
     # raises; one action on the stacked base rows crosses every branch
-    if branch_gaps.size:
-        ends = _branch(action, snap_rows[branched], branch_gaps)
+    if branched.any():
+        ends = _branch(plan, snap_rows[branched], plan.gaps[branched])
         herm_dev = max(herm_dev, symmetrise(ends))
         snap_rows[branched] = ends
     snapshots = []
-    for s, zs in zip(snapshot_times.tolist(), snap_rows):
-        full = np.zeros(m, dtype=np.complex128)
-        full[kept_full] = zs
-        full[partners_full] = zs[n_self:].conj()
+    for s, zs in zip(plan.snapshot_times.tolist(), snap_rows):
+        full = np.zeros(d * d, dtype=np.complex128)
+        full[plan.kept] = zs
+        full[plan.partners] = zs[plan.n_self:].conj()
         # Hermitian exactly as it stands; C order like every operator the
         # package builds, so reductions over its entries sum in one order
         rho = np.ascontiguousarray(unvec(full, d))
@@ -739,9 +779,9 @@ def evolve(rho0: DensityMatrix, superop: Superoperator, grid: TimeGrid,
         snapshots=snapshots,
         max_hermiticity_error=herm_dev,
         max_trace_drift=float(np.max(np.abs(tr - 1.0))),
-        n_steps=n_t - 1 + branch_gaps.size,
-        n_live=n,
-        path="expm" if dense_path else "taylor",
-        block_sizes=block_sizes,
-        n_propagated=kept.size,
+        n_steps=n_t - 1 + int(np.count_nonzero(branched)),
+        n_live=plan.live.size,
+        path=plan.path,
+        block_sizes=plan.block_sizes,
+        n_propagated=plan.kept.size,
     )

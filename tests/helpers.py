@@ -12,11 +12,13 @@ Wigner kernel's shell matrices, against which their recursion is checked;
 operators with scipy's Kronecker product and sparse sums;
 ``generator_check``, which runs the package's ``evolve`` against a finite
 difference of the generator it propagates; and ``evolve_rk4``, a fixed-step
-RK4 on the full space that takes the package's generator and ladder
-operators but shares no stepping or observable code with ``evolve``.
+RK4 that takes the package's generator and ladder operators but finds the
+coordinates it steps by its own walk, and shares no stepping, observable or
+live-set code with ``evolve``.
 """
 
 import math
+from collections import deque
 
 import numpy as np
 import scipy.linalg
@@ -76,6 +78,32 @@ def kerr_amplitude_closed_form(alpha: complex, omega: float, chi: float, t,
     return alpha * np.exp(-(1j * (omega + chi) + gamma / 2.0) * t) * np.exp(
         -abs(alpha) ** 2 * (2j * chi / rate) * (1.0 - np.exp(-rate * t))
     )
+
+
+def radiation_pressure_amplitude_closed_form(alpha: complex, omega_c: float, omega_m: float,
+                                             k_c: float, g0: float, t):
+    """Untruncated <a(t)> of the two-mode Hamiltonian
+    H = omega_c n + k_c n^2 + omega_m b^dag b - g0 n (b + b^dag), with no
+    mechanical anharmonicity and no damping, from |alpha>|0> (Bose, Jacobs &
+    Knight, PRA 56, 4175, 1997).
+
+    Optical Fock state |n> drives the mechanics from |0> to the coherent
+    state beta_n(t) = n kappa u, kappa = g0 / omega_m and
+    u = 1 - e^{-i omega_m t}, with the phase
+    n^2 kappa^2 (omega_m t - sin(omega_m t)).  Neighbouring n overlap by
+    <beta_{n-1}|beta_n> = exp(-kappa^2 |u|^2 / 2), and their phases differ by
+    (2n - 1) psi with psi = k_c t - kappa^2 (omega_m t - sin(omega_m t)), so
+    the coherent-state sum over n closes as in the Kerr case:
+
+        alpha e^{-i (omega_c t + psi)} exp[|alpha|^2 (e^{-2 i psi} - 1)]
+              exp(-kappa^2 |u|^2 / 2)
+    """
+    kappa = g0 / omega_m
+    u = -np.expm1(-1j * omega_m * t)
+    psi = k_c * t - kappa ** 2 * (omega_m * t - np.sin(omega_m * t))
+    return (alpha * np.exp(-1j * (omega_c * t + psi))
+            * np.exp(abs(alpha) ** 2 * np.expm1(-2j * psi))
+            * np.exp(-0.5 * kappa ** 2 * np.abs(u) ** 2))
 
 
 def displacement_operator(alpha: complex, n: int) -> np.ndarray:
@@ -161,13 +189,38 @@ def generator_check(superop, rho, dt: float) -> float:
     return float(np.max(np.abs(fd - deriv)) / denom)
 
 
-def evolve_rk4(rho0, superop, grid: TimeGrid, dt: float) -> Trajectory:
+def rk4_live_set(lmat, z0: np.ndarray, d: int) -> np.ndarray:
+    """Sorted coordinates of vec(rho) reachable from the support of ``z0``
+    along the pattern of the sparse matrix ``lmat`` (coordinate j feeds i
+    when lmat[i, j] is stored), closed under rho_ij <-> rho_ji: a
+    breadth-first walk, one coordinate at a time, over the CSC columns."""
+    csc = lmat.tocsc()
+
+    def mirror(k: int) -> int:  # rho_ij at i + j d <-> rho_ji at j + i d
+        return (k % d) * d + k // d
+
+    live, queue = set(), deque(np.flatnonzero(z0).tolist())
+    while queue:
+        k = queue.popleft()
+        for c in (k, mirror(k)):
+            if c not in live:
+                live.add(c)
+                queue.extend(csc.indices[csc.indptr[c]:csc.indptr[c + 1]].tolist())
+    return np.array(sorted(live), dtype=np.intp)
+
+
+def evolve_rk4(rho0, superop, grid: TimeGrid, dt: float, full_space: bool = False) -> Trajectory:
     """Fixed-step classical RK4 integration; independent cross-check route.
 
-    Each grid interval is split into ceil(interval/dt) equal substeps.  No
-    symmetrisation, no adaptivity, no trace gate: the raw fourth-order result
-    is returned for comparison against ``evolve``.  Each sample reads
-    <a_k> = Tr(a_k rho), Tr rho and sum |rho_ij|^2 off rho = unvec(z).
+    RK4 leaves exactly 0 every coordinate that rho(0) cannot reach, so only
+    the coordinates of :func:`rk4_live_set` are stepped (all of them with
+    ``full_space``), after checking that no stored entry in their columns
+    lies outside their rows.  Each grid interval is split into
+    ceil(interval/dt) equal substeps.  No symmetrisation, no adaptivity, no
+    trace gate: the raw fourth-order result is returned for comparison
+    against ``evolve``.  Each sample reads <a_k> = Tr(a_k rho), Tr rho and
+    sum |rho_ij|^2 off rho = unvec(z), z the stepped vector embedded in the
+    full space.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -177,19 +230,25 @@ def evolve_rk4(rho0, superop, grid: TimeGrid, dt: float) -> Trajectory:
             f"dimension mismatch: state {dims.dims} vs generator {superop.dims.dims}"
         )
     d = dims.total_dim
-    lmat = superop.matrix
+    z0 = vec(rho0.data).astype(np.complex128)
+    matrix = superop.matrix
+    live = np.arange(d * d) if full_space else rk4_live_set(matrix, z0, d)
+    assert np.isin(matrix[:, live].tocoo().row, live).all(), "a live column feeds a dead row"
+    lmat = matrix[live][:, live]
     a_ops = [embed(annihilation(n_k), k, dims) for k, n_k in enumerate(dims.dims)]
     times = grid.times
 
-    z = vec(rho0.data).astype(np.complex128)
+    z = z0[live]
     n_t = times.size
     amps = np.zeros((dims.n_modes, n_t), dtype=np.complex128)
     tr = np.zeros(n_t)
     pur = np.zeros(n_t)
     n_steps = 0
+    full = np.zeros(d * d, dtype=np.complex128)
 
     def record(i: int) -> None:
-        rho = QOperator(dims, unvec(z, d))
+        full[live] = z
+        rho = QOperator(dims, unvec(full, d))
         for k, a in enumerate(a_ops):
             amps[k, i] = expectation(a, rho)
         tr[i] = np.trace(rho.data).real

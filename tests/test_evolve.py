@@ -17,6 +17,8 @@ from helpers import (
     kerr_amplitude,
     kerr_amplitude_closed_form,
     min_eigenvalue,
+    radiation_pressure_amplitude_closed_form,
+    rk4_live_set,
 )
 
 import optomem.evolve as EVOLVE
@@ -38,6 +40,7 @@ from optomem.liouvillian import (
     unvec,
     vec,
 )
+from optomem.revival import revival_time
 from optomem.runner import build_problem, simulate
 from optomem.states import (
     DensityMatrix,
@@ -226,6 +229,23 @@ def test_two_mode_exact_path_agrees_with_fixed_step_rk4():
     assert diff.max() < 1e-8
 
 
+def test_restricted_rk4_equals_full_space_rk4():
+    # test_criterion_7's generator, step and initial state over 2 000 steps:
+    # RK4 on the 100 coordinates its own walk finds against RK4 on all
+    # 10 000; the dead coordinates add only exact zeros to each row's sum,
+    # so the two agree to the bit (measured: 0.0 apart)
+    superop = liouvillian(default_params(), HilbertDims((10, 10)))
+    dm = product_dm([vacuum_ket(10), coherent_ket(1.5, 10)])
+    assert rk4_live_set(superop.matrix, vec(dm.data), 100).size == 100
+    dt = revival_time(0.01, 0.01) / 2e5
+    grid = TimeGrid(2000 * dt, 11)
+    restricted = evolve_rk4(dm, superop, grid, dt=dt)
+    full = evolve_rk4(dm, superop, grid, dt=dt, full_space=True)
+    assert restricted.n_steps == full.n_steps == 2000
+    for name in ("amplitudes", "trace", "purity"):
+        assert np.array_equal(getattr(restricted, name), getattr(full, name))
+
+
 def test_dimension_mismatch():
     dm = product_dm([vacuum_ket(4)])
     with pytest.raises(ValueError):
@@ -308,6 +328,35 @@ def test_dense_path_refuses_a_branch_beyond_the_action_bound():
     with pytest.raises(IntegrationFailure, match="largest gap"):
         evolve(dm, superop, grid, EvolveOptions(snapshot_times=(0.5,)))
     assert time.monotonic() - start < 5.0
+
+
+def test_every_refusal_comes_from_the_plan(monkeypatch):
+    # each input that evolve refuses is refused by _plan, before the loop
+    # sets up its observables or takes an action
+    def sampled(*args):
+        raise AssertionError("the run went past its plan")
+
+    monkeypatch.setattr(EVOLVE, "_KeptObservables", sampled)
+    monkeypatch.setattr(EVOLVE, "_branch", sampled)
+    dm3, dm4 = product_dm([vacuum_ket(3)]), product_dm([coherent_ket(0.8, 4)])
+    # its matrix feeds rho_10 from rho_00; its entry arrays hold nothing
+    disagreeing = zero_superop(3)
+    disagreeing._matrix = sp.csr_matrix(([1.0 + 0j], ([1], [0])), shape=(9, 9))
+    rotating = Superoperator(HilbertDims((3,)), 1j * sp.identity(9, dtype=complex, format="csr"))
+    cases = [
+        (dm3, zero_superop(4), (), ValueError, "dimension mismatch"),
+        (dm3, disagreeing, (), ValueError, "leaves the live coordinates"),
+        (dm3, rotating, (), ValueError, "Hermiticity"),
+        (dm3, zero_superop(3), (2.0,), ValueError, "within the time grid span"),
+        (dm4, combined_kerr_liouvillian(EXTREME_DECAY, 4), (0.5,), IntegrationFailure,
+         "largest gap"),
+    ]
+    grid = TimeGrid(1.0, 2)
+    for dm, superop, snapshot_times, error, match in cases:
+        with pytest.raises(error, match=match):
+            EVOLVE._plan(dm, superop, grid, snapshot_times)
+        with pytest.raises(error, match=match):
+            evolve(dm, superop, grid, EvolveOptions(snapshot_times=snapshot_times))
 
 
 def test_generator_check_first_order():
@@ -477,26 +526,62 @@ def test_symmetry_blocks_match_scipy_connected_components():
         assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
 
-def test_dense_exponential_matches_scipy_on_the_preset_blocks(monkeypatch):
+def preset_plan(config):
+    """The generator, the initial state, the grid and the plan of a preset run."""
+    superop, dm = build_problem(config)
+    grid = TimeGrid(config.resolved_horizon(), config.n_samples)
+    return superop, dm, grid, EVOLVE._plan(dm, superop, grid, config.snapshot_times)
+
+
+def kept_blocks(superop, plan) -> list[np.ndarray]:
+    """The generator's kept blocks, as the plan spans them, sliced from its
+    CSR matrix."""
+    matrix = superop.matrix
+    return [matrix[plan.kept[a:b]][:, plan.kept[a:b]].toarray() for a, b in plan.spans]
+
+
+def assert_dense_propagators(superop, plan, gaps):
+    """The plan's step and jump, in that order, are ``_expm`` of each kept
+    block times each of ``gaps``, bitwise; the rest are not built."""
+    built = (plan.step, plan.jump)
+    assert not any(built[len(gaps):])
+    blocks = kept_blocks(superop, plan)
+    for props, gap in zip(built, gaps):
+        assert [p.tobytes() for p in props] == [EVOLVE._expm(b * gap).tobytes() for b in blocks]
+
+
+def test_plan_pins_the_path_and_the_blocks_of_the_presets():
+    # (path, live coordinates, symmetry blocks, largest block, propagated
+    # coordinates) of each preset's own run, as its plan fixes them
+    for config, pinned in ((preset("fig2-combined"), ("expm", 900, 59, 30, 465)),
+                           (preset("fig4"), ("expm", 100, 19, 10, 55)),
+                           (replace(preset("fig4"), storage_mode=0),
+                            ("taylor", 9820, 19, 1000, 5410))):
+        plan = preset_plan(config)[3]
+        sizes = plan.block_sizes
+        assert (plan.path, plan.live.size, len(sizes), max(sizes), plan.kept.size) == pinned
+
+
+def test_dense_exponential_matches_scipy_on_the_preset_blocks():
     # the numpy Pade exponential of every step and jump block that the
-    # dense path builds for these presets, against scipy.linalg.expm (Al-Mohy
-    # & Higham, SIMAX 31, 970, 2009); relative to the block's largest entry
-    # or 1, the largest differences measured are 1.6e-15 at the step and
-    # 9.7e-14 at the jump, where both square 6 or 7 times
-    built = []
-    original = EVOLVE._block_exp
-    monkeypatch.setattr(EVOLVE, "_block_exp",
-                        lambda dense, gap: built.append((dense, gap)) or original(dense, gap))
+    # dense path plans for these presets, against scipy.linalg.expm (Al-Mohy
+    # & Higham, SIMAX 31, 970, 2009) of the generator's kept block; relative
+    # to the block's largest entry or 1, the largest differences measured
+    # are 1.6e-15 at the step and 9.7e-14 at the jump, where both square 6
+    # or 7 times
     sweep = preset("fig7")
     worst = {"step": 0.0, "jump": 0.0}
     for config in (preset("fig2-combined"), preset("fig4"),
                    *(sweep.point_config(value) for value in sweep.values)):
-        built.clear()
-        traj, _ = simulate(config)
-        assert [gap for _, gap in built] == [traj.times[1], traj.times[EVOLVE.SAMPLE_BLOCK]]
-        for kind, (dense, gap) in zip(("step", "jump"), built):
-            for block in dense:
-                got, expected = EVOLVE._expm(block * gap), scipy.linalg.expm(block * gap)
+        superop, _, grid, plan = preset_plan(config)
+        blocks = kept_blocks(superop, plan)
+        # kept blocks k = 0..29 of the combined mode, k = 0..9 of fig4
+        assert len(blocks) == (30 if len(config.dims) == 1 else 10)
+        gaps = {"step": grid.times[1], "jump": grid.times[EVOLVE.SAMPLE_BLOCK]}
+        for kind, props in (("step", plan.step), ("jump", plan.jump)):
+            assert len(props) == len(blocks)
+            for got, block in zip(props, blocks):
+                expected = scipy.linalg.expm(block * gaps[kind])
                 gap_to_scipy = np.max(np.abs(got - expected)) / max(1.0, np.max(np.abs(expected)))
                 worst[kind] = max(worst[kind], gap_to_scipy)
     assert worst["step"] < 4e-15 and worst["jump"] < 2e-13
@@ -508,7 +593,7 @@ def thermal_combined_kerr():
     return combined_kerr_liouvillian(params, 12), product_dm([coherent_ket(1.2, 12)])
 
 
-def test_dense_path_agrees_with_expm_multiply_on_thermal_combined_kerr(monkeypatch):
+def test_dense_path_agrees_with_taylor_on_thermal_combined_kerr(monkeypatch):
     superop, dm = thermal_combined_kerr()
     grid = TimeGrid(60.0, 121)
     opts = EvolveOptions(snapshot_times=(30.0, 45.25), overlap_alpha=1.2)
@@ -555,10 +640,14 @@ def test_exact_path_agrees_with_fixed_step_rk4(monkeypatch):
     exact = evolve(dm, superop, grid)
 
     def shared(*args, **kwargs):
-        raise AssertionError("RK4 must not read its observables through evolve's weights")
+        raise AssertionError("RK4 must not share evolve's weights or a live-set search")
 
-    # a wrong weight or fold would then move only one of the two routes
+    # a wrong weight, fold or live set would then move only one of the two
+    # routes
     monkeypatch.setattr(EVOLVE, "_KeptObservables", shared)
+    monkeypatch.setattr(EVOLVE, "live_coordinates", shared)
+    # the package exports the function liouvillian under its module's name
+    monkeypatch.setattr(sys.modules["optomem.liouvillian"], "_reachable", shared)
     fixed = evolve_rk4(dm, superop, grid, dt=1e-3)
     assert exact.path == "expm" and fixed.path is None
     assert exact.amplitudes.shape == fixed.amplitudes.shape == (1, 11)
@@ -567,7 +656,7 @@ def test_exact_path_agrees_with_fixed_step_rk4(monkeypatch):
     assert np.max(np.abs(exact.trace - fixed.trace)) < 1e-9
 
 
-def test_block_larger_than_the_dense_limit_selects_expm_multiply(monkeypatch):
+def test_block_larger_than_the_dense_limit_selects_taylor(monkeypatch):
     superop, dm = thermal_combined_kerr()
     grid = TimeGrid(5.0, 6)
     monkeypatch.setattr(EVOLVE, "MAX_DENSE_BLOCK", 12)
@@ -586,8 +675,8 @@ def test_dense_blocks_are_the_slices_of_the_generator(monkeypatch):
     original = EVOLVE._dense_blocks
     checked = []
 
-    def sliced(row, col, data, sizes):
-        dense = original(row, col, data, sizes)
+    def sliced(row, col, data, sizes, starts, block):
+        dense = original(row, col, data, sizes, starts, block)
         n = sum(sizes)
         kept = sp.csr_matrix((data, (row, col)), shape=(n, n))
         ends = np.cumsum(sizes)
@@ -605,16 +694,6 @@ def test_dense_blocks_are_the_slices_of_the_generator(monkeypatch):
     assert checked == [30, 10, 30]
 
 
-@pytest.fixture
-def built(monkeypatch):
-    """The gap of every ``_block_exp`` call, in call order."""
-    gaps = []
-    original = EVOLVE._block_exp
-    monkeypatch.setattr(EVOLVE, "_block_exp",
-                        lambda dense, gap: gaps.append(gap) or original(dense, gap))
-    return gaps
-
-
 def branch_calls(monkeypatch) -> list:
     """The plan, the shape of the stacked rows and the gaps of every
     ``_branch`` call, in call order."""
@@ -625,23 +704,25 @@ def branch_calls(monkeypatch) -> list:
     return calls
 
 
-def test_one_step_propagator_serves_every_step(monkeypatch, built):
+def test_one_step_propagator_serves_every_step(monkeypatch):
     branched = branch_calls(monkeypatch)
     superop, dm = thermal_combined_kerr()
     grid = TimeGrid(4.0, 9)
     traj = evolve(dm, superop, grid, EvolveOptions(snapshot_times=(1.2,)))
-    # eight steps of 0.5 along the samples by one propagator, built once; the
-    # branch from the sample at 1.0 to the snapshot builds no propagator but
-    # is the run's one action on the kept vector
+    # eight steps of 0.5 along the samples by one propagator, planned once;
+    # the branch from the sample at 1.0 to the snapshot needs no propagator
+    # but is the run's one action on the kept vector
     assert traj.path == "expm" and traj.n_steps == 9
-    assert built == [0.5]
+    plan = EVOLVE._plan(dm, superop, grid, (1.2,))
+    assert plan.h == 0.5
+    assert_dense_propagators(superop, plan, [0.5])
     assert [call[1:] for call in branched] == [((1, traj.n_propagated), [1.2 - 1.0])]
 
 
 @pytest.mark.parametrize("n, n_built", [(1, 0), (2, 1), (EVOLVE.SAMPLE_BLOCK, 1),
                                           (EVOLVE.SAMPLE_BLOCK + 1, 2),
                                           (2 * EVOLVE.SAMPLE_BLOCK + 1, 2)])
-def test_dense_plan_builds_the_step_and_the_jump_a_grid_uses(monkeypatch, built, n, n_built):
+def test_dense_plan_builds_the_step_and_the_jump_a_grid_uses(monkeypatch, n, n_built):
     # the step when the grid has one, then the jump when it is longer than
     # one sample block; each sample stays with the per-sample chain that
     # one block longer than the grid gives
@@ -652,33 +733,31 @@ def test_dense_plan_builds_the_step_and_the_jump_a_grid_uses(monkeypatch, built,
     opts = EvolveOptions(overlap_alpha=1.2)
     planned = evolve(dm, superop, grid, opts)
     assert planned.path == "expm" and planned.n_steps == n - 1
-    assert built == [step, jump][:n_built]
-    built.clear()
+    assert_dense_propagators(superop, EVOLVE._plan(dm, superop, grid, ()), [step, jump][:n_built])
     monkeypatch.setattr(EVOLVE, "SAMPLE_BLOCK", n + 1)
     chained = evolve(dm, superop, grid, opts)
-    assert built == [step][:n_built]
+    assert_dense_propagators(superop, EVOLVE._plan(dm, superop, grid, ()), [step][:n_built])
     # largest difference measured: 2.5e-15
     for name in ("amplitudes", "trace", "purity", "coherent_overlap"):
         assert np.max(np.abs(getattr(planned, name) - getattr(chained, name))) < 2e-14
 
 
-def test_expm_multiply_plan_forms_one_step_operand(monkeypatch, built):
+def test_taylor_plan_forms_one_step_operand(monkeypatch):
     # every step is one action on one row at gap h, all with the same plan,
     # formed before the first sample, past two sample blocks and with no
     # dense propagator built
     monkeypatch.setattr(EVOLVE, "MAX_DENSE_BLOCK", 0)
-    plans = []
-    original = EVOLVE._action_plan
-    monkeypatch.setattr(EVOLVE, "_action_plan",
-                        lambda *args: plans.append(original(*args)) or plans[-1])
     branched = branch_calls(monkeypatch)
     superop, dm = thermal_combined_kerr()
     n = 2 * EVOLVE.SAMPLE_BLOCK + 1
-    traj = evolve(dm, superop, TimeGrid(0.25 * (n - 1), n))
+    grid = TimeGrid(0.25 * (n - 1), n)
+    traj = evolve(dm, superop, grid)
     assert traj.path == "taylor" and traj.n_steps == len(branched) == n - 1
-    assert len(plans) == 1 and all(plan is plans[0] for plan, _, _ in branched)
+    assert all(plan is branched[0][0] for plan, _, _ in branched)
     assert all(call[1:] == ((1, traj.n_propagated), [0.25]) for call in branched)
-    assert built == []
+    plan = EVOLVE._plan(dm, superop, grid, ())
+    assert plan.path == "taylor" and plan.step == plan.jump == ()
+    assert plan.cols.shape[1] == plan.kept.size
 
 
 @pytest.mark.parametrize("max_dense_block, path", [(300, "expm"), (0, "taylor")])
@@ -754,20 +833,18 @@ def test_off_grid_snapshots_match_damped_kerr_closed_form(fig2_result):
         assert abs(np.trace(a @ state.data) - closed) < 1e-12
 
 
-def test_one_propagator_per_uniform_grid(built):
+def test_one_propagator_per_uniform_grid():
     # one build for the steps of the first sample block and one for the jump
     # of each later block; the off-grid snapshots build none
-    for config, n_built, n_steps in ((preset("fig2-combined"), 2, 2013),
-                                     (preset("fig4"), 2, 1999),
-                                     (preset("fig7").point_config(3.0), 2, 1999)):
-        built.clear()
+    for config, n_steps in ((preset("fig2-combined"), 2013), (preset("fig4"), 1999),
+                            (preset("fig7").point_config(3.0), 1999)):
+        superop, _, grid, plan = preset_plan(config)
+        assert_dense_propagators(superop, plan, [grid.times[1], grid.times[EVOLVE.SAMPLE_BLOCK]])
         traj, _ = simulate(config)
-        assert len(built) == n_built and traj.n_steps == n_steps
-        assert built[0] == traj.times[1]
-        assert built.count(traj.times[EVOLVE.SAMPLE_BLOCK]) == 1
+        assert traj.n_steps == n_steps
 
 
-def test_sample_block_jumps_match_the_per_sample_chain(monkeypatch, built):
+def test_sample_block_jumps_match_the_per_sample_chain(monkeypatch):
     # 200 samples: the second, third and (partial) fourth sample block are
     # each exp(L times[SAMPLE_BLOCK]) applied to the block before; with one
     # block longer than the grid, every sample steps by exp(L h) instead
@@ -779,12 +856,11 @@ def test_sample_block_jumps_match_the_per_sample_chain(monkeypatch, built):
     on_grid = EvolveOptions(snapshot_times=(times[150],), overlap_alpha=1.2)
     jump = times[EVOLVE.SAMPLE_BLOCK]
     jumped = evolve(dm, superop, grid, opts)
-    assert built.count(jump) == 1
+    assert_dense_propagators(superop, EVOLVE._plan(dm, superop, grid, ()), [times[1], jump])
     plain = [evolve(dm, superop, grid, on_grid)]
-    built.clear()
     monkeypatch.setattr(EVOLVE, "SAMPLE_BLOCK", times.size + 1)
     stepped = evolve(dm, superop, grid, opts)
-    assert jump not in built
+    assert_dense_propagators(superop, EVOLVE._plan(dm, superop, grid, ()), [times[1]])
     plain.append(evolve(dm, superop, grid, on_grid))
     assert jumped.path == stepped.path == "expm"
     assert jumped.n_steps == stepped.n_steps == 199 + 2
@@ -905,7 +981,7 @@ def test_generator_that_breaks_hermiticity_is_rejected(matrix):
 
 def test_one_block_of_each_conjugate_pair_is_propagated():
     # k = 0 whole plus k = 1..29 (combined mode), the two-mode run's
-    # 10 + 9 + ... + 1; RK4 integrates the full space
+    # 10 + 9 + ... + 1; RK4 folds no block
     grid = TimeGrid(1.0, 2)
     for name, n_propagated in (("fig2-combined", 30 + 29 * 30 // 2), ("fig4", 55)):
         superop, dm = build_problem(preset(name))
@@ -955,7 +1031,7 @@ def test_mechanical_storage_is_the_combined_mode_at_zero_optical_kerr(fig4_resul
     assert 2.9 < gap < 3.0
 
 
-def test_fig2_combined_on_expm_multiply_matches_damped_kerr_closed_form(monkeypatch):
+def test_fig2_combined_on_taylor_matches_damped_kerr_closed_form(monkeypatch):
     # the preset's own grid and snapshots: ||L||_1 * largest gap = 5.3
     monkeypatch.setattr(EVOLVE, "MAX_DENSE_BLOCK", 0)
     config = preset("fig2-combined")
@@ -970,6 +1046,30 @@ def test_sweep_point_matches_damped_kerr_closed_form(name, value):
     config = preset(name).point_config(value)
     traj, _ = simulate(config)
     assert_matches_damped_kerr_closed_form(config, traj)
+
+
+def test_optical_storage_matches_radiation_pressure_closed_form(monkeypatch):
+    # k_m = 0 and no damping, where the coupling g0 has a closed form; at
+    # (10, 8) the truncation leaves 1.400e-10 on both paths, measured.  At
+    # g0 = 0 the closed form is the Kerr one (1.4e-14 apart, measured),
+    # which misses the coupled <a> by up to 0.23
+    params = SystemParams(omega_c=0.5, omega_m=0.3, k_c=0.02, k_m=0.0, g0=0.02,
+                          gamma_c=0.0, gamma_m=0.0)
+    config = replace(preset("fig4"), storage_mode=0, dims=(10, 8), alpha=0.4 + 0.3j,
+                     params=params)
+    superop, dm = build_problem(config)
+    grid = TimeGrid(300.0, 301)
+    closed = radiation_pressure_amplitude_closed_form(config.alpha, 0.5, 0.3, 0.02, 0.02,
+                                                      grid.times)
+    uncoupled = kerr_amplitude_closed_form(config.alpha, 0.5, 0.02, grid.times)
+    assert np.max(np.abs(closed - uncoupled)) > 0.2
+    assert np.max(np.abs(radiation_pressure_amplitude_closed_form(
+        config.alpha, 0.5, 0.3, 0.02, 0.0, grid.times) - uncoupled)) < 1e-13
+    for max_dense_block, path in ((300, "expm"), (0, "taylor")):
+        monkeypatch.setattr(EVOLVE, "MAX_DENSE_BLOCK", max_dense_block)
+        traj = evolve(dm, superop, grid)
+        assert traj.path == path
+        assert np.max(np.abs(traj.amplitudes[0] - closed)) < 2e-10
 
 
 def test_halved_path_agrees_with_full_rk4_on_optical_storage(monkeypatch):
